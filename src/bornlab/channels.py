@@ -1,8 +1,11 @@
 """Gates and Kraus-family quantum operations.
 
-A gate is a unitary on its own 2**arity space; ``lift_unitary`` embeds it
-into an n-qubit register.  For multi-target gates the earlier-listed targets
-are the controls and the last listed target is the negated qubit, so
+An operation keeps its Kraus matrices on their own 2**k space together with
+the k target qubits they act on in an n-qubit register; ``evolve`` contracts
+them into the target axes of rho, so no 2**n x 2**n Kraus matrix is built.
+A gate is a unitary on its own 2**arity space, and ``lift_unitary`` places it
+on its targets.  For multi-target gates the earlier-listed targets are the
+controls and the last listed target is the negated qubit, so
 ``lift_unitary(toffoli, n, [c1, c2, t])`` computes AND-into-t.
 
 Measurement is the non-unitary member of the same family: a Kraus channel of
@@ -85,76 +88,80 @@ def builtin_gate(name: str) -> Gate:
 class QuantumOperation:
     """Trace-preserving completely positive map given by Kraus matrices.
 
+    The Kraus matrices act on their own 2**k space: on qubits ``targets`` of
+    an ``n_qubits`` register (index slot m is targets[m], slot 0 the most
+    significant), identity elsewhere.  The default is the whole register, so
+    ``QuantumOperation(dense_kraus)`` is the n-qubit map itself.
+
     The family must satisfy sum(dagger(A_i) @ A_i) == I within ``tol``;
     complete positivity then holds by construction of the Kraus form.
     """
 
-    def __init__(self, kraus, tol: float = STRUCTURAL_TOL):
+    def __init__(self, kraus, targets=None, n_qubits=None, tol: float = STRUCTURAL_TOL):
         ks = tuple(as_matrix(k) for k in kraus)
         if not ks:
             raise ValueError("Kraus family must be non-empty")
         dim = ks[0].shape[0]
         if any(k.shape[0] != dim for k in ks):
             raise ValueError("Kraus matrices must share one dimension")
-        self.n_qubits = linalg.n_qubits_of(dim)
-        total = sum(linalg.dagger(k) @ k for k in ks)
+        k = linalg.n_qubits_of(dim)
+        n = k if n_qubits is None else n_qubits
+        targets = tuple(range(n) if targets is None else targets)
+        if len(targets) != k:
+            raise ValueError(f"Kraus matrices of arity {k} need {k} targets, got {len(targets)}")
+        if len(set(targets)) != k:
+            raise ValueError(f"target indices must be distinct, got {list(targets)}")
+        if any(not 0 <= t < n for t in targets):
+            raise ValueError(f"target indices {list(targets)} out of range for {n} qubits")
+        total = sum(linalg.dagger(a) @ a for a in ks)
         if linalg.max_abs(total - np.eye(dim)) > tol:
             raise ValueError("Kraus family is not trace preserving")
         self.kraus = ks
+        self.targets = targets
+        self.n_qubits = n
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        """Dimension of the register the operation acts on."""
+        return 2**self.n_qubits
 
     def __repr__(self) -> str:
-        return f"QuantumOperation(n_qubits={self.n_qubits}, n_kraus={len(self.kraus)})"
+        k = len(self.kraus)
+        return f"QuantumOperation(n_qubits={self.n_qubits}, targets={self.targets}, n_kraus={k})"
 
 
 def identity_operation(n_qubits: int) -> QuantumOperation:
     return QuantumOperation([np.eye(2**n_qubits)])
 
 
-def _embed_unitary(u: np.ndarray, n_qubits: int, targets) -> np.ndarray:
-    """Embed a 2**k unitary on the listed target qubits, identity elsewhere.
+def _contract(a: np.ndarray, axes, t: np.ndarray) -> np.ndarray:
+    """Multiply the 2**k matrix ``a`` into the k listed axes of the (2,)*2n
+    tensor ``t``; slot m of ``a`` meets axis axes[m]."""
+    k = len(axes)
+    out = np.tensordot(a.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
 
-    Slot m of the gate's own index corresponds to targets[m]; slot 0 is the
-    most significant, matching the tensor-order convention.
+
+def evolve(op: QuantumOperation, matrix: np.ndarray) -> np.ndarray:
+    """The kernel behind every channel: sum_i A_i rho dagger(A_i) on a raw
+    2**n x 2**n array, each A_i contracted into the row axes of the targets
+    and its conjugate into their column axes.  The result is not checked.
     """
-    k = len(targets)
-    dim = 2**n_qubits
-    shifts = [n_qubits - 1 - t for t in targets]
-    clear = 0
-    for s in shifts:
-        clear |= 1 << s
-    full = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        t_in = 0
-        for m, s in enumerate(shifts):
-            t_in |= ((j >> s) & 1) << (k - 1 - m)
-        base = j & ~clear
-        for t_out in range(2**k):
-            amp = u[t_out, t_in]
-            if amp == 0:
-                continue
-            i = base
-            for m, s in enumerate(shifts):
-                i |= ((t_out >> (k - 1 - m)) & 1) << s
-            full[i, j] = amp
-    return full
+    n = op.n_qubits
+    if matrix.shape != (op.dim, op.dim):
+        raise ValueError("operation and state act on different qubit counts")
+    t = matrix.reshape((2,) * (2 * n))
+    cols = [n + q for q in op.targets]
+    out = np.zeros(t.shape, dtype=complex)
+    for a in op.kraus:
+        out += _contract(a.conj(), cols, _contract(a, op.targets, t))
+    return out.reshape(matrix.shape)
 
 
 def lift_unitary(gate: Gate, n_qubits: int, targets) -> QuantumOperation:
-    """Single-Kraus operation rho -> U rho dagger(U) with U the embedded gate."""
-    targets = list(targets)
-    if len(targets) != gate.arity:
-        raise ValueError(
-            f"gate {gate.name!r} has arity {gate.arity}, got {len(targets)} targets"
-        )
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"target indices must be distinct, got {targets}")
-    if any(not 0 <= t < n_qubits for t in targets):
-        raise ValueError(f"target indices {targets} out of range for {n_qubits} qubits")
-    return QuantumOperation([_embed_unitary(gate.matrix, n_qubits, targets)])
+    """Single-Kraus operation rho -> U rho dagger(U): the gate's own 2**arity
+    matrix on ``targets``, slot m of its index being qubit targets[m]."""
+    return QuantumOperation([gate.matrix], targets, n_qubits)
 
 
 def apply(op: QuantumOperation, rho: DensityOperator) -> DensityOperator:
@@ -163,63 +170,43 @@ def apply(op: QuantumOperation, rho: DensityOperator) -> DensityOperator:
     The result is revalidated as a density operator, so a malformed Kraus
     family surfaces here rather than corrupting downstream probabilities.
     """
-    if op.n_qubits != rho.n_qubits:
-        raise ValueError("operation and state act on different qubit counts")
-    out = np.zeros_like(rho.matrix)
-    for k in op.kraus:
-        out = out + k @ rho.matrix @ linalg.dagger(k)
-    return DensityOperator(out)
+    return DensityOperator(evolve(op, rho.matrix))
 
 
 def measurement_channel(n_qubits: int, measured) -> QuantumOperation:
     """Projective dephasing of the listed qubits in the computational basis.
 
-    One Kraus projector per assignment of the measured qubits; applying the
-    channel zeroes coherences between distinct measured-basis sectors and
-    leaves the diagonal untouched.
+    One diagonal 2**m x 2**m Kraus projector per assignment of the m measured
+    qubits; the channel zeroes coherences between distinct measured-basis
+    sectors and leaves the diagonal untouched.
     """
     qs = sorted(set(measured))
     if not qs:
         raise ValueError("measured qubit set must be non-empty")
-    if qs[0] < 0 or qs[-1] >= n_qubits:
-        raise ValueError(f"measured indices {qs} out of range for {n_qubits} qubits")
-    dim = 2**n_qubits
-    idx = np.arange(dim)
-    kraus = []
-    for assignment in range(2 ** len(qs)):
-        mask = np.ones(dim, dtype=bool)
-        for pos, q in enumerate(qs):
-            bit = (assignment >> (len(qs) - 1 - pos)) & 1
-            mask &= ((idx >> (n_qubits - 1 - q)) & 1) == bit
-        kraus.append(np.diag(mask.astype(complex)))
-    return QuantumOperation(kraus)
+    return QuantumOperation([np.diag(row) for row in np.eye(2 ** len(qs))], qs, n_qubits)
 
 
 def noise_channel(kind: str, p: float, n_qubits: int, target: int) -> QuantumOperation:
     """Single-qubit noise on ``target``: ``bit_flip`` or ``depolarizing``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {p}")
-    if not 0 <= target < n_qubits:
-        raise ValueError(f"noise target {target} out of range for {n_qubits} qubits")
-    x = _embed_unitary(PAULI_X, n_qubits, [target])
-    eye = np.eye(2**n_qubits)
     kind_key = kind.replace("_", "")
     if kind_key == "bitflip":
-        weighted = [(1.0 - p, eye), (p, x)]
+        weighted = [(1.0 - p, IDENTITY_1Q), (p, PAULI_X)]
     elif kind_key == "depolarizing":
-        y = _embed_unitary(PAULI_Y, n_qubits, [target])
-        z = _embed_unitary(PAULI_Z, n_qubits, [target])
-        weighted = [(1.0 - 3.0 * p / 4.0, eye), (p / 4.0, x), (p / 4.0, y), (p / 4.0, z)]
+        q = p / 4.0
+        weighted = [(1.0 - 3.0 * q, IDENTITY_1Q), (q, PAULI_X), (q, PAULI_Y), (q, PAULI_Z)]
     else:
         raise ValueError(f"unknown noise kind {kind!r}")
     kraus = [np.sqrt(w) * m for w, m in weighted if w > 0.0]
-    return QuantumOperation(kraus)
+    return QuantumOperation(kraus, [target], n_qubits)
 
 
 def compose(ops) -> QuantumOperation:
     """Composite of operations applied in list order (first entry acts first).
 
-    The Kraus family of the composite is the full set of ordered products; no
+    The Kraus family of the composite is the full set of ordered products,
+    each lifted to the whole register by the contraction ``evolve`` uses; no
     compression pass is attempted at these sizes.
     """
     ops = list(ops)
@@ -228,7 +215,8 @@ def compose(ops) -> QuantumOperation:
     n = ops[0].n_qubits
     if any(op.n_qubits != n for op in ops):
         raise ValueError("composed operations must share one qubit count")
-    kraus = list(ops[0].kraus)
-    for op in ops[1:]:
-        kraus = [b @ a for b in op.kraus for a in kraus]
-    return QuantumOperation(kraus)
+    dim = 2**n
+    kraus = [np.eye(dim).reshape((2,) * (2 * n))]
+    for op in ops:
+        kraus = [_contract(b, op.targets, a) for b in op.kraus for a in kraus]
+    return QuantumOperation([k.reshape(dim, dim) for k in kraus])

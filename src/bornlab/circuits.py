@@ -28,9 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import builtin_gate, lift_unitary, measurement_channel, noise_channel, apply
+from . import linalg
+from .channels import apply, builtin_gate, evolve, lift_unitary  # noqa: F401 (perfbench traces apply)
+from .channels import measurement_channel, noise_channel
 from .qcl import And, Atom, Formula, Not, Or
-from .states import DensityOperator, QuRegister, basis_state, pure_to_density
+from .states import DensityOperator, QuRegister, pure_to_density
 
 MAX_QUBITS = 10
 
@@ -242,25 +244,32 @@ def inject_noise(ir: CircuitIr, kind: str, p: float) -> CircuitIr:
 
 
 def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> DensityOperator:
-    """Fold the circuit's steps over the input state (default |0..0><0..0|)."""
+    """Fold the circuit's steps over the input state (default |0..0><0..0|).
+
+    Steps are applied with ``evolve`` to the raw matrix; a measure step is
+    the single-qubit measurement channel on each measured qubit in turn, the
+    joint channel exactly.  Trace and hermiticity are checked after every
+    step; positivity (``eigvalsh``) once, in the returned ``DensityOperator``.
+    """
+    n = ir.n_qubits
     if input_state is None:
-        rho = pure_to_density(basis_state(ir.n_qubits, 0))
+        rho = np.zeros((2**n, 2**n), dtype=complex)
+        rho[0, 0] = 1.0
     else:
-        if input_state.n_qubits != ir.n_qubits:
-            raise ValueError(
-                f"input state has {input_state.n_qubits} qubits, circuit has {ir.n_qubits}"
-            )
-        rho = input_state
-    for step in ir.steps:
+        if input_state.n_qubits != n:
+            raise ValueError(f"input state has {input_state.n_qubits} qubits, circuit has {n}")
+        rho = input_state.matrix
+    for i, step in enumerate(ir.steps, start=1):
         if isinstance(step, GateStep):
-            op = lift_unitary(builtin_gate(step.name), ir.n_qubits, step.targets)
+            rho = evolve(lift_unitary(builtin_gate(step.name), n, step.targets), rho)
         elif isinstance(step, NoiseStep):
-            op = noise_channel(step.kind, step.p, ir.n_qubits, step.target)
+            rho = evolve(noise_channel(step.kind, step.p, n, step.target), rho)
         else:
-            targets = step.targets if step.targets is not None else range(ir.n_qubits)
-            op = measurement_channel(ir.n_qubits, targets)
-        rho = apply(op, rho)
-    return rho
+            for q in step.targets if step.targets is not None else range(n):
+                rho = evolve(measurement_channel(n, [q]), rho)
+        if abs(linalg.trace(rho) - 1.0) > linalg.STRUCTURAL_TOL or not linalg.is_hermitian(rho):
+            raise ValueError(f"step {i} ({step}) left a non-hermitian or non-unit-trace state")
+    return DensityOperator(rho)
 
 
 # Diagonal entries at or below this are floating-point dust, not

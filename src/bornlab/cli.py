@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("input", help=input_help)
         sp.add_argument("--format", dest="fmt", choices=FORMATS, default="table")
         sp.add_argument("--output", default=None, help="write results to a file")
-        sp.add_argument("--tol", type=float, default=STRUCTURAL_TOL)
 
     p = sub.add_parser("run", help="print the exact outcome distribution")
     common(p, "circuit file")
@@ -346,11 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psa-table", help="print intensities per context and projector")
     common(p, "valuation input file")
+    p.add_argument("--tol", type=float, default=STRUCTURAL_TOL, help="tolerance of the context checks")
 
     p = sub.add_parser(
         "chsh", help=f"evaluate S for an input file or preset ({', '.join(CHSH_PRESETS)})"
     )
     common(p, "input file or preset name")
+    p.add_argument("--tol", type=float, default=STRUCTURAL_TOL, help="tolerance of the observable checks")
     return parser
 
 
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
             seed=getattr(args, "seed", 0),
             noise=noise,
             fmt=args.fmt,
-            tol=args.tol,
+            tol=getattr(args, "tol", STRUCTURAL_TOL),
             output=args.output,
         )
         return _COMMANDS[cfg.subcommand](cfg)

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for multi-qubit operators.
 
-Every state, gate, and channel in this package is a dense ``complex128``
-square matrix on n qubits (dimension 2**n).  Qubit 0 occupies the most
-significant position of a basis label, so the register |x1 x2 .. xn> maps to
-row/column index sum(x_i * 2**(n - i)) and the last qubit is the least
-significant bit.
+Every state, gate, and Kraus matrix in this package is a dense
+``complex128`` square matrix on the qubits it acts on (dimension 2**n for n
+qubits).  Qubit 0 occupies the most significant position of a basis label,
+so the register |x1 x2 .. xn> maps to row/column index sum(x_i * 2**(n - i))
+and the last qubit is the least significant bit.
 """
 
 from __future__ import annotations

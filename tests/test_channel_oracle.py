@@ -1,0 +1,167 @@
+"""The local-contraction kernel against a dense reference.
+
+The reference embeds every Kraus matrix into the full register with
+``np.kron`` and a basis permutation, and applies it as a dense product; it
+uses nothing from ``bornlab.channels``.  Circuits are generated by
+hypothesis: every DSL gate with its targets in any order, both noise kinds,
+partial and full measurement, from |0..0> or a random mixed state.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bornlab.channels import (
+    apply,
+    builtin_gate,
+    compose,
+    lift_unitary,
+    measurement_channel,
+    noise_channel,
+)
+from bornlab.circuits import CircuitIr, GateStep, MeasureStep, NoiseStep, simulate
+from bornlab.states import random_density
+
+S = 1 / np.sqrt(2)
+I2 = np.eye(2)
+X = np.array([[0, 1], [1, 0]])
+Y = np.array([[0, -1j], [1j, 0]])
+Z = np.diag([1, -1])
+CNOT = np.eye(4)[[0, 1, 3, 2]]
+GATES = {
+    "id": I2,
+    "not": X,
+    "h": np.array([[S, S], [S, -S]]),
+    "sqrtnot": np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2,
+    "cnot": CNOT,
+    "toffoli": np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]],
+}
+ARITY = {g: u.shape[0].bit_length() - 1 for g, u in GATES.items()}
+PAULI_WEIGHTS = {
+    "bitflip": lambda p: [(1 - p, I2), (p, X)],
+    "depolarizing": lambda p: [(1 - 3 * p / 4, I2), (p / 4, X), (p / 4, Y), (p / 4, Z)],
+}
+
+ORACLE = settings(max_examples=80, deadline=None)
+
+
+def embed(u, n, targets):
+    """``u`` on ``targets`` (slot 0 = targets[0]), identity on the rest."""
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    full = np.kron(u, np.eye(2 ** (n - len(targets))))
+    # Register index i in the kron's qubit order: bit s is qubit order[s].
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.array(order))) & 1
+    perm = (bits << (n - 1 - np.arange(n))).sum(axis=1)
+    return full[np.ix_(perm, perm)]
+
+
+def measurement_kraus(n, qs):
+    return [embed(np.diag(e), n, qs) for e in np.eye(2 ** len(qs))]
+
+
+def step_kraus(n, step):
+    if isinstance(step, GateStep):
+        return [embed(GATES[step.name], n, step.targets)]
+    if isinstance(step, NoiseStep):
+        weighted = PAULI_WEIGHTS[step.kind](step.p)
+        return [np.sqrt(w) * embed(m, n, [step.target]) for w, m in weighted if w > 0]
+    return measurement_kraus(n, step.targets if step.targets is not None else range(n))
+
+
+def reference_simulate(ir, rho):
+    for step in ir.steps:
+        rho = sum(k @ rho @ k.conj().T for k in step_kraus(ir.n_qubits, step))
+    return rho
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 6))
+    steps = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            name = draw(st.sampled_from([g for g in GATES if ARITY[g] <= n]))
+            targets = draw(st.permutations(range(n)))[: ARITY[name]]
+            steps.append(GateStep(name, tuple(targets)))
+        else:
+            kind = draw(st.sampled_from(sorted(PAULI_WEIGHTS)))
+            steps.append(NoiseStep(kind, draw(st.floats(0, 1)), draw(st.integers(0, n - 1))))
+    measured = draw(st.sampled_from(["none", "all", "some"]))
+    if measured == "all":
+        steps.append(MeasureStep(None))
+    elif measured == "some":
+        qs = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        steps.append(MeasureStep(tuple(sorted(qs))))
+    return CircuitIr(n, tuple(steps))
+
+
+REVERSED = CircuitIr(
+    4,
+    (
+        GateStep("h", (3,)),
+        GateStep("h", (2,)),
+        GateStep("toffoli", (3, 2, 0)),
+        GateStep("cnot", (0, 1)),
+        NoiseStep("depolarizing", 0.3, 1),
+        MeasureStep((0, 3)),
+    ),
+)
+
+
+@ORACLE
+@given(circuits(), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+@example(REVERSED, None)
+@example(REVERSED, 5)
+def test_simulate_matches_dense_reference(ir, seed):
+    dim = 2**ir.n_qubits
+    if seed is None:
+        state, rho0 = None, np.zeros((dim, dim))
+        rho0[0, 0] = 1
+    else:
+        state = random_density(ir.n_qubits, rng=seed)
+        rho0 = state.matrix
+    got = simulate(ir, state).matrix
+    assert np.max(np.abs(got - reference_simulate(ir, rho0))) <= 1e-12
+
+
+@st.composite
+def operations(draw):
+    """An n-qubit register and 1-3 operations on drawn targets."""
+    n = draw(st.integers(1, 4))
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        choice = draw(st.sampled_from(["gate", "noise", "measure"]))
+        if choice == "gate":
+            name = draw(st.sampled_from([g for g in GATES if ARITY[g] <= n]))
+            targets = draw(st.permutations(range(n)))[: ARITY[name]]
+            op = lift_unitary(builtin_gate(name), n, targets)
+            ops.append((op, [embed(GATES[name], n, targets)]))
+        elif choice == "noise":
+            kind = draw(st.sampled_from(sorted(PAULI_WEIGHTS)))
+            step = NoiseStep(kind, draw(st.floats(0, 1)), draw(st.integers(0, n - 1)))
+            ops.append((noise_channel(step.kind, step.p, n, step.target), step_kraus(n, step)))
+        else:
+            qs = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+            ops.append((measurement_channel(n, qs), measurement_kraus(n, qs)))
+    return n, ops
+
+
+@ORACLE
+@given(operations(), st.integers(0, 2**32 - 1))
+def test_compose_equals_sequential_application(n_ops, seed):
+    n, pairs = n_ops
+    ops = [op for op, _ in pairs]
+    rho = random_density(n, rng=seed)
+    sequential = rho
+    for op in ops:
+        sequential = apply(op, sequential)
+    composite = compose(ops)
+    assert np.max(np.abs(apply(composite, rho).matrix - sequential.matrix)) <= 1e-12
+    # The composite's Kraus family is the ordered products of the dense
+    # reference matrices, first operation rightmost.
+    expected = [np.eye(2**n)]
+    for _, kraus in pairs:
+        expected = [b @ a for b in kraus for a in expected]
+    assert len(composite.kraus) == len(expected)
+    for got, want in zip(composite.kraus, expected):
+        assert np.max(np.abs(got - want)) <= 1e-12

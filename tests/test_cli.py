@@ -247,6 +247,25 @@ class TestChsh:
         assert "missing observables" in capsys.readouterr().err
 
 
+class TestTolFlag:
+    """--tol is accepted only where a tolerance is read."""
+
+    @pytest.mark.parametrize("command", ["run", "sample", "eval"])
+    def test_rejected_where_it_would_be_ignored(self, command, demo_circuit, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(demo_circuit), "--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    def test_accepted_by_chsh_and_psa_table(self, tmp_path, capsys):
+        assert main(["chsh", "singlet-optimal", "--tol", "1e-6"]) == 0
+        assert capsys.readouterr().out == "2.828427\n"
+        path = tmp_path / "z.psa"
+        path.write_text(ZERO_STATE_PSA, encoding="utf-8")
+        assert main(["psa-table", str(path), "--tol", "1e-6"]) == 0
+        assert "hadamard P0 0.500000" in capsys.readouterr().out
+
+
 class TestDemoFiles:
     """The demo inputs shipped in demos/ stay working."""
 

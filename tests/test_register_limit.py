@@ -1,0 +1,77 @@
+"""The advertised 10-qubit limit holds under a 2 GiB address-space cap.
+
+Each circuit runs through ``bornlab run`` in a child interpreter whose
+address space is capped, so an allocation that scales with 4**n per Kraus
+matrix fails there as a ``MemoryError`` instead of exhausting the machine.
+"""
+
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CAP_BYTES = 2 * 2**30
+
+CHILD = f"""\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({CAP_BYTES}, resource.RLIM_INFINITY))
+from bornlab.cli import main
+sys.exit(main(["run", sys.argv[1], "--format", "record"]))
+"""
+
+
+def _label(n, ones):
+    return "".join("1" if q in ones else "0" for q in range(n))
+
+
+def _measure_all_expected():
+    # q0 = q9 from a Bell pair, q2 uniform, q4 set, q6 flipped with p = 0.25.
+    out = {}
+    for a, b, flip in itertools.product((0, 1), repeat=3):
+        ones = {4} | ({0, 9} if a else set()) | ({2} if b else set()) | ({6} if flip else set())
+        out[_label(10, ones)] = 0.25 * (0.25 if flip else 0.75)
+    return out
+
+
+def _toffoli_expected():
+    # Controls 8 and 3 uniform, the negated qubit 1 is their AND.
+    out = {}
+    for a, b in itertools.product((0, 1), repeat=2):
+        ones = ({8} if a else set()) | ({3} if b else set()) | ({1} if a and b else set())
+        out[_label(10, ones)] = 0.25
+    return out
+
+
+CASES = {
+    "measure_all": (
+        "qubits 10\ngate h 0\ngate cnot 0 9\ngate not 4\ngate h 2\n"
+        "noise bitflip 0.25 6\nmeasure all\n",
+        _measure_all_expected(),
+    ),
+    "toffoli_non_adjacent": (
+        "qubits 10\ngate h 8\ngate h 3\ngate toffoli 8 3 1\nmeasure 8 3 1\n",
+        _toffoli_expected(),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_ten_qubit_circuit_runs_under_a_2_gib_cap(case, tmp_path):
+    text, expected = CASES[case]
+    path = tmp_path / f"{case}.qc"
+    path.write_text(text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    probs = json.loads(done.stdout)["probabilities"]
+    assert probs.keys() == expected.keys()
+    for label, p in expected.items():
+        assert abs(probs[label] - p) <= 1e-12, label
