@@ -22,9 +22,11 @@ from .circuits import (
     NoiseStep,
     inject_noise,
     outcome_distribution,
+    parse_chsh_file,
     parse_circuit,
     parse_formula,
     parse_formula_file,
+    parse_psa_file,
     pretty_print,
     sample,
     simulate,

@@ -13,7 +13,7 @@ computational-basis projectors that kills coherences between measured
 sectors.  Noise channels model environment error with one tunable
 probability:
 
-    bit_flip:     rho -> (1 - p) rho + p X rho X
+    bitflip:      rho -> (1 - p) rho + p X rho X
     depolarizing: rho -> (1 - 3p/4) rho + (p/4)(X rho X + Y rho Y + Z rho Z)
 """
 
@@ -61,28 +61,37 @@ class Gate:
         return f"Gate({self.name!r}, arity={self.arity})"
 
 
-_BUILTINS = {
-    "i": ("I", IDENTITY_1Q),
-    "id": ("I", IDENTITY_1Q),
-    "identity": ("I", IDENTITY_1Q),
-    "not": ("Not", PAULI_X),
-    "x": ("Not", PAULI_X),
-    "h": ("H", HADAMARD),
-    "hadamard": ("H", HADAMARD),
-    "sqrtnot": ("SqrtNot", SQRT_NOT),
-    "cnot": ("CNot", CNOT),
-    "toffoli": ("Toffoli", TOFFOLI),
-    "ccnot": ("Toffoli", TOFFOLI),
+#: The gates of the circuit DSL, keyed by their DSL names; each matrix is
+#: checked for unitarity once, here.
+GATES = {
+    "id": Gate("I", IDENTITY_1Q),
+    "not": Gate("Not", PAULI_X),
+    "h": Gate("H", HADAMARD),
+    "sqrtnot": Gate("SqrtNot", SQRT_NOT),
+    "cnot": Gate("CNot", CNOT),
+    "toffoli": Gate("Toffoli", TOFFOLI),
 }
+
+#: The noise kinds of the circuit DSL.
+NOISE_KINDS = ("bitflip", "depolarizing")
 
 
 def builtin_gate(name: str) -> Gate:
-    """Look up a standard gate: I, Not, CNot, Toffoli, H, SqrtNot."""
+    """The gate of ``GATES`` called ``name``, in any letter case."""
     try:
-        canonical, matrix = _BUILTINS[name.lower()]
+        return GATES[name.lower()]
     except KeyError:
         raise ValueError(f"unknown gate {name!r}") from None
-    return Gate(canonical, matrix)
+
+
+def check_noise_kind(kind: str) -> None:
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+
+
+def check_noise_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"noise probability {p} out of [0, 1]")
 
 
 class QuantumOperation:
@@ -187,17 +196,16 @@ def measurement_channel(n_qubits: int, measured) -> QuantumOperation:
 
 
 def noise_channel(kind: str, p: float, n_qubits: int, target: int) -> QuantumOperation:
-    """Single-qubit noise on ``target``: ``bit_flip`` or ``depolarizing``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise probability must be in [0, 1], got {p}")
-    kind_key = kind.replace("_", "")
-    if kind_key == "bitflip":
+    """Single-qubit noise on ``target``: a kind of ``NOISE_KINDS``, which
+    may also be spelled with underscores (``bit_flip``)."""
+    kind = kind.replace("_", "")
+    check_noise_kind(kind)
+    check_noise_probability(p)
+    if kind == "bitflip":
         weighted = [(1.0 - p, IDENTITY_1Q), (p, PAULI_X)]
-    elif kind_key == "depolarizing":
+    else:
         q = p / 4.0
         weighted = [(1.0 - 3.0 * q, IDENTITY_1Q), (q, PAULI_X), (q, PAULI_Y), (q, PAULI_Z)]
-    else:
-        raise ValueError(f"unknown noise kind {kind!r}")
     kraus = [np.sqrt(w) * m for w, m in weighted if w > 0.0]
     return QuantumOperation(kraus, [target], n_qubits)
 

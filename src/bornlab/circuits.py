@@ -1,4 +1,4 @@
-"""Line-oriented circuit DSL, exact simulation, and seeded shot sampling.
+"""The input files: circuits, formulas, valuation inputs and CHSH inputs.
 
 Circuit grammar (UTF-8, one statement per line, ``#`` starts a comment):
 
@@ -8,20 +8,23 @@ Circuit grammar (UTF-8, one statement per line, ``#`` starts a comment):
     noise <bitflip|depolarizing> <p> <target>
     measure all | measure <i> [<j> ...]      optional, must be last
 
-Outcome labels are big-endian: character i of a label is qubit i, so the
-last character is the truth qubit read by the logic layer.  Sampling draws
-from the exact output distribution with a seeded PCG64 generator
-(``numpy.random.default_rng``), so a (circuit, shots, seed) triple always
-reproduces the same histogram.
+Circuits are simulated exactly here too.  Outcome labels are big-endian:
+character i of a label is qubit i, so the last character is the truth qubit
+read by the logic layer.  Sampling draws from the exact output distribution
+with a seeded PCG64 generator (``numpy.random.default_rng``), so a
+(circuit, shots, seed) triple always reproduces the same histogram.
 
-Formula files for the logic layer are parsed here as well: an ``atom``
-preamble binds names to literal qubits or circuit files, and a single
-``formula`` line gives the expression, with precedence ! > & > |.
+Formula files for the logic layer bind names to literal qubits or circuit
+files in an ``atom`` preamble, and a single ``formula`` line gives the
+expression, with precedence ! > & > |.  Valuation (psa) and CHSH files share
+one ``state`` line and one line loop.  Every state, vector and matrix read
+from a file spans at most ``MAX_QUBITS`` qubits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,15 +32,21 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .channels import apply, builtin_gate, evolve, lift_unitary  # noqa: F401 (perfbench traces apply)
+from .channels import apply, evolve, lift_unitary  # noqa: F401 (perfbench traces apply)
+from .channels import GATES, check_noise_kind, check_noise_probability
 from .channels import measurement_channel, noise_channel
+from .linalg import STRUCTURAL_TOL
+from .psa import Context
 from .qcl import And, Atom, Formula, Not, Or
-from .states import DensityOperator, QuRegister, pure_to_density
+from .states import DensityOperator, Projector, QuRegister, pure_to_density
 
 MAX_QUBITS = 10
 
-GATE_ARITY = {"id": 1, "not": 1, "h": 1, "sqrtnot": 1, "cnot": 2, "toffoli": 3}
-NOISE_KINDS = ("bitflip", "depolarizing")
+
+def _check_qubit_count(n: int) -> None:
+    """The register limit for circuits and for every state read from a file."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
 
 
 class CircuitParseError(ValueError):
@@ -70,46 +79,59 @@ class MeasureStep:
 Step = GateStep | NoiseStep | MeasureStep
 
 
+class _StepError(ValueError):
+    """A step breaks a rule; ``token`` indexes the offending token of the
+    step's text form (0 is the keyword, then the fields in order)."""
+
+    def __init__(self, message: str, token: int):
+        super().__init__(message)
+        self.token = token
+
+
+def _check_step(n_qubits: int, step: Step, previous: Step | None) -> None:
+    """Every rule a circuit step obeys, given the step before it."""
+    if isinstance(previous, MeasureStep):
+        raise _StepError("measure must be the final step: no statements allowed after 'measure'", 0)
+    if isinstance(step, GateStep):
+        gate = GATES.get(step.name)
+        if gate is None:
+            raise _StepError(f"unknown gate {step.name!r}", 1)
+        if len(step.targets) != gate.arity:
+            raise _StepError(
+                f"gate {step.name!r} expects {gate.arity} targets, got {len(step.targets)}", 1
+            )
+        targets, first, what = step.targets, 2, "target"
+    elif isinstance(step, NoiseStep):
+        for token, check, value in ((1, check_noise_kind, step.kind), (2, check_noise_probability, step.p)):
+            try:
+                check(value)
+            except ValueError as exc:
+                raise _StepError(str(exc), token) from None
+        targets, first, what = (step.target,), 3, "target"
+    elif isinstance(step, MeasureStep):
+        if step.targets is None:
+            return
+        if not step.targets:
+            raise _StepError("measure step needs at least one qubit", 0)
+        targets, first, what = step.targets, 1, "measured qubit"
+    else:
+        raise TypeError(f"unknown step {step!r}")
+    for i, t in enumerate(targets):
+        if not 0 <= t < n_qubits:
+            raise _StepError(f"qubit index {t} out of range for {n_qubits} qubits", first + i)
+        if t in targets[:i]:
+            raise _StepError(f"repeated {what} {t}", first + i)
+
+
 @dataclass(frozen=True)
 class CircuitIr:
     n_qubits: int
     steps: tuple[Step, ...] = ()
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}")
-        for i, step in enumerate(self.steps):
-            if isinstance(step, GateStep):
-                arity = GATE_ARITY.get(step.name)
-                if arity is None:
-                    raise ValueError(f"unknown gate {step.name!r}")
-                if len(step.targets) != arity:
-                    raise ValueError(
-                        f"gate {step.name!r} expects {arity} targets, got {len(step.targets)}"
-                    )
-                self._check_targets(step.targets)
-            elif isinstance(step, NoiseStep):
-                if step.kind not in NOISE_KINDS:
-                    raise ValueError(f"unknown noise kind {step.kind!r}")
-                if not 0.0 <= step.p <= 1.0:
-                    raise ValueError(f"noise probability must be in [0, 1], got {step.p}")
-                self._check_targets((step.target,))
-            elif isinstance(step, MeasureStep):
-                if step.targets is not None:
-                    if not step.targets:
-                        raise ValueError("measure step needs at least one qubit")
-                    self._check_targets(step.targets)
-                if i != len(self.steps) - 1:
-                    raise ValueError("measure must be the final step")
-            else:
-                raise TypeError(f"unknown step {step!r}")
-
-    def _check_targets(self, targets):
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"target indices must be distinct, got {list(targets)}")
-        for t in targets:
-            if not 0 <= t < self.n_qubits:
-                raise ValueError(f"target {t} out of range for {self.n_qubits} qubits")
+        _check_qubit_count(self.n_qubits)
+        for previous, step in zip((None, *self.steps), self.steps):
+            _check_step(self.n_qubits, step, previous)
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -119,95 +141,68 @@ def _line_tokens(line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
-def _parse_index(tok: str, lineno: int, col: int, n_qubits: int) -> int:
+def _number(convert, what: str, token: tuple[str, int], lineno: int):
+    tok, col = token
     try:
-        value = int(tok)
+        return convert(tok)
     except ValueError:
-        raise CircuitParseError(f"expected a qubit index, got {tok!r}", lineno, col) from None
-    if not 0 <= value < n_qubits:
-        raise CircuitParseError(
-            f"qubit index {value} out of range for {n_qubits} qubits", lineno, col
-        )
-    return value
+        raise CircuitParseError(f"expected {what}, got {tok!r}", lineno, col) from None
+
+
+def _parse_step(toks: list[tuple[str, int]], lineno: int) -> Step:
+    """The step a statement spells; only its syntax is checked here."""
+    (kw, col), args = toks[0], toks[1:]
+
+    def index(token):
+        return _number(int, "a qubit index", token, lineno)
+
+    if kw == "gate":
+        if not args:
+            raise CircuitParseError("usage: gate <name> <target>...", lineno, col)
+        return GateStep(args[0][0], tuple(map(index, args[1:])))
+    if kw == "noise":
+        if len(args) != 3:
+            raise CircuitParseError("usage: noise <bitflip|depolarizing> <p> <target>", lineno, col)
+        return NoiseStep(args[0][0], _number(float, "a probability", args[1], lineno), index(args[2]))
+    if kw == "measure":
+        if not args:
+            raise CircuitParseError("usage: measure all | measure <i>...", lineno, col)
+        if len(args) == 1 and args[0][0] == "all":
+            return MeasureStep(None)
+        return MeasureStep(tuple(map(index, args)))
+    if kw == "qubits":
+        raise CircuitParseError("duplicate 'qubits' declaration", lineno, col)
+    raise CircuitParseError(f"unknown statement {kw!r}", lineno, col)
 
 
 def parse_circuit(text: str) -> CircuitIr:
     """Parse circuit text into its IR; errors carry line and column."""
     n_qubits: int | None = None
     steps: list[Step] = []
-    measured = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _line_tokens(raw.split("#", 1)[0])
         if not toks:
             continue
-        kw, col = toks[0]
         if n_qubits is None:
+            kw, col = toks[0]
             if kw != "qubits":
                 raise CircuitParseError("expected 'qubits <n>' as the first statement", lineno, col)
             if len(toks) != 2:
                 raise CircuitParseError("usage: qubits <n>", lineno, col)
-            val, vcol = toks[1]
+            n_qubits = _number(int, "an integer", toks[1], lineno)
             try:
-                n_qubits = int(val)
-            except ValueError:
-                raise CircuitParseError(f"expected an integer, got {val!r}", lineno, vcol) from None
-            if not 1 <= n_qubits <= MAX_QUBITS:
-                raise CircuitParseError(f"qubit count must be in 1..{MAX_QUBITS}", lineno, vcol)
+                _check_qubit_count(n_qubits)
+            except ValueError as exc:
+                raise CircuitParseError(str(exc), lineno, toks[1][1]) from None
             continue
-        if measured:
-            raise CircuitParseError("no statements allowed after 'measure'", lineno, col)
-        if kw == "qubits":
-            raise CircuitParseError("duplicate 'qubits' declaration", lineno, col)
-        if kw == "gate":
-            if len(toks) < 2:
-                raise CircuitParseError("usage: gate <name> <target>...", lineno, col)
-            name, ncol = toks[1]
-            arity = GATE_ARITY.get(name)
-            if arity is None:
-                raise CircuitParseError(f"unknown gate {name!r}", lineno, ncol)
-            if len(toks) - 2 != arity:
-                raise CircuitParseError(
-                    f"gate {name!r} expects {arity} targets, got {len(toks) - 2}", lineno, ncol
-                )
-            targets = []
-            for tok, tcol in toks[2:]:
-                t = _parse_index(tok, lineno, tcol, n_qubits)
-                if t in targets:
-                    raise CircuitParseError(f"repeated target {t}", lineno, tcol)
-                targets.append(t)
-            steps.append(GateStep(name, tuple(targets)))
-        elif kw == "noise":
-            if len(toks) != 4:
-                raise CircuitParseError("usage: noise <bitflip|depolarizing> <p> <target>", lineno, col)
-            kind, kcol = toks[1]
-            if kind not in NOISE_KINDS:
-                raise CircuitParseError(f"unknown noise kind {kind!r}", lineno, kcol)
-            ptok, pcol = toks[2]
-            try:
-                p = float(ptok)
-            except ValueError:
-                raise CircuitParseError(f"expected a probability, got {ptok!r}", lineno, pcol) from None
-            if not 0.0 <= p <= 1.0:
-                raise CircuitParseError(f"probability {p} out of [0, 1]", lineno, pcol)
-            ttok, tcol = toks[3]
-            target = _parse_index(ttok, lineno, tcol, n_qubits)
-            steps.append(NoiseStep(kind, p, target))
-        elif kw == "measure":
-            if len(toks) < 2:
-                raise CircuitParseError("usage: measure all | measure <i>...", lineno, col)
-            if len(toks) == 2 and toks[1][0] == "all":
-                steps.append(MeasureStep(None))
-            else:
-                qs: list[int] = []
-                for tok, tcol in toks[1:]:
-                    q = _parse_index(tok, lineno, tcol, n_qubits)
-                    if q in qs:
-                        raise CircuitParseError(f"repeated measured qubit {q}", lineno, tcol)
-                    qs.append(q)
-                steps.append(MeasureStep(tuple(sorted(qs))))
-            measured = True
-        else:
-            raise CircuitParseError(f"unknown statement {kw!r}", lineno, col)
+        step = _parse_step(toks, lineno)
+        try:
+            _check_step(n_qubits, step, steps[-1] if steps else None)
+        except _StepError as exc:
+            raise CircuitParseError(str(exc), lineno, toks[exc.token][1]) from None
+        if isinstance(step, MeasureStep) and step.targets is not None:
+            step = MeasureStep(tuple(sorted(step.targets)))
+        steps.append(step)
     if n_qubits is None:
         raise CircuitParseError("empty circuit: expected 'qubits <n>'", 1, 1)
     return CircuitIr(n_qubits, tuple(steps))
@@ -231,10 +226,8 @@ def pretty_print(ir: CircuitIr) -> str:
 
 def inject_noise(ir: CircuitIr, kind: str, p: float) -> CircuitIr:
     """Insert a noise step on each target of every gate step, after the gate."""
-    if kind not in NOISE_KINDS:
-        raise ValueError(f"unknown noise kind {kind!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise probability must be in [0, 1], got {p}")
+    check_noise_kind(kind)
+    check_noise_probability(p)
     out: list[Step] = []
     for step in ir.steps:
         out.append(step)
@@ -261,7 +254,7 @@ def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> Densi
         rho = input_state.matrix
     for i, step in enumerate(ir.steps, start=1):
         if isinstance(step, GateStep):
-            rho = evolve(lift_unitary(builtin_gate(step.name), n, step.targets), rho)
+            rho = evolve(lift_unitary(GATES[step.name], n, step.targets), rho)
         elif isinstance(step, NoiseStep):
             rho = evolve(noise_channel(step.kind, step.p, n, step.target), rho)
         else:
@@ -459,38 +452,70 @@ def parse_formula(text: str, line: int = 1, col_offset: int = 1) -> Formula:
     return _FormulaParser(tokens, line, col_offset + len(text)).parse()
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_LITERAL_RE = re.compile(r"\(([^)]*)\)\Z")
+# --- states in input files ---------------------------------------------------
 
 
-def _atom_literal(value: str, lineno: int) -> DensityOperator:
-    m = _LITERAL_RE.match(value)
-    if m is None:
-        raise FormulaParseError("literal must look like (c0_re, c0_im, c1_re, c1_im)", lineno, 1)
-    parts = [p.strip() for p in m.group(1).split(",")]
-    if len(parts) != 4:
-        raise FormulaParseError(f"literal needs 4 numbers, got {len(parts)}", lineno, 1)
-    try:
-        c0_re, c0_im, c1_re, c1_im = (float(p) for p in parts)
-    except ValueError:
-        raise FormulaParseError(f"bad number in literal {value!r}", lineno, 1) from None
-    v = np.array([c0_re + 1j * c0_im, c1_re + 1j * c1_im])
-    norm = np.linalg.norm(v)
+def _complex_tokens(tokens, square: bool = False) -> np.ndarray:
+    """Complex literals as a vector, or as a row-major square matrix.  Either
+    spans at most ``MAX_QUBITS`` qubits, checked before any token is parsed."""
+    dim = math.isqrt(len(tokens)) if square else len(tokens)
+    _check_qubit_count(max(dim - 1, 1).bit_length())  # the qubits that index dim entries
+    values = []
+    for tok in tokens:
+        try:
+            values.append(complex(tok))
+        except ValueError:
+            raise ValueError(f"bad complex literal {tok!r}") from None
+    v = np.array(values, dtype=complex)
+    if not square:
+        return v
+    if dim * dim != v.size:
+        raise ValueError(f"{v.size} entries do not form a square matrix")
+    return v.reshape(dim, dim)
+
+
+def _unit_vector(amplitudes: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(amplitudes)
     if norm == 0.0:
-        raise FormulaParseError("literal qubit must be nonzero", lineno, 1)
-    return pure_to_density(QuRegister(v / norm))
+        raise ValueError("zero vector")
+    return amplitudes / norm
 
 
-def _atom_circuit(value: str, base_dir: Path, lineno: int) -> DensityOperator:
+def _pure_state(amplitudes: np.ndarray) -> DensityOperator:
+    return pure_to_density(QuRegister(_unit_vector(amplitudes)))
+
+
+def _circuit_state(value: str, base_dir: Path) -> DensityOperator:
+    """The output state of the circuit file ``value``, relative to ``base_dir``."""
     path = base_dir / value
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"line {lineno}: cannot read circuit {str(path)!r}: {exc}") from exc
+        raise ValueError(f"cannot read circuit {str(path)!r}: {exc}") from exc
     try:
         return simulate(parse_circuit(text))
     except CircuitParseError as exc:
         raise ValueError(f"in circuit {str(path)!r}: {exc}") from exc
+
+
+# --- formula files ------------------------------------------------------------
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_LITERAL_RE = re.compile(r"\(([^)]*)\)\Z")
+
+
+def _atom_literal(value: str) -> DensityOperator:
+    m = _LITERAL_RE.match(value)
+    if m is None:
+        raise ValueError("literal must look like (c0_re, c0_im, c1_re, c1_im)")
+    parts = [p.strip() for p in m.group(1).split(",")]
+    if len(parts) != 4:
+        raise ValueError(f"literal needs 4 numbers, got {len(parts)}")
+    try:
+        c0_re, c0_im, c1_re, c1_im = (float(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"bad number in literal {value!r}") from None
+    return _pure_state(np.array([c0_re + 1j * c0_im, c1_re + 1j * c1_im]))
 
 
 def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, DensityOperator]]:
@@ -523,10 +548,13 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
                 raise FormulaParseError(f"bad atom name {name!r}", lineno, 1)
             if name in bindings:
                 raise FormulaParseError(f"duplicate atom {name!r}", lineno, 1)
-            if value.startswith("("):
-                bindings[name] = _atom_literal(value, lineno)
-            else:
-                bindings[name] = _atom_circuit(value, base, lineno)
+            try:
+                if value.startswith("("):
+                    bindings[name] = _atom_literal(value)
+                else:
+                    bindings[name] = _circuit_state(value, base)
+            except ValueError as exc:
+                raise FormulaParseError(str(exc), lineno, 1) from exc
         elif kw == "formula":
             if ast is not None:
                 raise FormulaParseError("duplicate formula line", lineno, 1)
@@ -543,3 +571,128 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
     if ast is None:
         raise FormulaParseError("missing 'formula =' line", last_line, 1)
     return ast, bindings
+
+
+# --- valuation and CHSH files -------------------------------------------------
+
+
+def _read_state(kind: str, tokens, base_dir: Path) -> DensityOperator:
+    if kind == "circuit":
+        if len(tokens) != 1:
+            raise ValueError("usage: state circuit <path>")
+        return _circuit_state(tokens[0], base_dir)
+    if kind == "pure":
+        return _pure_state(_complex_tokens(tokens))
+    if kind == "matrix":
+        return DensityOperator(_complex_tokens(tokens, square=True))
+    raise ValueError(f"unknown state kind {kind!r}")
+
+
+def _read_statements(text: str, base_dir, statement) -> DensityOperator:
+    """The line loop of valuation and CHSH files.
+
+    Comments and blank lines are skipped, the one ``state`` line is read here
+    and every other statement goes to ``statement(keyword, args)``; an error
+    on a line is prefixed with its number.  Returns the state.
+    """
+    state: DensityOperator | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        try:
+            if toks[0] != "state":
+                statement(toks[0], toks[1:])
+            elif state is not None:
+                raise ValueError("duplicate state declaration")
+            elif len(toks) < 3:
+                raise ValueError("usage: state <circuit|pure|matrix> ...")
+            else:
+                state = _read_state(toks[1], toks[2:], Path(base_dir))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    if state is None:
+        raise ValueError("missing 'state' declaration")
+    return state
+
+
+def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
+    """Parse a valuation input: one ``state`` line, then named context blocks.
+
+        state circuit <path> | state pure <c...> | state matrix <c... row-major>
+        context <name>
+        vector <c0> ... <c_dim-1>          # rank-1 projector onto the vector
+        projector <c...>                   # full matrix, row-major
+        end
+
+    Returns the state and a list of (name, Context); ``tol`` is the
+    tolerance of the context checks.
+    """
+    contexts: list[tuple[str, Context]] = []
+    current: tuple[str, list] | None = None  # the open context block
+
+    def statement(kw: str, args) -> None:
+        nonlocal current
+        if kw == "context":
+            if current is not None:
+                raise ValueError("previous context not closed with 'end'")
+            if len(args) != 1:
+                raise ValueError("usage: context <name>")
+            current = (args[0], [])
+        elif kw in ("vector", "projector"):
+            if current is None:
+                raise ValueError(f"{kw!r} outside a context block")
+            if kw == "vector":
+                u = _unit_vector(_complex_tokens(args))
+                current[1].append(Projector(np.outer(u, u.conj())))
+            else:
+                current[1].append(Projector(_complex_tokens(args, square=True)))
+        elif kw == "end":
+            if current is None:
+                raise ValueError("'end' without a context block")
+            name, projectors = current
+            try:
+                contexts.append((name, Context(projectors, tol=tol)))
+            except ValueError as exc:
+                raise ValueError(f"context {name!r}: {exc}") from exc
+            current = None
+        else:
+            raise ValueError(f"unknown statement {kw!r}")
+
+    state = _read_statements(text, base_dir, statement)
+    if current is not None:
+        raise ValueError(f"context {current[0]!r} not closed with 'end'")
+    if not contexts:
+        raise ValueError("no contexts declared")
+    return state, contexts
+
+
+_OBSERVABLE_NAMES = {"a": "a", "ap": "ap", "a'": "ap", "b": "b", "bp": "bp", "b'": "bp"}
+
+
+def parse_chsh_file(text: str, base_dir="."):
+    """Parse a CHSH input: one ``state`` line and the four observables,
+
+        observable <a|ap|b|bp> <c...>      # 2x2 matrix, row-major
+
+    Returns (state, a, a', b, b').
+    """
+    observables: dict[str, np.ndarray] = {}
+
+    def statement(kw: str, args) -> None:
+        if kw != "observable":
+            raise ValueError(f"unknown statement {kw!r}")
+        if len(args) < 2:
+            raise ValueError("usage: observable <a|ap|b|bp> <4 entries>")
+        key = _OBSERVABLE_NAMES.get(args[0])
+        if key is None:
+            raise ValueError("observable name must be a, ap, b, or bp")
+        if key in observables:
+            raise ValueError(f"duplicate observable {key!r}")
+        observables[key] = _complex_tokens(args[1:], square=True)
+
+    state = _read_statements(text, base_dir, statement)
+    missing = [k for k in ("a", "ap", "b", "bp") if k not in observables]
+    if missing:
+        raise ValueError(f"missing observables: {', '.join(missing)}")
+    return state, observables["a"], observables["ap"], observables["b"], observables["bp"]

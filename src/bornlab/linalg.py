@@ -96,10 +96,14 @@ def partial_trace(a: np.ndarray, n_qubits: int, traced_indices) -> np.ndarray:
     return reduced.reshape(d, d)
 
 
-def is_hermitian(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    """True iff ``a`` equals its adjoint within ``tol`` in max-norm."""
+def check_tol(tol: float) -> None:
     if tol <= 0:
         raise ValueError("tol must be positive")
+
+
+def is_hermitian(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
+    """True iff ``a`` equals its adjoint within ``tol`` in max-norm."""
+    check_tol(tol)
     return max_abs(a - dagger(a)) <= tol
 
 

@@ -55,6 +55,19 @@ def intensity(psa: Psa, p: Projector) -> float:
     return born_expectation(psa.rho, p)
 
 
+def _check_orthogonal(ps, tol: float) -> None:
+    """Reject a non-empty family unless its projectors share one dimension
+    and are pairwise orthogonal within ``tol`` (positive) in max-norm."""
+    linalg.check_tol(tol)
+    dim = ps[0].dim
+    if any(p.dim != dim for p in ps):
+        raise ValueError("projectors must share one dimension")
+    for i, pi in enumerate(ps):
+        for j in range(i + 1, len(ps)):
+            if linalg.max_abs(pi.matrix @ ps[j].matrix) > tol:
+                raise ValueError(f"projectors {i} and {j} are not orthogonal")
+
+
 def join_projectors(ps, tol: float = STRUCTURAL_TOL) -> Projector:
     """Projector onto the span of a pairwise-orthogonal family.
 
@@ -64,13 +77,8 @@ def join_projectors(ps, tol: float = STRUCTURAL_TOL) -> Projector:
     ps = list(ps)
     if not ps:
         raise ValueError("join of an empty family")
+    _check_orthogonal(ps, tol)
     dim = ps[0].dim
-    if any(p.dim != dim for p in ps):
-        raise ValueError("projectors must share one dimension")
-    for i, pi in enumerate(ps):
-        for j in range(i + 1, len(ps)):
-            if linalg.max_abs(pi.matrix @ ps[j].matrix) > tol:
-                raise ValueError(f"projectors {i} and {j} are not orthogonal")
     total = np.zeros((dim, dim), dtype=complex)
     for p in ps:
         total += p.matrix
@@ -92,13 +100,8 @@ class Context:
         ps = tuple(projectors)
         if not ps:
             raise ValueError("a context needs at least one projector")
+        _check_orthogonal(ps, tol)
         dim = ps[0].dim
-        if any(p.dim != dim for p in ps):
-            raise ValueError("context projectors must share one dimension")
-        for i, pi in enumerate(ps):
-            for j in range(i + 1, len(ps)):
-                if linalg.max_abs(pi.matrix @ ps[j].matrix) > tol:
-                    raise ValueError(f"context projectors {i} and {j} are not orthogonal")
         total = sum(p.matrix for p in ps)
         if linalg.max_abs(total - np.eye(dim)) > tol:
             raise ValueError("context projectors do not sum to the identity")

@@ -209,7 +209,11 @@ def born_expectation(
     """
     if rho.n_qubits != p.n_qubits:
         raise ValueError("state and projector act on different qubit counts")
-    v = float(np.real(linalg.trace(linalg.matmul(rho.matrix, p.matrix))))
+    return clamp_probability(float(np.real(linalg.trace(linalg.matmul(rho.matrix, p.matrix)))), tol)
+
+
+def clamp_probability(v: float, tol: float = STRUCTURAL_TOL) -> float:
+    """``v`` clamped to [0, 1]; a value outside [-tol, 1 + tol] raises."""
     if v < -tol or v > 1.0 + tol:
         raise ValueError(f"expectation {v!r} outside [0, 1]: invariant broken upstream")
     return min(max(v, 0.0), 1.0)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab import linalg
+from bornlab.channels import GATES, NOISE_KINDS
 from bornlab.circuits import (
     CircuitIr,
     CircuitParseError,
@@ -113,6 +116,55 @@ class TestPrettyPrintRoundTrip:
             CircuitIr(2, (MeasureStep(None), GateStep("h", (0,))))
         with pytest.raises(ValueError, match="unknown gate"):
             CircuitIr(1, (GateStep("rx", (0,)),))
+
+
+@st.composite
+def circuit_irs(draw):
+    n = draw(st.integers(1, 6))
+    names = sorted(g for g in GATES if GATES[g].arity <= n)
+    steps = []
+    for _ in range(draw(st.integers(0, 8))):
+        order = draw(st.permutations(range(n)))
+        if draw(st.booleans()):
+            name = draw(st.sampled_from(names))
+            steps.append(GateStep(name, tuple(order[: GATES[name].arity])))
+        else:
+            kind = draw(st.sampled_from(NOISE_KINDS))
+            steps.append(NoiseStep(kind, draw(st.floats(0.0, 1.0)), order[0]))
+    if draw(st.booleans()):
+        measured = draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1))
+        steps.append(MeasureStep(None if measured is None else tuple(sorted(measured))))
+    return CircuitIr(n, tuple(steps))
+
+
+# Statements shaped like the grammar's, with fields drawn from valid and
+# invalid values, so that generated text reaches every rule of the step
+# checker and not only the syntax checks.
+_field = st.sampled_from(["0", "1", "2", "-1", "11", "0.5", "1.5", "-0.0", "nan", "x", "all"])
+_fields = st.lists(_field, max_size=4).map(" ".join)
+_statement = st.one_of(
+    st.tuples(st.just("qubits"), _field),
+    st.tuples(st.just("gate"), st.sampled_from([*GATES, "H", "phase"]), _fields),
+    st.tuples(st.just("noise"), st.sampled_from([*NOISE_KINDS, "bit_flip"]), _field, _field),
+    st.tuples(st.just("measure"), _fields),
+    st.tuples(st.sampled_from(["qubits", "gate", "noise", "measure", "#", "end"]), _fields),
+).map(" ".join)
+circuit_like_text = st.lists(_statement, max_size=8).map("\n".join)
+
+
+class TestParseProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(circuit_irs())
+    def test_parse_inverts_pretty_print(self, ir):
+        assert parse_circuit(pretty_print(ir)) == ir
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text() | circuit_like_text)
+    def test_any_text_raises_only_circuit_parse_errors(self, text):
+        try:
+            parse_circuit(text)
+        except CircuitParseError:
+            pass
 
 
 class TestSimulate:

@@ -199,6 +199,20 @@ class TestPsaTable:
         assert lines[0] == "context,projector,intensity"
         assert lines[1] == "computational,P0,1.000000"
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("psa-table", "state pure {amps}\ncontext c\nvector 1 0\nvector 0 1\nend\n"),
+            ("psa-table", "state pure 1 0\ncontext c\nvector {amps}\nend\n"),
+            ("chsh", "state pure {amps}\nobservable a 1 0 0 -1\n"),
+        ],
+    )
+    def test_states_past_the_qubit_limit_are_rejected(self, command, text, tmp_path, capsys):
+        path = tmp_path / "big.in"
+        path.write_text(text.format(amps=" ".join(["1"] + ["0"] * 2047)), encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        assert "qubit count must be in 1..10, got 11" in capsys.readouterr().err
+
 
 class TestChsh:
     def test_singlet_optimal_preset(self, capsys):
@@ -264,6 +278,14 @@ class TestTolFlag:
         path.write_text(ZERO_STATE_PSA, encoding="utf-8")
         assert main(["psa-table", str(path), "--tol", "1e-6"]) == 0
         assert "hadamard P0 0.500000" in capsys.readouterr().out
+
+    def test_non_positive_tol_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "z.psa"
+        path.write_text(ZERO_STATE_PSA, encoding="utf-8")
+        assert main(["psa-table", str(path), "--tol", "0"]) == 1
+        assert "tol must be positive" in capsys.readouterr().err
+        assert main(["chsh", "singlet-optimal", "--tol", "-1"]) == 1
+        assert "tol must be positive" in capsys.readouterr().err
 
 
 class TestDemoFiles:

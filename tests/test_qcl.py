@@ -22,6 +22,7 @@ from bornlab.qcl import (
 )
 from bornlab.states import (
     basis_state,
+    born_expectation,
     pure_to_density,
     qubit,
     random_density,
@@ -84,6 +85,13 @@ class TestTruthProbability:
 
             reduced = DensityOperator(reduced_matrix)
             assert abs(truth_probability(rho) - truth_probability(reduced)) <= 1e-12
+
+    def test_matches_the_truth_projector(self):
+        rng = np.random.default_rng(103)
+        for n in range(1, 8):
+            for rho in (random_density(n, rng=rng), pure_to_density(random_pure(n, rng))):
+                expected = born_expectation(rho, truth_projectors(n).p1)
+                assert abs(truth_probability(rho) - expected) <= 1e-15
 
 
 class TestNot:
