@@ -174,12 +174,11 @@ def lift_unitary(gate: Gate, n_qubits: int, targets) -> QuantumOperation:
 
 
 def apply(op: QuantumOperation, rho: DensityOperator) -> DensityOperator:
-    """Evaluate the operation: sum_i A_i rho dagger(A_i).
-
-    The result is revalidated as a density operator, so a malformed Kraus
-    family surfaces here rather than corrupting downstream probabilities.
-    """
-    return DensityOperator(evolve(op, rho.matrix))
+    """Evaluate the operation: sum_i A_i rho dagger(A_i).  ``op`` (a complete
+    Kraus family) and ``rho`` were checked when built, so the result is a state
+    and is not checked again: ``simulate`` and ``eval_formula_state`` check the
+    state they return once."""
+    return DensityOperator._unchecked(evolve(op, rho.matrix))
 
 
 def measurement_channel(n_qubits: int, measured) -> QuantumOperation:

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .channels import apply, evolve, lift_unitary  # noqa: F401 (perfbench traces apply)
+from .channels import apply, lift_unitary
 from .channels import GATES, check_noise_kind, check_noise_probability
 from .channels import measurement_channel, noise_channel
 from .linalg import STRUCTURAL_TOL
@@ -49,13 +49,17 @@ def _check_qubit_count(n: int) -> None:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
 
 
-class CircuitParseError(ValueError):
-    """Syntax or validation error in circuit text, with line and column."""
+class _LocatedError(ValueError):
+    """An error in input text, with its line and column."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+class CircuitParseError(_LocatedError):
+    """Syntax or validation error in circuit text, with line and column."""
 
 
 @dataclass(frozen=True)
@@ -239,30 +243,28 @@ def inject_noise(ir: CircuitIr, kind: str, p: float) -> CircuitIr:
 def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> DensityOperator:
     """Fold the circuit's steps over the input state (default |0..0><0..0|).
 
-    Steps are applied with ``evolve`` to the raw matrix; a measure step is
-    the single-qubit measurement channel on each measured qubit in turn, the
-    joint channel exactly.  Trace and hermiticity are checked after every
-    step; positivity (``eigvalsh``) once, in the returned ``DensityOperator``.
+    Each step is one ``apply``; a measure step is the single-qubit measurement
+    channel on each measured qubit in turn, the joint channel exactly.  Trace
+    and hermiticity are checked after every step; positivity (``eigvalsh``)
+    once, in the returned ``DensityOperator``.
     """
     n = ir.n_qubits
-    if input_state is None:
-        rho = np.zeros((2**n, 2**n), dtype=complex)
-        rho[0, 0] = 1.0
-    else:
-        if input_state.n_qubits != n:
-            raise ValueError(f"input state has {input_state.n_qubits} qubits, circuit has {n}")
-        rho = input_state.matrix
+    rho = input_state
+    if rho is None:  # |0..0><0..0|, a state by construction
+        rho = DensityOperator._unchecked(np.diag(np.eye(1, 2**n, dtype=complex)[0]))
+    if rho.n_qubits != n:
+        raise ValueError(f"input state has {rho.n_qubits} qubits, circuit has {n}")
     for i, step in enumerate(ir.steps, start=1):
         if isinstance(step, GateStep):
-            rho = evolve(lift_unitary(GATES[step.name], n, step.targets), rho)
+            rho = apply(lift_unitary(GATES[step.name], n, step.targets), rho)
         elif isinstance(step, NoiseStep):
-            rho = evolve(noise_channel(step.kind, step.p, n, step.target), rho)
+            rho = apply(noise_channel(step.kind, step.p, n, step.target), rho)
         else:
             for q in step.targets if step.targets is not None else range(n):
-                rho = evolve(measurement_channel(n, [q]), rho)
-        if abs(linalg.trace(rho) - 1.0) > linalg.STRUCTURAL_TOL or not linalg.is_hermitian(rho):
+                rho = apply(measurement_channel(n, [q]), rho)
+        if abs(linalg.trace(rho.matrix) - 1.0) > linalg.STRUCTURAL_TOL or not linalg.is_hermitian(rho.matrix):
             raise ValueError(f"step {i} ({step}) left a non-hermitian or non-unit-trace state")
-    return DensityOperator(rho)
+    return DensityOperator(rho.matrix)
 
 
 # Diagonal entries at or below this are floating-point dust, not
@@ -364,13 +366,8 @@ def histogram_record(h: Histogram) -> str:
 # --- formula text -----------------------------------------------------------
 
 
-class FormulaParseError(ValueError):
+class FormulaParseError(_LocatedError):
     """Syntax error in formula text, with line and column."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
 
 
 def _tokenize_formula(text: str, line: int, col_offset: int) -> list[tuple[str, str, int]]:
@@ -395,7 +392,15 @@ def _tokenize_formula(text: str, line: int, col_offset: int) -> list[tuple[str, 
     return tokens
 
 
+#: The deepest formula tree the parser accepts, counting each ``!``, ``(`` and
+#: ``&``/``|`` link: parsing and evaluation stay far inside the recursion limit.
+MAX_FORMULA_DEPTH = 100
+
+
 class _FormulaParser:
+    """Recursive descent.  Each parse method returns a tree and its depth and is
+    given ``nesting``, the ``!`` and ``(`` around it: too deep fails going down."""
+
     def __init__(self, tokens: list[tuple[str, str, int]], line: int, end_col: int):
         self.tokens = tokens
         self.pos = 0
@@ -406,44 +411,51 @@ class _FormulaParser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def parse(self) -> Formula:
-        node = self.parse_or()
+        node, _ = self.parse_or(0)
         tok = self.peek()
         if tok is not None:
             raise FormulaParseError(f"unexpected token {tok[1]!r}", self.line, tok[2])
         return node
 
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while (tok := self.peek()) is not None and tok[0] == "|":
-            self.pos += 1
-            node = Or(node, self.parse_and())
-        return node
+    def check_depth(self, depth: int, col: int) -> int:
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", self.line, col)
+        return depth
 
-    def parse_and(self) -> Formula:
-        node = self.parse_unary()
-        while (tok := self.peek()) is not None and tok[0] == "&":
+    def parse_chain(self, op: str, node_type, operand, nesting: int):
+        node, depth = operand(nesting)
+        while (tok := self.peek()) is not None and tok[0] == op:
             self.pos += 1
-            node = And(node, self.parse_unary())
-        return node
+            right, right_depth = operand(nesting)
+            node, depth = node_type(node, right), self.check_depth(max(depth, right_depth) + 1, tok[2])
+        return node, depth
 
-    def parse_unary(self) -> Formula:
+    def parse_or(self, nesting: int):
+        return self.parse_chain("|", Or, self.parse_and, nesting)
+
+    def parse_and(self, nesting: int):
+        return self.parse_chain("&", And, self.parse_unary, nesting)
+
+    def parse_unary(self, nesting: int):
         tok = self.peek()
         if tok is None:
             raise FormulaParseError("unexpected end of formula", self.line, self.end_col)
         kind, text, col = tok
         self.pos += 1
-        if kind == "!":
-            return Not(self.parse_unary())
-        if kind == "(":
-            node = self.parse_or()
-            closing = self.peek()
-            if closing is None or closing[0] != ")":
-                raise FormulaParseError("expected ')'", self.line, self.end_col if closing is None else closing[2])
-            self.pos += 1
-            return node
         if kind == "ident":
-            return Atom(text)
-        raise FormulaParseError(f"unexpected token {text!r}", self.line, col)
+            return Atom(text), 0
+        if kind not in ("!", "("):
+            raise FormulaParseError(f"unexpected token {text!r}", self.line, col)
+        self.check_depth(nesting + 1, col)
+        if kind == "!":
+            child, depth = self.parse_unary(nesting + 1)
+            return Not(child), self.check_depth(depth + 1, col)
+        node, depth = self.parse_or(nesting + 1)
+        closing = self.peek()
+        if closing is None or closing[0] != ")":
+            raise FormulaParseError("expected ')'", self.line, self.end_col if closing is None else closing[2])
+        self.pos += 1
+        return node, self.check_depth(depth + 1, col)
 
 
 def parse_formula(text: str, line: int = 1, col_offset: int = 1) -> Formula:
@@ -531,45 +543,37 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
     base = Path(base_dir)
     bindings: dict[str, DensityOperator] = {}
     ast: Formula | None = None
-    last_line = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         kw = line.split(None, 1)[0]
-        if kw == "atom":
-            body = line[len("atom"):].strip()
-            name, eq, value = body.partition("=")
-            name, value = name.strip(), value.strip()
-            if not eq or not name or not value:
-                raise FormulaParseError("usage: atom <name> = <literal or circuit path>", lineno, 1)
-            if not _IDENT_RE.match(name):
-                raise FormulaParseError(f"bad atom name {name!r}", lineno, 1)
-            if name in bindings:
-                raise FormulaParseError(f"duplicate atom {name!r}", lineno, 1)
-            try:
-                if value.startswith("("):
-                    bindings[name] = _atom_literal(value)
-                else:
-                    bindings[name] = _circuit_state(value, base)
-            except ValueError as exc:
-                raise FormulaParseError(str(exc), lineno, 1) from exc
-        elif kw == "formula":
-            if ast is not None:
-                raise FormulaParseError("duplicate formula line", lineno, 1)
-            body = line[len("formula"):].strip()
-            if not body.startswith("="):
-                raise FormulaParseError("usage: formula = <expression>", lineno, 1)
-            expr = body[1:].strip()
-            if not expr:
-                raise FormulaParseError("usage: formula = <expression>", lineno, 1)
-            col_offset = raw.find(expr) + 1
-            ast = parse_formula(expr, line=lineno, col_offset=col_offset)
-        else:
-            raise FormulaParseError(f"unknown statement {kw!r}", lineno, 1)
+        body = line[len(kw):].strip()
+        try:
+            if kw == "atom":
+                name, eq, value = (part.strip() for part in body.partition("="))
+                if not eq or not name or not value:
+                    raise ValueError("usage: atom <name> = <literal or circuit path>")
+                if not _IDENT_RE.match(name):
+                    raise ValueError(f"bad atom name {name!r}")
+                if name in bindings:
+                    raise ValueError(f"duplicate atom {name!r}")
+                bindings[name] = _atom_literal(value) if value.startswith("(") else _circuit_state(value, base)
+            elif kw == "formula":
+                expr = body[1:].strip()
+                if ast is not None:
+                    raise ValueError("duplicate formula line")
+                if not body.startswith("=") or not expr:
+                    raise ValueError("usage: formula = <expression>")
+                ast = parse_formula(expr, line=lineno, col_offset=raw.find(expr) + 1)
+            else:
+                raise ValueError(f"unknown statement {kw!r}")
+        except FormulaParseError:
+            raise
+        except ValueError as exc:  # every other error on the line is located at its start
+            raise FormulaParseError(str(exc), lineno, 1) from exc
     if ast is None:
-        raise FormulaParseError("missing 'formula =' line", last_line, 1)
+        raise FormulaParseError("missing 'formula =' line", len(text.splitlines()) or 1, 1)
     return ast, bindings
 
 

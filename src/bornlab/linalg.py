@@ -97,8 +97,8 @@ def partial_trace(a: np.ndarray, n_qubits: int, traced_indices) -> np.ndarray:
 
 
 def check_tol(tol: float) -> None:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
 
 
 def is_hermitian(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:

@@ -14,8 +14,6 @@ this probability model from any classical one.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import linalg
@@ -144,18 +142,18 @@ def check_noncontextuality(
     return True
 
 
-def pauli_basis(n_qubits: int) -> list[np.ndarray]:
-    """Hermitian operator basis: all 4**n tensor products of I, X, Y, Z."""
-    singles = [IDENTITY_1Q, PAULI_X, PAULI_Y, PAULI_Z]
-    mats = [np.eye(1, dtype=complex)]
+def pauli_basis(n_qubits: int) -> np.ndarray:
+    """Hermitian operator basis: all 4**n tensor products of I, X, Y, Z, as one
+    (4**n, 2**n, 2**n) array in the order of ``np.kron`` over the factors."""
+    singles = np.array([IDENTITY_1Q, PAULI_X, PAULI_Y, PAULI_Z])
+    basis = np.ones((1, 1, 1), dtype=complex)
     for _ in range(n_qubits):
-        mats = [np.kron(m, s) for m, s in itertools.product(mats, singles)]
-    return mats
+        d = 2 * basis.shape[1]
+        basis = np.einsum("aij,bkl->abikjl", basis, singles).reshape(4 * len(basis), d, d)
+    return basis
 
 
-def reconstruct_density(
-    samples, n_qubits: int, residual_tol: float = 1e-8
-) -> DensityOperator:
+def reconstruct_density(samples, n_qubits: int, residual_tol: float = 1e-8) -> DensityOperator:
     """Recover the generating density operator from intensity samples.
 
     ``samples`` is a sequence of (Projector, intensity) pairs whose projector
@@ -169,25 +167,23 @@ def reconstruct_density(
         raise ValueError("no intensity samples given")
     if any(p.n_qubits != n_qubits for p, _ in pairs):
         raise ValueError("sample projectors must act on the stated qubit count")
-    basis = pauli_basis(n_qubits)
-    a = np.array(
-        [[float(np.real(np.trace(b @ p.matrix))) for b in basis] for p, _ in pairs]
-    )
+    rank = 4**n_qubits
+    incomplete = f"projector family is not informationally complete (needs rank {rank})"
+    if len(pairs) < rank:  # too few to reach the rank: fail before the 16**n basis entries
+        raise ValueError(incomplete)
+    basis, a = pauli_basis(n_qubits), np.empty((len(pairs), rank))
+    for i in range(0, len(pairs), 256):  # Tr(B P) = sum_ij B_ij P_ji: one product per 256 samples
+        rows = np.array([p.matrix.T.ravel() for p, _ in pairs[i : i + 256]])
+        a[i : i + 256] = np.real(rows @ basis.reshape(rank, -1).T)
     v = np.array([value for _, value in pairs])
-    if np.linalg.matrix_rank(a) < len(basis):
-        raise ValueError(
-            "projector family is not informationally complete "
-            f"(needs rank {len(basis)})"
-        )
-    trace_row = np.array([float(np.real(np.trace(b))) for b in basis])
-    x, *_ = np.linalg.lstsq(
-        np.vstack([a, trace_row]), np.append(v, 1.0), rcond=None
-    )
+    if np.linalg.matrix_rank(a) < rank:
+        raise ValueError(incomplete)
+    trace_row = np.real(np.trace(basis, axis1=1, axis2=2))
+    x, *_ = np.linalg.lstsq(np.vstack([a, trace_row]), np.append(v, 1.0), rcond=None)
     residual = float(np.max(np.abs(a @ x - v)))
     if residual > residual_tol:
         raise ValueError(f"intensity samples are inconsistent (residual {residual:.3g})")
-    m = sum(c * b for c, b in zip(x, basis))
-    return DensityOperator(m)
+    return DensityOperator(np.tensordot(x, basis, axes=1))
 
 
 def _validate_dichotomic(obs, tol: float) -> np.ndarray:

@@ -55,34 +55,6 @@ def truth_probability(rho: DensityOperator) -> float:
     return clamp_probability(float(np.real(np.sum(np.diagonal(rho.matrix) * last_bit))))
 
 
-def qcl_not(rho: DensityOperator) -> DensityOperator:
-    """Negation: the Not gate on the truth qubit."""
-    op = lift_unitary(builtin_gate("Not"), rho.n_qubits, [rho.n_qubits - 1])
-    return apply(op, rho)
-
-
-def qcl_and(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
-    """Conjunction via Toffoli with a |0> ancilla.
-
-    Builds rho (x) sigma (x) |0><0| and applies Toffoli controlled on the two
-    input truth qubits, targeting the ancilla.  The ancilla is the last qubit
-    of the output, so ``truth_probability`` reads the conjunction directly;
-    the full composite state is returned, with no partial trace.
-    """
-    n, m = rho.n_qubits, sigma.n_qubits
-    joint = linalg.tensor(linalg.tensor(rho.matrix, sigma.matrix), _KET0)
-    state = DensityOperator(joint)
-    toffoli = lift_unitary(
-        builtin_gate("Toffoli"), n + m + 1, [n - 1, n + m - 1, n + m]
-    )
-    return apply(toffoli, state)
-
-
-def qcl_or(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
-    """Disjunction as the De Morgan composite not(and(not rho, not sigma))."""
-    return qcl_not(qcl_and(qcl_not(rho), qcl_not(sigma)))
-
-
 @dataclass(frozen=True)
 class Atom:
     name: str
@@ -121,13 +93,34 @@ class GateApp:
 Formula = Atom | Not | And | Or | GateApp
 
 
-def eval_formula_state(ast: Formula, bindings) -> DensityOperator:
-    """Build the composite state denoted by a formula tree.
+def _on_truth_qubit(gate: str, rho: DensityOperator) -> DensityOperator:
+    """A named single-qubit gate on the truth (last) qubit."""
+    g = builtin_gate(gate)
+    if g.arity != 1:
+        raise ValueError(f"formula gate {gate!r} must be single-qubit")
+    return apply(lift_unitary(g, rho.n_qubits, [rho.n_qubits - 1]), rho)
 
-    Every occurrence of an atom contributes a fresh copy of its bound state
-    (independent preparations), which is what makes e.g. `a | !a` evaluate
-    to 0.75 rather than 1 at p(a) = 0.5.
-    """
+
+def qcl_not(rho: DensityOperator) -> DensityOperator:
+    """Negation: the Not gate on the truth qubit."""
+    return _on_truth_qubit("not", rho)
+
+
+def qcl_and(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
+    """Conjunction: Toffoli from both truth qubits into a fresh |0> ancilla, the new
+    truth qubit, on rho (x) sigma (x) |0><0| (a product of states, not rechecked)."""
+    n, m = rho.n_qubits, sigma.n_qubits
+    joint = DensityOperator._unchecked(linalg.tensor(linalg.tensor(rho.matrix, sigma.matrix), _KET0))
+    return apply(lift_unitary(builtin_gate("toffoli"), n + m + 1, [n - 1, n + m - 1, n + m]), joint)
+
+
+def qcl_or(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
+    """Disjunction as the De Morgan composite not(and(not rho, not sigma))."""
+    return qcl_not(qcl_and(qcl_not(rho), qcl_not(sigma)))
+
+
+def _composite(ast: Formula, bindings) -> DensityOperator:
+    """The composite, one public connective per node; positivity is unchecked."""
     match ast:
         case Atom(name):
             try:
@@ -135,23 +128,27 @@ def eval_formula_state(ast: Formula, bindings) -> DensityOperator:
             except KeyError:
                 raise ValueError(f"unbound atom {name!r}") from None
         case Not(child):
-            return qcl_not(eval_formula_state(child, bindings))
+            return qcl_not(_composite(child, bindings))
         case And(left, right):
-            return qcl_and(
-                eval_formula_state(left, bindings), eval_formula_state(right, bindings)
-            )
+            return qcl_and(_composite(left, bindings), _composite(right, bindings))
         case Or(left, right):
-            return qcl_or(
-                eval_formula_state(left, bindings), eval_formula_state(right, bindings)
-            )
+            return qcl_or(_composite(left, bindings), _composite(right, bindings))
         case GateApp(gate, child):
-            state = eval_formula_state(child, bindings)
-            g = builtin_gate(gate)
-            if g.arity != 1:
-                raise ValueError(f"formula gate {gate!r} must be single-qubit")
-            return apply(lift_unitary(g, state.n_qubits, [state.n_qubits - 1]), state)
+            return _on_truth_qubit(gate, _composite(child, bindings))
         case _:
             raise TypeError(f"malformed formula node: {ast!r}")
+
+
+def eval_formula_state(ast: Formula, bindings) -> DensityOperator:
+    """Build the composite state denoted by a formula tree.
+
+    Every occurrence of an atom contributes a fresh copy of its bound state
+    (independent preparations), which is what makes e.g. `a | !a` evaluate
+    to 0.75 rather than 1 at p(a) = 0.5.  The composite is a unitary conjugate
+    of the atoms' tensor product with |0><0| ancillas and has their spectrum,
+    so one positivity check, here, sees what a check per connective would.
+    """
+    return DensityOperator(_composite(ast, bindings).matrix)
 
 
 def eval_formula(ast: Formula, bindings) -> float:

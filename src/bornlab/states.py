@@ -85,6 +85,13 @@ class DensityOperator:
             raise ValueError(f"density operator must have unit trace, got {tr}")
         self.matrix = m
 
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray) -> "DensityOperator":
+        """Wrap, unchecked, a matrix that is a state by construction."""
+        rho = cls.__new__(cls)
+        rho.n_qubits, rho.matrix = linalg.n_qubits_of(matrix.shape[0]), matrix
+        return rho
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

@@ -140,6 +140,12 @@ class TestApply:
         with pytest.raises(ValueError, match="qubit count"):
             apply(identity_operation(2), random_density(1, rng=3))
 
+    def test_result_is_not_checked_again(self, monkeypatch):
+        rho, calls = random_density(2, rng=5), []
+        monkeypatch.setattr(linalg, "is_psd", lambda *args: calls.append(args))
+        apply(lift_unitary(builtin_gate("h"), 2, [1]), rho)
+        assert calls == []
+
 
 class TestMeasurementChannel:
     def test_dephases_the_hadamard_state(self):

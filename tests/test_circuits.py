@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bornlab import linalg
 from bornlab.channels import GATES, NOISE_KINDS
 from bornlab.circuits import (
+    MAX_FORMULA_DEPTH,
     CircuitIr,
     CircuitParseError,
     FormulaParseError,
@@ -316,6 +317,38 @@ class TestParseFormula:
             parse_formula("a &")
         with pytest.raises(FormulaParseError, match="expected '\\)'"):
             parse_formula("(a | b")
+
+    @pytest.mark.parametrize(
+        "text", ["(" * 3000 + "a" + ")" * 3000, "!" * 3000 + "a"], ids=["parentheses", "negations"]
+    )
+    def test_deep_nesting_is_a_parse_error_at_the_first_token_too_deep(self, text):
+        with pytest.raises(FormulaParseError, match=f"column {MAX_FORMULA_DEPTH + 1}: formula nested deeper"):
+            parse_formula(text)
+
+    def test_depth_counts_each_link_of_a_chain(self):
+        chain = " & ".join(["a"] * (MAX_FORMULA_DEPTH + 1))
+        assert isinstance(parse_formula("!" * MAX_FORMULA_DEPTH + "a"), Not)
+        assert isinstance(parse_formula("!" * (MAX_FORMULA_DEPTH - 1) + "(a)"), Not)
+        assert isinstance(parse_formula(chain), And)
+        with pytest.raises(FormulaParseError, match="nested deeper"):
+            parse_formula(chain + " | b")
+        with pytest.raises(FormulaParseError, match="nested deeper"):
+            parse_formula("b | !" + chain)
+
+
+_formula_token = st.sampled_from(["a", "b_1", "!", "&", "|", "(", ")", " ", "$", "1"])
+_formula_like = st.lists(_formula_token, max_size=30).map("".join)
+_deep_prefix = st.tuples(st.sampled_from(["!", "(", "!(", "a&", "a|"]), st.integers(0, 300))
+
+
+class TestParseFormulaProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(st.text() | _formula_like | st.tuples(_deep_prefix, _formula_like).map(lambda t: t[0][0] * t[0][1] + t[1]))
+    def test_any_text_raises_only_formula_parse_errors(self, text):
+        try:
+            parse_formula(text)
+        except FormulaParseError:
+            pass
 
 
 class TestParseFormulaFile:

@@ -145,6 +145,12 @@ class TestEval:
         assert main(["eval", str(path)]) == 1
         assert "unbound atom" in capsys.readouterr().err
 
+    def test_too_deep_a_formula_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "f.qf"
+        path.write_text("atom a = (1, 0, 0, 0)\nformula = " + "!" * 3000 + "a\n", encoding="utf-8")
+        assert main(["eval", str(path)]) == 1
+        assert "line 2, column 111: formula nested deeper than" in capsys.readouterr().err
+
 
 class TestPsaTable:
     def test_zero_state_through_two_contexts(self, tmp_path, capsys):
@@ -286,6 +292,21 @@ class TestTolFlag:
         assert "tol must be positive" in capsys.readouterr().err
         assert main(["chsh", "singlet-optimal", "--tol", "-1"]) == 1
         assert "tol must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_an_error(self, tol, tmp_path, capsys):
+        # Each input passes its checks only when the tolerance is off.
+        skew = tmp_path / "skew.psa"
+        skew.write_text("state pure 1 0\ncontext c\nvector 1 0\nvector 0.6 0.8\nend\n", encoding="utf-8")
+        half = tmp_path / "half.chsh"
+        half.write_text(
+            "state pure 1 0 0 0\nobservable a 0.5 0 0 -1\nobservable ap 0 1 1 0\n"
+            "observable b 1 0 0 -1\nobservable bp 0 1 1 0\n",
+            encoding="utf-8",
+        )
+        for argv in (["psa-table", str(skew)], ["chsh", str(half)], ["chsh", "singlet-optimal"]):
+            assert main([*argv, "--tol", tol]) == 1
+            assert "tol must be positive and finite" in capsys.readouterr().err
 
 
 class TestDemoFiles:

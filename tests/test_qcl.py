@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab import linalg
+from bornlab.channels import apply, builtin_gate, lift_unitary
 from bornlab.qcl import (
     And,
     Atom,
@@ -21,6 +24,7 @@ from bornlab.qcl import (
     truth_projectors,
 )
 from bornlab.states import (
+    DensityOperator,
     basis_state,
     born_expectation,
     pure_to_density,
@@ -196,3 +200,111 @@ class TestEvalFormula:
     def test_gate_application_rejects_multi_qubit_gates(self):
         with pytest.raises(ValueError, match="single-qubit"):
             eval_formula(GateApp("cnot", Atom("a")), {"a": FALSE})
+
+
+# --- properties of the evaluator ---------------------------------------------
+
+KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
+MAX_COMPOSITE_QUBITS = 8  # uncapped trees reach 20+ qubits
+
+
+def reference_state(ast, bindings):
+    """The composite built step by step, independently of ``qcl``: each
+    connective spelled out with ``linalg.tensor``, ``lift_unitary`` and ``apply``."""
+
+    def on_truth_qubit(gate, rho):
+        return apply(lift_unitary(builtin_gate(gate), rho.n_qubits, [rho.n_qubits - 1]), rho)
+
+    def conjunction(rho, sigma):
+        n, m = rho.n_qubits, sigma.n_qubits
+        joint = DensityOperator(linalg.tensor(linalg.tensor(rho.matrix, sigma.matrix), KET0))
+        return apply(lift_unitary(builtin_gate("toffoli"), n + m + 1, [n - 1, n + m - 1, n + m]), joint)
+
+    match ast:
+        case Atom(name):
+            return bindings[name]
+        case Not(child):
+            return on_truth_qubit("not", reference_state(child, bindings))
+        case GateApp(gate, child):
+            return on_truth_qubit(gate, reference_state(child, bindings))
+        case And(left, right):
+            return conjunction(reference_state(left, bindings), reference_state(right, bindings))
+        case Or(left, right):
+            negated = (on_truth_qubit("not", reference_state(x, bindings)) for x in (left, right))
+            return on_truth_qubit("not", conjunction(*negated))
+
+
+@st.composite
+def atom_states(draw):
+    """Bindings for atoms a (one qubit), b and c (one or two qubits each),
+    pure or mixed; returns the bindings and each atom's qubit count."""
+    sizes = {"a": 1, "b": draw(st.integers(1, 2)), "c": draw(st.integers(1, 2))}
+    bindings = {
+        name: random_density(q, rng=draw(st.integers(0, 2**32 - 1)), rank=draw(st.integers(1, 2**q)))
+        for name, q in sizes.items()
+    }
+    return bindings, sizes
+
+
+@st.composite
+def formula_trees(draw, sizes, budget, depth=0):
+    """A tree of all five node kinds whose composite spans at most ``budget``
+    qubits; returns the tree and its composite's qubit count."""
+    kinds = ["atom"]
+    if depth < 5:
+        kinds += ["not", "gate"] + (["and", "or"] if budget >= 3 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        name = draw(st.sampled_from([name for name, q in sizes.items() if q <= budget]))
+        return Atom(name), sizes[name]
+    if kind in ("not", "gate"):
+        child, q = draw(formula_trees(sizes, budget, depth + 1))
+        if kind == "not":
+            return Not(child), q
+        return GateApp(draw(st.sampled_from(["h", "sqrtnot", "not", "id"])), child), q
+    left, n = draw(formula_trees(sizes, budget - 2, depth + 1))
+    right, m = draw(formula_trees(sizes, budget - 1 - n, depth + 1))
+    return (And if kind == "and" else Or)(left, right), n + m + 1
+
+
+@st.composite
+def formula_pairs(draw):
+    """Bindings and two trees whose conjunction spans at most the cap."""
+    bindings, sizes = draw(atom_states())
+    left, n = draw(formula_trees(sizes, 3))
+    right, _ = draw(formula_trees(sizes, MAX_COMPOSITE_QUBITS - 1 - n))
+    return bindings, left, right
+
+
+class TestFormulaProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_state_equals_the_step_by_step_composite(self, data):
+        bindings, sizes = data.draw(atom_states())
+        ast, q = data.draw(formula_trees(sizes, MAX_COMPOSITE_QUBITS))
+        state = eval_formula_state(ast, bindings)
+        assert state.n_qubits == q
+        np.testing.assert_array_equal(state.matrix, reference_state(ast, bindings).matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(formula_pairs())
+    def test_connective_laws(self, case):
+        bindings, a, b = case
+        pa, pb = eval_formula(a, bindings), eval_formula(b, bindings)
+        assert abs(eval_formula(Not(a), bindings) - (1.0 - pa)) <= 1e-12
+        assert abs(eval_formula(And(a, b), bindings) - pa * pb) <= 1e-12
+        assert abs(eval_formula(Or(a, b), bindings) - (1.0 - (1.0 - pa) * (1.0 - pb))) <= 1e-12
+
+    def test_the_composite_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting_is_psd(a, tol=linalg.STRUCTURAL_TOL):
+            calls.append(a.shape)
+            return is_psd(a, tol)
+
+        is_psd = linalg.is_psd
+        bindings = {"a": HALF, "b": random_density(2, rng=7)}
+        ast = Or(Not(Atom("a")), And(GateApp("h", Atom("b")), Atom("a")))
+        monkeypatch.setattr(linalg, "is_psd", counting_is_psd)
+        eval_formula(ast, bindings)
+        assert calls == [(2**6, 2**6)]  # the 6-qubit composite, once

@@ -75,3 +75,26 @@ def test_ten_qubit_circuit_runs_under_a_2_gib_cap(case, tmp_path):
     assert probs.keys() == expected.keys()
     for label, p in expected.items():
         assert abs(probs[label] - p) <= 1e-12, label
+
+
+RECONSTRUCT_CHILD = f"""\
+import resource
+resource.setrlimit(resource.RLIMIT_AS, ({CAP_BYTES}, resource.RLIM_INFINITY))
+from bornlab.psa import reconstruct_density
+from bornlab.states import basis_state, projector_onto
+samples = [(projector_onto(basis_state(8, i)), 1.0 if i == 0 else 0.0) for i in range(3)]
+try:
+    reconstruct_density(samples, 8)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_too_few_reconstruction_samples_fail_before_the_pauli_basis_is_built():
+    # The 4**8 Pauli matrices of 8 qubits take 64 GiB.
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", RECONSTRUCT_CHILD], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "not informationally complete (needs rank 65536)" in done.stdout
