@@ -38,15 +38,8 @@ from .channels import measurement_channel, noise_channel
 from .linalg import STRUCTURAL_TOL
 from .psa import Context
 from .qcl import And, Atom, Formula, Not, Or
-from .states import DensityOperator, Projector, QuRegister, pure_to_density
-
-MAX_QUBITS = 10
-
-
-def _check_qubit_count(n: int) -> None:
-    """The register limit for circuits and for every state read from a file."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+from .states import MAX_QUBITS, DensityOperator, Projector, QuRegister, check_qubit_count
+from .states import pure_to_density
 
 
 class _LocatedError(ValueError):
@@ -133,7 +126,7 @@ class CircuitIr:
     steps: tuple[Step, ...] = ()
 
     def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
+        check_qubit_count(self.n_qubits)
         for previous, step in zip((None, *self.steps), self.steps):
             _check_step(self.n_qubits, step, previous)
 
@@ -195,7 +188,7 @@ def parse_circuit(text: str) -> CircuitIr:
                 raise CircuitParseError("usage: qubits <n>", lineno, col)
             n_qubits = _number(int, "an integer", toks[1], lineno)
             try:
-                _check_qubit_count(n_qubits)
+                check_qubit_count(n_qubits)
             except ValueError as exc:
                 raise CircuitParseError(str(exc), lineno, toks[1][1]) from None
             continue
@@ -471,7 +464,7 @@ def _complex_tokens(tokens, square: bool = False) -> np.ndarray:
     """Complex literals as a vector, or as a row-major square matrix.  Either
     spans at most ``MAX_QUBITS`` qubits, checked before any token is parsed."""
     dim = math.isqrt(len(tokens)) if square else len(tokens)
-    _check_qubit_count(max(dim - 1, 1).bit_length())  # the qubits that index dim entries
+    check_qubit_count(max(dim - 1, 1).bit_length())  # the qubits that index dim entries
     values = []
     for tok in tokens:
         try:

@@ -11,6 +11,13 @@ connectives obey the product laws
 where conjunction is the Toffoli gate on the two truth qubits with a fresh
 |0> ancilla appended as the new truth qubit, and disjunction is the
 De Morgan composite of the two.
+
+A formula denotes a composite of every atom occurrence and every ancilla
+(``eval_formula_state``, at most ``MAX_QUBITS`` qubits).  Its truth
+probability is read from the truth qubit alone, and each connective touches
+only the truth qubits of independently prepared parts, so ``eval_formula``
+traces every atom and every ``&``/``|`` result down to its truth qubit and
+applies no connective to more than three qubits, whatever the formula's size.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .channels import apply, builtin_gate, lift_unitary
-from .states import DensityOperator, Projector, clamp_probability
+from .states import DensityOperator, Projector, check_qubit_count, clamp_probability
 
 _KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -108,8 +115,10 @@ def qcl_not(rho: DensityOperator) -> DensityOperator:
 
 def qcl_and(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
     """Conjunction: Toffoli from both truth qubits into a fresh |0> ancilla, the new
-    truth qubit, on rho (x) sigma (x) |0><0| (a product of states, not rechecked)."""
+    truth qubit, on rho (x) sigma (x) |0><0| (a product of states, not rechecked).
+    The result spans n + m + 1 qubits, at most ``MAX_QUBITS``."""
     n, m = rho.n_qubits, sigma.n_qubits
+    check_qubit_count(n + m + 1)
     joint = DensityOperator._unchecked(linalg.tensor(linalg.tensor(rho.matrix, sigma.matrix), _KET0))
     return apply(lift_unitary(builtin_gate("toffoli"), n + m + 1, [n - 1, n + m - 1, n + m]), joint)
 
@@ -119,22 +128,34 @@ def qcl_or(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
     return qcl_not(qcl_and(qcl_not(rho), qcl_not(sigma)))
 
 
-def _composite(ast: Formula, bindings) -> DensityOperator:
-    """The composite, one public connective per node; positivity is unchecked."""
+def _truth_qubit(rho: DensityOperator) -> DensityOperator:
+    """The truth qubit's reduced state: every other qubit traced out."""
+    n = rho.n_qubits
+    return DensityOperator._unchecked(linalg.partial_trace(rho.matrix, n, range(n - 1)))
+
+
+def _composite(ast: Formula, bindings, reduced: bool = False) -> DensityOperator:
+    """The composite, one public connective per node; positivity is unchecked.
+
+    With ``reduced``, each atom and each ``&``/``|`` result is traced down to
+    its truth qubit.  That is exact: the connectives above a node touch only
+    its truth qubit, and the parts they join are independent copies.
+    """
+    keep = _truth_qubit if reduced else (lambda rho: rho)
     match ast:
         case Atom(name):
             try:
-                return bindings[name]
+                return keep(bindings[name])
             except KeyError:
                 raise ValueError(f"unbound atom {name!r}") from None
         case Not(child):
-            return qcl_not(_composite(child, bindings))
+            return qcl_not(_composite(child, bindings, reduced))
         case And(left, right):
-            return qcl_and(_composite(left, bindings), _composite(right, bindings))
+            return keep(qcl_and(_composite(left, bindings, reduced), _composite(right, bindings, reduced)))
         case Or(left, right):
-            return qcl_or(_composite(left, bindings), _composite(right, bindings))
+            return keep(qcl_or(_composite(left, bindings, reduced), _composite(right, bindings, reduced)))
         case GateApp(gate, child):
-            return _on_truth_qubit(gate, _composite(child, bindings))
+            return _on_truth_qubit(gate, _composite(child, bindings, reduced))
         case _:
             raise TypeError(f"malformed formula node: {ast!r}")
 
@@ -147,10 +168,17 @@ def eval_formula_state(ast: Formula, bindings) -> DensityOperator:
     to 0.75 rather than 1 at p(a) = 0.5.  The composite is a unitary conjugate
     of the atoms' tensor product with |0><0| ancillas and has their spectrum,
     so one positivity check, here, sees what a check per connective would.
+    A composite over ``MAX_QUBITS`` qubits is rejected before it is built.
     """
     return DensityOperator(_composite(ast, bindings).matrix)
 
 
 def eval_formula(ast: Formula, bindings) -> float:
-    """Truth probability of the state denoted by the formula."""
-    return truth_probability(eval_formula_state(ast, bindings))
+    """Truth probability of the state denoted by the formula.
+
+    Computed on the truth qubit's 2x2 reduced state, which equals the partial
+    trace of ``eval_formula_state`` to its last qubit, so the formula's size is
+    not limited by the composite's.  That state is checked once, here; the
+    atoms were checked where they were made.
+    """
+    return truth_probability(DensityOperator(_composite(ast, bindings, reduced=True).matrix))

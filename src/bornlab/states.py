@@ -12,6 +12,15 @@ import numpy as np
 from . import linalg
 from .linalg import STRUCTURAL_TOL
 
+MAX_QUBITS = 10
+
+
+def check_qubit_count(n: int) -> None:
+    """The register limit for circuits, formula composites and every state read
+    from a file."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+
 
 class QuRegister:
     """Unit vector on n qubits.

@@ -324,3 +324,18 @@ class TestDemoFiles:
         assert capsys.readouterr().out == "0.750000\n"
         assert main(["psa-table", str(demos / "zero_state.psa")]) == 0
         assert "hadamard P0 0.500000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("demo", ["hadamard", "three_qubit_demo"])
+    @pytest.mark.parametrize("noise", [None, "bitflip:0.05", "depolarizing:0.1"])
+    def test_sample_records_match_their_goldens(self, demo, noise, capsys):
+        # Committed outputs at 1024 shots and seed 7: a change to the sampler
+        # that moves any count shows here.
+        from pathlib import Path
+
+        tests = Path(__file__).resolve().parent
+        argv = ["sample", str(tests.parent / "demos" / f"{demo}.qc"), "--shots", "1024", "--seed", "7"]
+        argv += ["--format", "record"] + (["--noise", noise] if noise else [])
+        assert main(argv) == 0
+        tag = noise.split(":")[0] if noise else "ideal"
+        golden = tests / "golden" / "sample" / f"{demo}_{tag}.json"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()

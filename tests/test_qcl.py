@@ -1,6 +1,7 @@
 """Truth projectors, probabilistic connectives, and formula evaluation."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -276,6 +277,20 @@ def formula_pairs(draw):
     return bindings, left, right
 
 
+CHECKED_TREE = Or(Not(Atom("a")), And(GateApp("h", Atom("b")), Atom("a")))
+CHECKED_BINDINGS = {"a": HALF, "b": random_density(2, rng=7)}
+
+
+def counting_is_psd(calls, is_psd=linalg.is_psd):
+    """``linalg.is_psd`` that records the shape of each matrix it checks."""
+
+    def counting(a, tol=linalg.STRUCTURAL_TOL):
+        calls.append(a.shape)
+        return is_psd(a, tol)
+
+    return counting
+
+
 class TestFormulaProperties:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -295,16 +310,27 @@ class TestFormulaProperties:
         assert abs(eval_formula(And(a, b), bindings) - pa * pb) <= 1e-12
         assert abs(eval_formula(Or(a, b), bindings) - (1.0 - (1.0 - pa) * (1.0 - pb))) <= 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reduced_evaluation_equals_the_composite_and_checks_one_qubit(self, data):
+        bindings, sizes = data.draw(atom_states())
+        ast, _ = data.draw(formula_trees(sizes, MAX_COMPOSITE_QUBITS))
+        want = truth_probability(eval_formula_state(ast, bindings))
+        checked = []
+        with mock.patch.object(linalg, "is_psd", counting_is_psd(checked)):
+            got = eval_formula(ast, bindings)
+        assert abs(got - want) <= 1e-12
+        assert checked == [(2, 2)]
+
     def test_the_composite_is_checked_once(self, monkeypatch):
         calls = []
-
-        def counting_is_psd(a, tol=linalg.STRUCTURAL_TOL):
-            calls.append(a.shape)
-            return is_psd(a, tol)
-
-        is_psd = linalg.is_psd
-        bindings = {"a": HALF, "b": random_density(2, rng=7)}
-        ast = Or(Not(Atom("a")), And(GateApp("h", Atom("b")), Atom("a")))
-        monkeypatch.setattr(linalg, "is_psd", counting_is_psd)
-        eval_formula(ast, bindings)
+        monkeypatch.setattr(linalg, "is_psd", counting_is_psd(calls))
+        eval_formula_state(CHECKED_TREE, CHECKED_BINDINGS)
         assert calls == [(2**6, 2**6)]  # the 6-qubit composite, once
+
+    def test_eval_formula_checks_one_truth_qubit_state(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "is_psd", counting_is_psd(calls))
+        eval_formula(CHECKED_TREE, CHECKED_BINDINGS)
+        assert calls == [(2, 2)]  # the reduced truth qubit, once
+

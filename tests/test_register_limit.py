@@ -1,12 +1,14 @@
 """The advertised 10-qubit limit holds under a 2 GiB address-space cap.
 
-Each circuit runs through ``bornlab run`` in a child interpreter whose
+Each circuit or formula runs through ``bornlab`` in a child interpreter whose
 address space is capped, so an allocation that scales with 4**n per Kraus
-matrix fails there as a ``MemoryError`` instead of exhausting the machine.
+matrix or per formula composite fails there as a ``MemoryError`` instead of
+exhausting the machine.
 """
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,12 +18,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CAP_BYTES = 2 * 2**30
+ENV = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 CHILD = f"""\
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({CAP_BYTES}, resource.RLIM_INFINITY))
 from bornlab.cli import main
-sys.exit(main(["run", sys.argv[1], "--format", "record"]))
+sys.exit(main([*sys.argv[1:], "--format", "record"]))
 """
 
 
@@ -65,10 +68,9 @@ def test_ten_qubit_circuit_runs_under_a_2_gib_cap(case, tmp_path):
     text, expected = CASES[case]
     path = tmp_path / f"{case}.qc"
     path.write_text(text, encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", CHILD, "run", str(path)],
+        capture_output=True, text=True, env=ENV, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     probs = json.loads(done.stdout)["probabilities"]
@@ -92,9 +94,53 @@ except ValueError as exc:
 
 def test_too_few_reconstruction_samples_fail_before_the_pauli_basis_is_built():
     # The 4**8 Pauli matrices of 8 qubits take 64 GiB.
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     done = subprocess.run(
-        [sys.executable, "-c", RECONSTRUCT_CHILD], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", RECONSTRUCT_CHILD], capture_output=True, text=True, env=ENV, timeout=120
     )
     assert done.returncode == 0, done.stderr
     assert "not informationally complete (needs rank 65536)" in done.stdout
+
+
+def _conjunction_file(tmp_path, n_atoms):
+    """A left-nested conjunction of one-qubit literal atoms with distinct truth
+    probabilities; returns its path and the product of those probabilities."""
+    probs = [(k + 1) / (n_atoms + 2) for k in range(n_atoms)]
+    lines = [f"atom a{k} = ({(1 - p) ** 0.5!r}, 0, {p**0.5!r}, 0)" for k, p in enumerate(probs)]
+    lines.append("formula = " + " & ".join(f"a{k}" for k in range(n_atoms)))
+    path = tmp_path / f"and{n_atoms}.qf"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, math.prod(probs)
+
+
+@pytest.mark.parametrize("n_atoms", [6, 20])
+def test_a_conjunction_past_the_register_limit_evaluates_under_a_2_gib_cap(n_atoms, tmp_path):
+    # Six one-qubit atoms make an 11-qubit composite, twenty make 39 qubits.
+    path, want = _conjunction_file(tmp_path, n_atoms)
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, "eval", str(path)],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert abs(json.loads(done.stdout)["truth_probability"] - want) <= 1e-12
+
+
+COMPOSITE_CHILD = f"""\
+import pathlib, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({CAP_BYTES}, resource.RLIM_INFINITY))
+from bornlab.circuits import parse_formula_file
+from bornlab.qcl import eval_formula_state
+try:
+    eval_formula_state(*parse_formula_file(pathlib.Path(sys.argv[1]).read_text()))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_an_eleven_qubit_composite_is_rejected_before_it_is_built(tmp_path):
+    path, _ = _conjunction_file(tmp_path, 6)
+    done = subprocess.run(
+        [sys.executable, "-c", COMPOSITE_CHILD, str(path)],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "qubit count must be in 1..10, got 11"
