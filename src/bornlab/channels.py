@@ -113,7 +113,15 @@ class QuantumOperation:
         dim = ks[0].shape[0]
         if any(k.shape[0] != dim for k in ks):
             raise ValueError("Kraus matrices must share one dimension")
-        k = linalg.n_qubits_of(dim)
+        self._place(ks, targets, n_qubits)
+        total = sum(linalg.dagger(a) @ a for a in ks)
+        if linalg.max_abs(total - np.eye(dim)) > tol:
+            raise ValueError("Kraus family is not trace preserving")
+
+    def _place(self, ks: tuple, targets, n_qubits) -> None:
+        """Keep the Kraus matrices ``ks`` of one dimension on ``targets`` of
+        an ``n_qubits`` register, after checking the targets."""
+        k = linalg.n_qubits_of(ks[0].shape[0])
         n = k if n_qubits is None else n_qubits
         targets = tuple(range(n) if targets is None else targets)
         if len(targets) != k:
@@ -122,9 +130,6 @@ class QuantumOperation:
             raise ValueError(f"target indices must be distinct, got {list(targets)}")
         if any(not 0 <= t < n for t in targets):
             raise ValueError(f"target indices {list(targets)} out of range for {n} qubits")
-        total = sum(linalg.dagger(a) @ a for a in ks)
-        if linalg.max_abs(total - np.eye(dim)) > tol:
-            raise ValueError("Kraus family is not trace preserving")
         self.kraus = ks
         self.targets = targets
         self.n_qubits = n
@@ -151,26 +156,39 @@ def _contract(a: np.ndarray, axes, t: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, list(range(k)), list(axes))
 
 
-def evolve(op: QuantumOperation, matrix: np.ndarray) -> np.ndarray:
+def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     """The kernel behind every channel: sum_i A_i rho dagger(A_i) on a raw
     2**n x 2**n array, each A_i contracted into the row axes of the targets
-    and its conjugate into their column axes.  The result is not checked.
+    and its conjugate into their column axes.  A single-Kraus operation also
+    takes a raw 2**n vector psi, and returns A psi by the same contraction
+    into the vector's axes.  The result is not checked.
     """
     n = op.n_qubits
-    if matrix.shape != (op.dim, op.dim):
+    if state.shape == (op.dim,):
+        if len(op.kraus) != 1:
+            raise ValueError("only a single-Kraus operation maps a vector to a vector")
+        return _contract(op.kraus[0], op.targets, state.reshape((2,) * n)).reshape(state.shape)
+    if state.shape != (op.dim, op.dim):
         raise ValueError("operation and state act on different qubit counts")
-    t = matrix.reshape((2,) * (2 * n))
+    t = state.reshape((2,) * (2 * n))
     cols = [n + q for q in op.targets]
     out = np.zeros(t.shape, dtype=complex)
     for a in op.kraus:
         out += _contract(a.conj(), cols, _contract(a, op.targets, t))
-    return out.reshape(matrix.shape)
+    return out.reshape(state.shape)
 
 
 def lift_unitary(gate: Gate, n_qubits: int, targets) -> QuantumOperation:
     """Single-Kraus operation rho -> U rho dagger(U): the gate's own 2**arity
-    matrix on ``targets``, slot m of its index being qubit targets[m]."""
-    return QuantumOperation([gate.matrix], targets, n_qubits)
+    matrix on ``targets``, slot m of its index being qubit targets[m].
+
+    Only the targets are checked here.  The completeness sum of the family
+    {U} is dagger(U) U = I, which ``Gate`` proved once for its read-only
+    matrix.
+    """
+    op = QuantumOperation.__new__(QuantumOperation)
+    op._place((gate.matrix,), targets, n_qubits)
+    return op
 
 
 def apply(op: QuantumOperation, rho: DensityOperator) -> DensityOperator:

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .channels import apply, lift_unitary
+from .channels import apply, evolve, lift_unitary
 from .channels import GATES, check_noise_kind, check_noise_probability
 from .channels import measurement_channel, noise_channel
 from .linalg import STRUCTURAL_TOL
@@ -233,21 +233,43 @@ def inject_noise(ir: CircuitIr, kind: str, p: float) -> CircuitIr:
     return CircuitIr(ir.n_qubits, tuple(out))
 
 
+def _check_trace_and_hermiticity(matrix: np.ndarray, after: str) -> None:
+    if abs(linalg.trace(matrix) - 1.0) > linalg.STRUCTURAL_TOL or not linalg.is_hermitian(matrix):
+        raise ValueError(f"{after} left a non-hermitian or non-unit-trace state")
+
+
 def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> DensityOperator:
     """Fold the circuit's steps over the input state (default |0..0><0..0|).
 
-    Each step is one ``apply``; a measure step is the single-qubit measurement
-    channel on each measured qubit in turn, the joint channel exactly.  Trace
-    and hermiticity are checked after every step; positivity (``eigvalsh``)
-    once, in the returned ``DensityOperator``.
+    Without ``input_state`` the circuit starts from the vector |0..0>, and
+    its leading gate steps act on that vector (``evolve`` of the lifted gate:
+    2**n work per gate, not 4**n), its norm checked after each.  At the first
+    noise or measure step, or at the end, the vector becomes |psi><psi|.
+    Each remaining step is one ``apply``; a measure step is the single-qubit
+    measurement channel on each measured qubit in turn, the joint channel
+    exactly.  Trace and hermiticity are checked after every step on the
+    matrix, or once on the final matrix if no step runs on it.  Positivity is
+    checked once, by ``linalg.is_psd``: on the diagonal blocks of the measured
+    sectors when the circuit ends in a measure step (their spectra make up
+    the final matrix's spectrum), else on the whole matrix.
     """
     n = ir.n_qubits
-    rho = input_state
-    if rho is None:  # |0..0><0..0|, a state by construction
-        rho = DensityOperator._unchecked(np.diag(np.eye(1, 2**n, dtype=complex)[0]))
+    steps = list(enumerate(ir.steps, start=1))
+    if input_state is None:
+        psi = np.eye(1, 2**n, dtype=complex)[0]
+        while steps and isinstance(steps[0][1], GateStep):
+            i, step = steps.pop(0)
+            psi = evolve(lift_unitary(GATES[step.name], n, step.targets), psi)
+            if abs(np.vdot(psi, psi).real - 1.0) > linalg.STRUCTURAL_TOL:
+                raise ValueError(f"step {i} ({step}) left a vector that is not of unit norm")
+        rho = DensityOperator._unchecked(np.outer(psi, psi.conj()))
+    else:
+        rho = input_state
     if rho.n_qubits != n:
         raise ValueError(f"input state has {rho.n_qubits} qubits, circuit has {n}")
-    for i, step in enumerate(ir.steps, start=1):
+    if not steps:
+        _check_trace_and_hermiticity(rho.matrix, "the circuit")
+    for i, step in steps:
         if isinstance(step, GateStep):
             rho = apply(lift_unitary(GATES[step.name], n, step.targets), rho)
         elif isinstance(step, NoiseStep):
@@ -255,9 +277,18 @@ def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> Densi
         else:
             for q in step.targets if step.targets is not None else range(n):
                 rho = apply(measurement_channel(n, [q]), rho)
-        if abs(linalg.trace(rho.matrix) - 1.0) > linalg.STRUCTURAL_TOL or not linalg.is_hermitian(rho.matrix):
-            raise ValueError(f"step {i} ({step}) left a non-hermitian or non-unit-trace state")
-    return DensityOperator(rho.matrix)
+        _check_trace_and_hermiticity(rho.matrix, f"step {i} ({step})")
+    matrix = rho.matrix
+    last = ir.steps[-1] if ir.steps else None
+    if isinstance(last, MeasureStep):
+        measured = last.targets if last.targets is not None else range(n)
+        blocks = linalg.sector_blocks(matrix, n, measured)
+    else:
+        blocks = matrix
+    if not linalg.is_psd(blocks):
+        raise ValueError("density operator must be positive semidefinite")
+    matrix.setflags(write=False)
+    return DensityOperator._unchecked(matrix)
 
 
 # Diagonal entries at or below this are floating-point dust, not

@@ -16,6 +16,7 @@ seed 0, echoed into the output), results print at 6 decimals, and the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -133,7 +134,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process and shared by every ``main``
+    call; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="bornlab",
         description="Density-operator circuit simulation, truth-probability "

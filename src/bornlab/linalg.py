@@ -56,8 +56,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose (adjoint)."""
-    return a.conj().T
+    """Conjugate transpose (adjoint); of each matrix of a stack ``(k, d, d)``."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,20 +102,84 @@ def check_tol(tol: float) -> None:
 
 
 def is_hermitian(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    """True iff ``a`` equals its adjoint within ``tol`` in max-norm."""
+    """True iff ``a`` (or each matrix of a stack ``(k, d, d)``) equals its
+    adjoint within ``tol`` in max-norm."""
     check_tol(tol)
     return max_abs(a - dagger(a)) <= tol
 
 
-def is_psd(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    """True iff the hermitian matrix ``a`` has all eigenvalues >= -tol.
+class NotHermitianError(ValueError):
+    """``is_psd`` was given a matrix that is not hermitian."""
 
-    Raises if ``a`` is not hermitian; the spectrum is computed with the
-    symmetric eigensolver so eigenvalues are well-defined reals.
+
+#: Unit roundoff of double precision.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _cholesky_certifies(a: np.ndarray, tol: float) -> bool:
+    """True if a Cholesky factorisation proves lambda_min > -tol for ``a``
+    (each matrix of a stack); False leaves the verdict open.
+
+    If ``a + (tol/2) I`` factorises as R^H R in floating point, R is exact for
+    ``a + (tol/2) I + E`` with |E| <= gamma |R^H||R| entrywise (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Thm 10.3; gamma = (d+1)u,
+    taken 4x larger for complex arithmetic and the shift's own rounding).  So
+    ||E||_2 <= gamma ||R||_F^2 = gamma tr(a + (tol/2) I + E), and with
+    tr(a) <= sqrt(d) ||a||_F this gives the ``bound`` below on ||E||_2.  Then
+    lambda_min(a) >= -tol/2 - bound, which is > -tol when bound < tol/2: for
+    a state (||a||_F <= 1) that holds up to d = 2**11 at the default tol.
+    """
+    d = a.shape[-1]
+    gamma = 4 * (d + 1) * _UNIT_ROUNDOFF
+    frobenius = float(np.max(np.linalg.norm(a, axis=(-2, -1))))
+    bound = gamma * (np.sqrt(d) * frobenius + d * tol / 2) / (1 - d * gamma)
+    if not bound < tol / 2:
+        return False
+    try:
+        np.linalg.cholesky(a + (tol / 2) * np.eye(d))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def is_psd(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
+    """True iff the hermitian matrix ``a`` (or every matrix of a stack
+    ``(k, d, d)``) has all eigenvalues >= -tol.
+
+    Raises ``NotHermitianError`` if ``a`` is not hermitian within ``tol``.  A
+    Cholesky certificate (``_cholesky_certifies``) answers True where it
+    proves lambda_min > -tol, the condition ``eigvalsh(a)[0] >= -tol`` tests;
+    elsewhere that eigensolver verdict is the answer.  Both read the lower
+    triangle, so the verdict is never looser than the eigensolver's alone.
     """
     if not is_hermitian(a, tol):
-        raise ValueError("is_psd requires a hermitian matrix")
-    return bool(np.linalg.eigvalsh(a)[0] >= -tol)
+        raise NotHermitianError("is_psd requires a hermitian matrix")
+    if _cholesky_certifies(a, tol):
+        return True
+    return bool(np.linalg.eigvalsh(a)[..., 0].min() >= -tol)
+
+
+def sector_blocks(a: np.ndarray, n_qubits: int, measured) -> np.ndarray:
+    """The diagonal blocks of ``a`` in the sectors of the measured qubits.
+
+    Returns a ``(2**m, 2**(n-m), 2**(n-m))`` stack: block s holds the entries
+    whose row and column both read s on the m measured qubits (sorted, the
+    first the most significant), with the other qubits in register order.
+    Raises unless every entry outside the blocks is exactly 0, which is what
+    measuring those qubits leaves; the blocks' spectra then make up the
+    spectrum of ``a``.
+    """
+    qs = sorted(set(measured))
+    rest = [q for q in range(n_qubits) if q not in qs]
+    m, r = 2 ** len(qs), 2 ** len(rest)
+    if a.shape != (m * r, m * r) or not qs or not (0 <= qs[0] and qs[-1] < n_qubits):
+        raise ValueError(f"bad sectors {qs} for a matrix of shape {a.shape} on {n_qubits} qubits")
+    order = qs + rest
+    t = a.reshape((2,) * (2 * n_qubits)).transpose(order + [n_qubits + q for q in order])
+    blocks = t.reshape(m, r, m, r)[np.arange(m), :, np.arange(m), :]
+    if np.count_nonzero(blocks) != np.count_nonzero(a):
+        raise ValueError(f"matrix has non-zero entries between the sectors of qubits {qs}")
+    return blocks
 
 
 def is_projector(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:

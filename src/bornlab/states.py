@@ -85,9 +85,11 @@ class DensityOperator:
     def __init__(self, matrix, tol: float = STRUCTURAL_TOL):
         m = linalg.as_matrix(matrix)
         self.n_qubits = linalg.n_qubits_of(m.shape[0])
-        if not linalg.is_hermitian(m, tol):
-            raise ValueError("density operator must be hermitian")
-        if not linalg.is_psd(m, tol):
+        try:  # is_psd tests hermiticity first, once for both checks
+            psd = linalg.is_psd(m, tol)
+        except linalg.NotHermitianError:
+            raise ValueError("density operator must be hermitian") from None
+        if not psd:
             raise ValueError("density operator must be positive semidefinite")
         tr = linalg.trace(m)
         if abs(tr - 1.0) > tol:

@@ -6,6 +6,7 @@ so failures reproduce exactly.
 
 import numpy as np
 
+from bornlab import linalg
 from bornlab.states import Projector
 
 # Three-qubit demo circuit: double negation, double Hadamard, identity.
@@ -52,3 +53,13 @@ def random_kraus_family(n_qubits, rng, n_kraus=3):
     g = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
     q, _ = np.linalg.qr(g)
     return [q[i * dim : (i + 1) * dim, :] for i in range(n_kraus)]
+
+
+def counting_is_psd(calls, is_psd=linalg.is_psd):
+    """``linalg.is_psd`` that records the shape of each matrix it checks."""
+
+    def counting(a, tol=linalg.STRUCTURAL_TOL):
+        calls.append(a.shape)
+        return is_psd(a, tol)
+
+    return counting

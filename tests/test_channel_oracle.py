@@ -4,7 +4,8 @@ The reference embeds every Kraus matrix into the full register with
 ``np.kron`` and a basis permutation, and applies it as a dense product; it
 uses nothing from ``bornlab.channels``.  Circuits are generated by
 hypothesis: every DSL gate with its targets in any order, both noise kinds,
-partial and full measurement, from |0..0> or a random mixed state.
+partial and full measurement, from |0..0> (whose leading gates run on a
+state vector) or a random mixed state.
 """
 
 import numpy as np
@@ -107,11 +108,38 @@ REVERSED = CircuitIr(
     ),
 )
 
+# Noise-free from |0..0>: every step runs on the state vector, and
+# ``sqrtnot`` makes the amplitudes complex.
+COMPLEX_PURE = CircuitIr(
+    3,
+    (
+        GateStep("sqrtnot", (1,)),
+        GateStep("h", (0,)),
+        GateStep("cnot", (1, 2)),
+        GateStep("sqrtnot", (2,)),
+        GateStep("toffoli", (2, 0, 1)),
+    ),
+)
+# A gate on the vector, then the handoff to the density matrix at the noise
+# step, a gate on the matrix and a partial measurement.
+HANDOFF = CircuitIr(
+    4,
+    (
+        GateStep("sqrtnot", (3,)),
+        GateStep("cnot", (3, 1)),
+        NoiseStep("depolarizing", 0.25, 1),
+        GateStep("toffoli", (1, 3, 0)),
+        MeasureStep((0, 2)),
+    ),
+)
+
 
 @ORACLE
 @given(circuits(), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
 @example(REVERSED, None)
 @example(REVERSED, 5)
+@example(COMPLEX_PURE, None)
+@example(HANDOFF, None)
 def test_simulate_matches_dense_reference(ir, seed):
     dim = 2**ir.n_qubits
     if seed is None:

@@ -9,6 +9,7 @@ from bornlab.channels import (
     apply,
     builtin_gate,
     compose,
+    evolve,
     identity_operation,
     lift_unitary,
     measurement_channel,
@@ -105,6 +106,42 @@ class TestLiftUnitary:
             lift_unitary(builtin_gate("CNot"), 2, [0, 0])
         with pytest.raises(ValueError, match="out of range"):
             lift_unitary(builtin_gate("Not"), 1, [1])
+
+    def test_the_gate_matrix_is_not_checked_again(self, monkeypatch):
+        # ``Gate`` proved the matrix unitary; only the targets are checked.
+        built, init = [], QuantumOperation.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuantumOperation, "__init__", counting_init)
+        op = lift_unitary(builtin_gate("Toffoli"), 4, [1, 3, 0])
+        assert built == [] and op.targets == (1, 3, 0) and op.n_qubits == 4
+        assert op.kraus[0] is builtin_gate("Toffoli").matrix
+        noise_channel("bitflip", 0.1, 4, 2)
+        assert len(built) == 1
+
+
+class TestEvolve:
+    def test_vector_form_is_the_gate_times_the_vector(self):
+        rng = np.random.default_rng(29)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        op = lift_unitary(builtin_gate("SqrtNot"), 3, [1])
+        out = evolve(op, psi)
+        want = np.kron(np.eye(2), np.kron(op.kraus[0], np.eye(2))) @ psi
+        np.testing.assert_allclose(out, want, atol=1e-15)
+        rho = np.outer(psi, psi.conj())
+        np.testing.assert_allclose(evolve(op, rho), np.outer(out, out.conj()), atol=1e-14)
+
+    def test_vector_needs_a_single_kraus_operation(self):
+        with pytest.raises(ValueError, match="single-Kraus"):
+            evolve(noise_channel("bitflip", 0.1, 1, 0), np.array([1.0, 0.0], dtype=complex))
+
+    def test_shape_mismatch(self):
+        op = lift_unitary(builtin_gate("h"), 2, [0])
+        with pytest.raises(ValueError, match="qubit count"):
+            evolve(op, np.ones(8, dtype=complex))
 
 
 class TestApply:

@@ -31,7 +31,7 @@ from bornlab.circuits import (
 from bornlab.qcl import And, Atom, Not, Or
 from bornlab.states import basis_state, pure_to_density, random_density
 
-from conftest import THREE_QUBIT_DEMO
+from conftest import THREE_QUBIT_DEMO, counting_is_psd
 
 
 class TestParseCircuit:
@@ -199,6 +199,37 @@ class TestSimulate:
         a = simulate(parse_circuit("qubits 2\ngate not 0\ngate h 1\n"))
         b = simulate(parse_circuit("qubits 2\ngate h 1\ngate not 0\n"))
         assert linalg.max_abs(a.matrix - b.matrix) <= 1e-12
+
+    def test_measured_circuit_checks_positivity_once_on_its_sector_blocks(self, monkeypatch):
+        # Structure, not time: a 10-qubit noise-free circuit ending in
+        # ``measure 0`` runs one positivity check, on its two 512 x 512
+        # sector blocks, and no eigensolver on the 1024 x 1024 matrix.
+        psd_shapes, eig_shapes, eigvalsh = [], [], np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            eig_shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "is_psd", counting_is_psd(psd_shapes))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        ir = parse_circuit("qubits 10\ngate h 9\ngate h 3\ngate toffoli 9 3 0\nmeasure 0\n")
+        dist = outcome_distribution(simulate(ir))
+        assert psd_shapes == [(2, 512, 512)]
+        assert all(shape[-1] < 1024 for shape in eig_shapes)
+        assert sum(p for label, p in dist.items() if label[0] == "1") == pytest.approx(0.25, abs=1e-12)
+
+    def test_noise_free_prefix_checks_the_norm_after_each_gate(self, monkeypatch):
+        # A gate that breaks the norm is caught at its own step on the vector.
+        ir = parse_circuit("qubits 2\ngate h 0\ngate cnot 0 1\nmeasure all\n")
+        bad = GATES["cnot"].matrix * 1.1
+        monkeypatch.setattr(GATES["cnot"], "matrix", bad)
+        with pytest.raises(ValueError, match=r"step 2 \(.*cnot.*\) left a vector that is not of unit norm"):
+            simulate(ir)
+
+    def test_returned_state_is_read_only(self):
+        rho = simulate(parse_circuit("qubits 2\ngate h 0\nnoise bitflip 0.1 1\nmeasure 1\n"))
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 2.0
 
 
 class TestOutcomeDistribution:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from bornlab.cli import main
+from bornlab.cli import build_parser, main
 
 from conftest import THREE_QUBIT_DEMO
 
@@ -29,6 +29,19 @@ def demo_circuit(tmp_path):
     path = tmp_path / "demo.qc"
     path.write_text(THREE_QUBIT_DEMO, encoding="utf-8")
     return path
+
+
+class TestParser:
+    def test_built_once_and_shared_by_every_call(self, demo_circuit, capsys):
+        assert build_parser() is build_parser()
+        assert main(["run", str(demo_circuit)]) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(demo_circuit), "--tol", "1e-9"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["run", str(demo_circuit)]) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestRun:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab import linalg
+from bornlab.channels import evolve, measurement_channel
 from bornlab.linalg import (
     as_matrix,
     dagger,
@@ -13,11 +16,13 @@ from bornlab.linalg import (
     is_unitary,
     matmul,
     partial_trace,
+    sector_blocks,
     tensor,
     trace,
 )
+from bornlab.states import random_density
 
-from conftest import random_complex_matrix
+from conftest import random_complex_matrix, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -188,3 +193,112 @@ class TestPredicates:
         assert is_unitary(H, 1e-12)
         assert is_unitary(SQRT_NOT, 1e-12)
         assert not is_unitary(KET0, 1e-12)
+
+
+TOLS = st.sampled_from([linalg.STRUCTURAL_TOL, 1e-8, 1e-6])
+SEEDS = st.integers(0, 2**32 - 1)
+#: lambda_min / -tol of the placed spectra: both sides of the certificate's
+#: shift tol/2 and of the verdict's -tol.
+FACTORS = st.sampled_from([0.25, 0.75, 1.25, 2.0])
+
+
+@st.composite
+def random_states(draw):
+    """A random density matrix on 1-8 qubits, of any rank."""
+    n = draw(st.integers(1, 8))
+    rank = draw(st.integers(1, 2**n))
+    return random_density(n, rng=draw(SEEDS), rank=rank).matrix
+
+
+def placed_spectrum(n, seed, lam_min):
+    """A hermitian matrix on n qubits with smallest eigenvalue ``lam_min`` and
+    the others a random probability vector, in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(2**n))
+    w[0] = lam_min
+    u = random_unitary(2**n, rng)
+    a = (u * w) @ u.conj().T
+    return (a + a.conj().T) / 2
+
+
+def eigvalsh_verdict(a, tol):
+    return bool(np.linalg.eigvalsh(a)[..., 0].min() >= -tol)
+
+
+class TestPsdVerdict:
+    """``is_psd`` answers as ``eigvalsh(a)[0] >= -tol`` does, whether its
+    Cholesky certificate answers or the eigensolver does."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(random_states(), TOLS)
+    def test_random_states(self, a, tol):
+        assert is_psd(a, tol) == eigvalsh_verdict(a, tol)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 8), SEEDS, FACTORS, TOLS)
+    def test_smallest_eigenvalue_near_the_bound(self, n, seed, factor, tol):
+        a = placed_spectrum(n, seed, -factor * tol)
+        assert is_psd(a, tol) == eigvalsh_verdict(a, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), TOLS, st.integers(1, 4))
+    def test_stacks(self, data, tol, k):
+        n = data.draw(st.integers(1, 6))
+        seeds = data.draw(st.lists(SEEDS, min_size=k, max_size=k))
+        stack = [random_density(n, rng=seed, rank=1 + seed % 2**n).matrix for seed in seeds]
+        if data.draw(st.booleans()):
+            factor = data.draw(FACTORS)
+            stack[data.draw(st.integers(0, k - 1))] = placed_spectrum(n, seeds[0], -factor * tol)
+        stack = np.array(stack)
+        assert is_psd(stack, tol) == eigvalsh_verdict(stack, tol)
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_the_certificate_answers_for_states(self, n):
+        a = random_density(n, rng=n, rank=1).matrix
+        assert linalg._cholesky_certifies(a, linalg.STRUCTURAL_TOL)
+
+    @pytest.mark.parametrize("factor, answers", [(0.25, True), (0.75, False), (1.25, False)])
+    def test_the_certificate_answers_only_inside_the_shift(self, factor, answers):
+        tol = linalg.STRUCTURAL_TOL
+        a = placed_spectrum(4, 3, -factor * tol)
+        assert linalg._cholesky_certifies(a, tol) == answers
+
+    def test_stacks_are_checked_for_hermiticity(self):
+        stack = np.array([I2 / 2, np.array([[0.5, 0.5], [0.0, 0.5]])])
+        with pytest.raises(linalg.NotHermitianError):
+            is_psd(stack, 1e-10)
+
+
+def dephased(n, measured, seed):
+    rho = random_density(n, rng=seed).matrix
+    for q in measured:
+        rho = evolve(measurement_channel(n, [q]), rho)
+    return rho
+
+
+class TestSectorBlocks:
+    @pytest.mark.parametrize("n, measured", [(1, [0]), (3, [1]), (4, [3, 0]), (5, [0, 1, 2, 3, 4])])
+    def test_blocks_of_a_dephased_state(self, n, measured):
+        rho = dephased(n, measured, seed=n)
+        blocks = sector_blocks(rho, n, measured)
+        qs = sorted(measured)
+        bits = (np.arange(2**n)[:, None] >> (n - 1 - np.array(qs))) & 1
+        sector = (bits << (len(qs) - 1 - np.arange(len(qs)))).sum(axis=1)
+        assert blocks.shape == (2 ** len(qs), 2 ** (n - len(qs)), 2 ** (n - len(qs)))
+        for s in range(2 ** len(qs)):
+            idx = np.flatnonzero(sector == s)
+            np.testing.assert_array_equal(blocks[s], rho[np.ix_(idx, idx)])
+        spectrum = np.sort(np.linalg.eigvalsh(blocks).ravel())
+        np.testing.assert_allclose(spectrum, np.linalg.eigvalsh(rho), atol=1e-14)
+
+    def test_one_tiny_entry_between_sectors_raises(self):
+        rho = dephased(3, [1], seed=4)
+        rho[0b000, 0b010] = 1e-300
+        with pytest.raises(ValueError, match="between the sectors"):
+            sector_blocks(rho, 3, [1])
+
+    def test_bad_sectors(self):
+        with pytest.raises(ValueError, match="bad sectors"):
+            sector_blocks(np.eye(4), 2, [2])
+        with pytest.raises(ValueError, match="bad sectors"):
+            sector_blocks(np.eye(4), 3, [0])

@@ -34,6 +34,8 @@ from bornlab.states import (
     random_pure,
 )
 
+from conftest import counting_is_psd
+
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 TRUE = pure_to_density(basis_state(1, 1))
@@ -279,16 +281,6 @@ def formula_pairs(draw):
 
 CHECKED_TREE = Or(Not(Atom("a")), And(GateApp("h", Atom("b")), Atom("a")))
 CHECKED_BINDINGS = {"a": HALF, "b": random_density(2, rng=7)}
-
-
-def counting_is_psd(calls, is_psd=linalg.is_psd):
-    """``linalg.is_psd`` that records the shape of each matrix it checks."""
-
-    def counting(a, tol=linalg.STRUCTURAL_TOL):
-        calls.append(a.shape)
-        return is_psd(a, tol)
-
-    return counting
 
 
 class TestFormulaProperties:

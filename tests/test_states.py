@@ -66,6 +66,17 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="unit trace"):
             DensityOperator(np.eye(2))
 
+    def test_hermiticity_is_tested_once(self, monkeypatch):
+        calls, is_hermitian = [], linalg.is_hermitian
+
+        def counting(a, tol=linalg.STRUCTURAL_TOL):
+            calls.append(a.shape)
+            return is_hermitian(a, tol)
+
+        monkeypatch.setattr(linalg, "is_hermitian", counting)
+        DensityOperator(np.eye(4) / 4)
+        assert calls == [(4, 4)]
+
     def test_purity_distinguishes_pure_from_mixed(self):
         assert pure_to_density(qubit(1, 0)).is_pure()
         assert not DensityOperator(np.eye(2) / 2).is_pure()
