@@ -1,8 +1,14 @@
 """Gates and Kraus-family quantum operations.
 
 An operation keeps its Kraus matrices on their own 2**k space together with
-the k target qubits they act on in an n-qubit register; ``evolve`` contracts
-them into the target axes of rho, so no 2**n x 2**n Kraus matrix is built.
+the k target qubits they act on in an n-qubit register, so no 2**n x 2**n
+Kraus matrix is built.  ``evolve`` picks its rule from the Kraus matrices.
+When each A_i is a diagonal d_i times an X-string b_i (non-zero only at
+(r, r xor b_i)), as for measurement, bit flip, depolarizing and every Pauli,
+the channel is the sum over b of M_b * flip_b(rho): M_b = sum_{i: b_i = b}
+d_i dagger(d_i) is a 2**k x 2**k mask broadcast over the targets' row and
+column axes, and flip_b reverses those axes of the targets b flips.  Any
+other family is contracted into the target axes of rho.
 A gate is a unitary on its own 2**arity space, and ``lift_unitary`` places it
 on its targets.  For multi-target gates the earlier-listed targets are the
 controls and the last listed target is the negated qubit, so
@@ -156,12 +162,76 @@ def _contract(a: np.ndarray, axes, t: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, list(range(k)), list(axes))
 
 
+def _flip_masks(kraus) -> dict[int, np.ndarray] | None:
+    """{b: M_b} when every A_i is non-zero only at (r, r xor b_i), else None.
+
+    Such an A_i is diag(d_i) times the X-string b_i, with d_i[r] = A_i[r, r
+    xor b_i], and M_b = sum over i with b_i = b of d_i dagger(d_i), a
+    2**k x 2**k matrix, summed in the order the family lists its matrices.
+    numpy may fuse the multiply-add of a complex product, so d dagger(d)
+    need not be exactly hermitian; each M_b is returned as (M + dagger(M))/2,
+    which is, and which leaves a real symmetric M unchanged.
+    """
+    rows = np.arange(kraus[0].shape[0])
+    masks: dict[int, np.ndarray] = {}
+    for a in kraus:
+        r, c = np.nonzero(a)
+        b = int(r[0] ^ c[0]) if r.size else 0
+        if np.any(r ^ c != b):
+            return None
+        d = a[rows, rows ^ b]
+        masks[b] = masks.get(b, 0) + np.outer(d, d.conj())
+    return {b: (m + linalg.dagger(m)) / 2 for b, m in masks.items()}
+
+
+def _evolve_masked(masks: dict, targets, t: np.ndarray) -> np.ndarray:
+    """sum_b M_b * flip_b(t) on the (2,)*2n tensor ``t``: mask slot m sits on
+    the row axis targets[m] and the column axis n + targets[m], and flip_b
+    reverses both axes of each target whose bit is set in b."""
+    n, k = t.ndim // 2, len(targets)
+    axes = [*targets, *(n + q for q in targets)]
+    shape = [1] * (2 * n)
+    for axis in axes:
+        shape[axis] = 2
+    out = None
+    for b, mask in masks.items():
+        placed = mask.reshape((2,) * (2 * k)).transpose(np.argsort(axes)).reshape(shape)
+        flipped = [q for m, q in enumerate(targets) if b >> (k - 1 - m) & 1]
+        term = placed * np.flip(t, [*flipped, *(n + q for q in flipped)])
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+def _evolve_contracted(kraus, targets, t: np.ndarray) -> np.ndarray:
+    """sum_i A_i t dagger(A_i) on the (2,)*2n tensor ``t``: each A_i contracted
+    into the row axes of the targets and its conjugate into their column
+    axes."""
+    cols = [t.ndim // 2 + q for q in targets]
+    out = np.zeros(t.shape, dtype=complex)
+    for a in kraus:
+        out += _contract(a.conj(), cols, _contract(a, targets, t))
+    return out
+
+
 def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     """The kernel behind every channel: sum_i A_i rho dagger(A_i) on a raw
-    2**n x 2**n array, each A_i contracted into the row axes of the targets
-    and its conjugate into their column axes.  A single-Kraus operation also
-    takes a raw 2**n vector psi, and returns A psi by the same contraction
-    into the vector's axes.  The result is not checked.
+    2**n x 2**n array.  A single-Kraus operation also takes a raw 2**n vector
+    psi, and returns A psi by contracting A into the vector's target axes.
+    The result is not checked.
+
+    The rule for rho is read off the Kraus matrices.  When every A_i is a
+    diagonal d_i times an X-string b_i (non-zero only at (r, r xor b_i):
+    measurement projectors, bit flip, depolarizing, any Pauli), then
+    (A_i rho dagger(A_i))[r, c] = d_i[r] conj(d_i[c]) rho[r xor b_i, c xor b_i],
+    so the result is sum_b M_b * flip_b(rho): M_b = sum_{i: b_i = b}
+    d_i dagger(d_i) is a 2**k x 2**k mask broadcast over the targets' row and
+    column axes, and flip_b is ``np.flip`` of the row and column axes of the
+    targets flipped by b, a view.  Measurement is one 0/1 mask, which leaves
+    the entries between sectors exactly 0.  Every other family goes through
+    ``_evolve_contracted``.
     """
     n = op.n_qubits
     if state.shape == (op.dim,):
@@ -171,11 +241,10 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     if state.shape != (op.dim, op.dim):
         raise ValueError("operation and state act on different qubit counts")
     t = state.reshape((2,) * (2 * n))
-    cols = [n + q for q in op.targets]
-    out = np.zeros(t.shape, dtype=complex)
-    for a in op.kraus:
-        out += _contract(a.conj(), cols, _contract(a, op.targets, t))
-    return out.reshape(state.shape)
+    masks = _flip_masks(op.kraus)
+    if masks is not None:
+        return _evolve_masked(masks, op.targets, t).reshape(state.shape)
+    return _evolve_contracted(op.kraus, op.targets, t).reshape(state.shape)
 
 
 def lift_unitary(gate: Gate, n_qubits: int, targets) -> QuantumOperation:

@@ -359,6 +359,8 @@ def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     dist = _marginalize(outcome_distribution(simulate(ir)), measured_positions(ir))
     labels = sorted(dist)
     probs = np.array([dist[l] for l in labels])

@@ -5,7 +5,10 @@ import pytest
 
 from bornlab import linalg
 from bornlab.channels import (
+    PAULI_Y,
+    PAULI_Z,
     QuantumOperation,
+    _flip_masks,
     apply,
     builtin_gate,
     compose,
@@ -135,8 +138,31 @@ class TestEvolve:
         np.testing.assert_allclose(evolve(op, rho), np.outer(out, out.conj()), atol=1e-14)
 
     def test_vector_needs_a_single_kraus_operation(self):
-        with pytest.raises(ValueError, match="single-Kraus"):
-            evolve(noise_channel("bitflip", 0.1, 1, 0), np.array([1.0, 0.0], dtype=complex))
+        for op in (noise_channel("bitflip", 0.1, 2, 0), measurement_channel(2, [1])):
+            with pytest.raises(ValueError, match="single-Kraus"):
+                evolve(op, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "op, groups",
+        [
+            (measurement_channel(3, [0, 2]), [0]),
+            (noise_channel("bitflip", 0.1, 3, 1), [0, 1]),
+            (noise_channel("depolarizing", 0.1, 3, 1), [0, 1]),
+            (lift_unitary(builtin_gate("not"), 3, [2]), [1]),
+            (lift_unitary(builtin_gate("id"), 3, [0]), [0]),
+            (QuantumOperation([np.kron(PAULI_Y, PAULI_Z)], [2, 0], 3), [2]),
+            (compose([noise_channel("bitflip", 0.1, 2, 0), measurement_channel(2, [1])]), [0, 2]),
+        ],
+        ids=repr,
+    )
+    def test_diagonal_times_x_string_families_take_the_mask_path(self, op, groups):
+        assert list(_flip_masks(op.kraus)) == groups
+
+    @pytest.mark.parametrize("name", ["h", "sqrtnot", "cnot", "toffoli"])
+    def test_other_gates_take_the_contraction_path(self, name):
+        gate = builtin_gate(name)
+        assert _flip_masks(lift_unitary(gate, 3, range(gate.arity)).kraus) is None
+        assert _flip_masks(compose([lift_unitary(gate, 3, range(gate.arity))]).kraus) is None
 
     def test_shape_mismatch(self):
         op = lift_unitary(builtin_gate("h"), 2, [0])

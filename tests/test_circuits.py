@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import linalg
+from bornlab import channels, linalg
 from bornlab.channels import GATES, NOISE_KINDS
 from bornlab.circuits import (
     MAX_FORMULA_DEPTH,
@@ -218,6 +218,30 @@ class TestSimulate:
         assert all(shape[-1] < 1024 for shape in eig_shapes)
         assert sum(p for label, p in dist.items() if label[0] == "1") == pytest.approx(0.25, abs=1e-12)
 
+    def test_noise_and_measure_steps_contract_nothing_register_sized(self, monkeypatch):
+        # Structure, not time: depolarizing noise and measurement are masks on
+        # the 1024 x 1024 matrix.  The one contraction is the leading ``h``,
+        # on the 1024-amplitude vector.
+        contracted, tensordot_sizes = [], []
+        contract, tensordot = channels._contract, np.tensordot
+
+        def counting_contract(a, axes, t):
+            contracted.append(t.shape)
+            return contract(a, axes, t)
+
+        def counting_tensordot(a, b, *args, **kwargs):
+            tensordot_sizes.append(max(a.size, b.size))
+            return tensordot(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(channels, "_contract", counting_contract)
+        monkeypatch.setattr(np, "tensordot", counting_tensordot)
+        ir = parse_circuit("qubits 10\ngate h 0\nnoise depolarizing 0.2 0\nmeasure 0 3\n")
+        dist = outcome_distribution(simulate(ir))
+        assert contracted == [(2,) * 10]
+        assert all(size < 4**10 for size in tensordot_sizes)
+        assert sum(p for label, p in dist.items() if label[0] == "1") == pytest.approx(0.5, abs=1e-12)
+        assert all(label[3] == "0" for label in dist)
+
     def test_noise_free_prefix_checks_the_norm_after_each_gate(self, monkeypatch):
         # A gate that breaks the norm is caught at its own step on the vector.
         ir = parse_circuit("qubits 2\ngate h 0\ngate cnot 0 1\nmeasure all\n")
@@ -286,6 +310,11 @@ class TestSample:
         ir = parse_circuit("qubits 1\n")
         with pytest.raises(ValueError, match="shots"):
             sample(ir, 0, 0)
+
+    def test_seed_must_be_non_negative(self):
+        ir = parse_circuit("qubits 1\n")
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            sample(ir, 1, -1)
 
     def test_empirical_frequency_tracks_the_distribution(self):
         ir = parse_circuit("qubits 1\ngate h 0\nmeasure all\n")

@@ -117,6 +117,10 @@ class TestSample:
         assert main(["sample", str(demo_circuit), "--shots", "0"]) == 1
         assert "shots" in capsys.readouterr().err
 
+    def test_rejects_a_negative_seed(self, demo_circuit, capsys):
+        assert main(["sample", str(demo_circuit), "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
 
 class TestEval:
     def test_negation_of_false(self, tmp_path, capsys):
