@@ -10,9 +10,11 @@ Circuit grammar (UTF-8, one statement per line, ``#`` starts a comment):
 
 Circuits are simulated exactly here too.  Outcome labels are big-endian:
 character i of a label is qubit i, so the last character is the truth qubit
-read by the logic layer.  Sampling draws from the exact output distribution
-with a seeded PCG64 generator (``numpy.random.default_rng``), so a
-(circuit, shots, seed) triple always reproduces the same histogram.
+read by the logic layer.  Sampling is one multinomial draw of all the shots
+over the exact outcome distribution, from a seeded PCG64 generator
+(``numpy.random.default_rng``): its cost does not grow with the shots (1 to
+2**63 - 1), and a (circuit, shots, seed) triple always reproduces the same
+histogram.
 
 Formula files for the logic layer bind names to literal qubits or circuit
 files in an ``atom`` preamble, and a single ``formula`` line gives the
@@ -350,24 +352,29 @@ class Histogram:
             raise ValueError("counts must be non-negative")
 
 
+#: The most shots one multinomial draw takes: its count is an int64.
+MAX_SHOTS = int(np.iinfo(np.int64).max)
+
+
 def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
     """Draw ``shots`` outcomes from the exact output distribution.
 
-    The distribution is computed once by exact simulation, then sampled
-    categorically; identical (ir, shots, seed) triples give identical
-    histograms.
+    The distribution is computed once by exact simulation, then all the
+    shots are drawn at once as one multinomial over its outcomes: time and
+    memory grow with the outcomes, not the shots.  Identical (ir, shots,
+    seed) triples give identical histograms.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= {MAX_SHOTS}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     dist = _marginalize(outcome_distribution(simulate(ir)), measured_positions(ir))
     labels = sorted(dist)
     probs = np.array([dist[l] for l in labels])
     probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(labels), size=shots, p=probs)
-    tallies = np.bincount(draws, minlength=len(labels))
+    tallies = np.random.default_rng(seed).multinomial(shots, probs)
     counts = {labels[i]: int(c) for i, c in enumerate(tallies) if c > 0}
     return Histogram(shots=shots, counts=counts, seed=seed)
 
@@ -513,10 +520,19 @@ def _complex_tokens(tokens, square: bool = False) -> np.ndarray:
 
 
 def _unit_vector(amplitudes: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(amplitudes)
-    if norm == 0.0:
+    """``amplitudes`` over its norm, taken after scaling the largest real or
+    imaginary part into [0.5, 1): no finite non-zero vector overflows or
+    underflows to zero.  The scale is a power of two, so a vector of moderate
+    magnitude gets the same bits as without it.  A non-finite entry is passed
+    on for the state or projector check to reject."""
+    parts = np.ascontiguousarray(amplitudes, dtype=complex).view(float)  # re, im, re, ...
+    largest = float(np.abs(parts).max(initial=0.0))
+    if not math.isfinite(largest):
+        return amplitudes
+    if largest == 0.0:
         raise ValueError("zero vector")
-    return amplitudes / norm
+    v = np.ldexp(parts, -math.frexp(largest)[1]).view(complex)
+    return v / np.linalg.norm(v)
 
 
 def _pure_state(amplitudes: np.ndarray) -> DensityOperator:

@@ -1,5 +1,7 @@
 """DSL parsing, simulation, distributions, sampling, and formula files."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from bornlab.circuits import (
     histogram_record,
     histogram_table,
     inject_noise,
+    measured_positions,
     outcome_distribution,
     parse_circuit,
     parse_formula,
@@ -28,6 +31,7 @@ from bornlab.circuits import (
     sample,
     simulate,
 )
+from bornlab.circuits import _marginalize, _unit_vector
 from bornlab.qcl import And, Atom, Not, Or
 from bornlab.states import basis_state, pure_to_density, random_density
 
@@ -120,8 +124,8 @@ class TestPrettyPrintRoundTrip:
 
 
 @st.composite
-def circuit_irs(draw):
-    n = draw(st.integers(1, 6))
+def circuit_irs(draw, max_qubits=6):
+    n = draw(st.integers(1, max_qubits))
     names = sorted(g for g in GATES if GATES[g].arity <= n)
     steps = []
     for _ in range(draw(st.integers(0, 8))):
@@ -311,6 +315,12 @@ class TestSample:
         with pytest.raises(ValueError, match="shots"):
             sample(ir, 0, 0)
 
+    def test_shots_must_fit_one_multinomial_draw(self):
+        ir = parse_circuit("qubits 1\n")
+        assert sample(ir, 2**63 - 1, 0).counts == {"0": 2**63 - 1}
+        with pytest.raises(ValueError, match="shots must be <= 9223372036854775807"):
+            sample(ir, 2**63, 0)
+
     def test_seed_must_be_non_negative(self):
         ir = parse_circuit("qubits 1\n")
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -321,6 +331,38 @@ class TestSample:
         h = sample(ir, 100_000, 2026)
         freq = h.counts["0"] / h.shots
         assert 0.494 <= freq <= 0.506  # ~4 sigma at 1e5 shots
+
+
+def _idle_qubits(ir):
+    """Qubits no gate or noise step acts on: they stay |0> exactly."""
+    touched = set()
+    for step in ir.steps:
+        if isinstance(step, GateStep):
+            touched.update(step.targets)
+        elif isinstance(step, NoiseStep):
+            touched.add(step.target)
+    return set(range(ir.n_qubits)) - touched
+
+
+class TestSampleProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(circuit_irs(max_qubits=4), st.integers(1, 10**12), st.integers(0, 2**63))
+    def test_counts_follow_the_exact_distribution(self, ir, shots, seed):
+        h = sample(ir, shots, seed)
+        assert sum(h.counts.values()) == shots
+        positions = measured_positions(ir)
+        dist = _marginalize(outcome_distribution(simulate(ir)), positions)
+        idle = [i for i, q in enumerate(positions) if q in _idle_qubits(ir)]
+        for label in h.counts:
+            assert label in dist
+            assert all(label[i] == "0" for i in idle)
+        assert histogram_record(sample(ir, shots, seed)) == histogram_record(h)
+        n = 10**6
+        counts = sample(ir, n, seed).counts
+        for label, p in dist.items():
+            # 6 sigma, plus 6 counts for the Poisson tail of a label with n p near 1.
+            bound = 6.0 * math.sqrt(n * p * (1.0 - p)) + 6.0
+            assert abs(counts.get(label, 0) - n * p) <= bound, (label, p)
 
 
 class TestHistogramSerialization:
@@ -435,6 +477,15 @@ class TestParseFormulaFile:
     def test_literals_are_normalized(self):
         ast, bindings = parse_formula_file("atom a = (1, 0, 1, 0)\nformula = a\n")
         assert abs(bindings["a"].matrix[0, 1] - 0.5) <= 1e-12
+
+    def test_unit_vector_of_moderate_magnitude_matches_plain_division_bit_for_bit(self):
+        # The power-of-two prescale is exact, so a vector far from overflow and
+        # underflow gets the bits of plain division.
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            dim = 2 ** int(rng.integers(1, 6))
+            v = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** rng.uniform(-100, 100)
+            assert np.array_equal(_unit_vector(v), v / np.linalg.norm(v))
 
     def test_missing_formula_line(self):
         with pytest.raises(FormulaParseError, match="missing 'formula"):

@@ -156,6 +156,35 @@ class TestEval:
         assert main(["eval", str(path)]) == 0
         assert capsys.readouterr().out == "0.500000\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "literal, want",
+        [
+            ("(1e200, 0, 1e200, 0)", "0.500000"),
+            ("(1e-200, 0, 1e-200, 0)", "0.500000"),
+            ("(3e-160, 0, 4e-160, 0)", "0.640000"),
+        ],
+    )
+    def test_literals_far_from_unit_norm_are_normalized(self, literal, want, tmp_path, capsys):
+        path = tmp_path / "f.qf"
+        path.write_text(f"atom a = {literal}\nformula = a\n", encoding="utf-8")
+        assert main(["eval", str(path)]) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("(0, 0, 0, 0)", "zero vector"),
+            ("(inf, 0, 1, 0)", "amplitudes must be finite"),
+            ("(nan, 0, 1, 0)", "amplitudes must be finite"),
+        ],
+    )
+    def test_zero_and_non_finite_literals_are_rejected(self, literal, message, tmp_path, capsys):
+        path = tmp_path / "f.qf"
+        path.write_text(f"atom a = {literal}\nformula = a\n", encoding="utf-8")
+        assert main(["eval", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: line 1, column 1: {message}\n"
+
     def test_unbound_atom(self, tmp_path, capsys):
         path = tmp_path / "f.qf"
         path.write_text("atom a = (1, 0, 0, 0)\nformula = a & b\n", encoding="utf-8")
@@ -204,6 +233,41 @@ class TestPsaTable:
         rows = json.loads(capsys.readouterr().out)
         by_key = {(r["context"], r["projector"]): r["intensity"] for r in rows}
         assert abs(by_key[("one", "P0")] - by_key[("two", "P0")]) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "state, scale, want",
+        [
+            ("1e308 1e308", "1e308", ("0.500000", "1.000000")),
+            ("1e-200 1e-200", "1e-200", ("0.500000", "1.000000")),
+            ("3e-160 4e-160", "1e-320", ("0.360000", "0.980000")),
+        ],
+    )
+    def test_amplitudes_far_from_unit_norm_are_normalized(self, state, scale, want, tmp_path, capsys):
+        path = tmp_path / "big.psa"
+        path.write_text(
+            f"state pure {state}\ncontext computational\nvector 1 0\nvector 0 1\nend\n"
+            f"context hadamard\nvector {scale} {scale}\nvector {scale} -{scale}\nend\n",
+            encoding="utf-8",
+        )
+        assert main(["psa-table", str(path)]) == 0
+        values = [line.split()[-1] for line in capsys.readouterr().out.splitlines()]
+        assert (values[0], values[2]) == want
+
+    @pytest.mark.parametrize(
+        "state, vector, message",
+        [
+            ("0 0", "1 0", "line 1: zero vector"),
+            ("inf 0", "1 0", "line 1: amplitudes must be finite"),
+            ("1 0", "0 0", "line 3: zero vector"),
+            ("1 0", "nan 0", "line 3: matrix entries must be finite"),
+        ],
+    )
+    def test_zero_and_non_finite_amplitudes_are_rejected(self, state, vector, message, tmp_path, capsys):
+        path = tmp_path / "bad.psa"
+        path.write_text(f"state pure {state}\ncontext c\nvector {vector}\nend\n", encoding="utf-8")
+        assert main(["psa-table", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_incomplete_context_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.psa"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab import linalg
 from bornlab.psa import (
@@ -328,6 +330,56 @@ class TestChsh:
         _, a, ap, b, bp = chsh_preset("singlet-optimal")
         with pytest.raises(ValueError, match="two-qubit"):
             chsh_value(random_density(1, rng=3), a, ap, b, bp)
+
+
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_vectors = st.tuples(*3 * [st.floats(-1.0, 1.0)]).map(np.array)
+_directions = _vectors.filter(lambda v: np.linalg.norm(v) >= 1e-3).map(lambda v: v / np.linalg.norm(v))
+
+
+def _spin(n):
+    """The dichotomic observable n.sigma of a unit vector ``n``."""
+    return np.tensordot(n, PAULIS, axes=1)
+
+
+def _bloch_state(r):
+    """The qubit state (I + r.sigma)/2, ``r`` pulled into the unit ball."""
+    return (np.eye(2) + np.tensordot(r / max(1.0, np.linalg.norm(r)), PAULIS, axes=1)) / 2
+
+
+@st.composite
+def chsh_settings(draw, separable: bool):
+    """Observables a, a', b, b' along random directions, and a state: a random
+    two-qubit density matrix, or a mixture of 1-3 product states.  A product's
+    Bloch vectors are often +-a or +-a' and +-b or +-b', where |S| reaches 2."""
+    a, ap, b, bp = (draw(_directions) for _ in range(4))
+    observables = [_spin(n) for n in (a, ap, b, bp)]
+    if not separable:
+        rank = draw(st.integers(1, 4))
+        return random_density(2, rng=draw(st.integers(0, 2**32 - 1)), rank=rank), observables
+
+    def bloch(x, y):
+        pick = draw(st.integers(0, 4))
+        return (x, -x, y, -y)[pick] if pick < 4 else draw(_vectors)
+
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3)))
+    products = [np.kron(_bloch_state(bloch(a, ap)), _bloch_state(bloch(b, bp))) for _ in weights]
+    return DensityOperator(sum(w * m for w, m in zip(weights / weights.sum(), products))), observables
+
+
+class TestChshProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(chsh_settings(separable=True))
+    def test_separable_states_stay_within_two(self, setting):
+        rho, observables = setting
+        assert abs(chsh_value(rho, *observables)) <= 2.0 + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(chsh_settings(separable=False))
+    def test_every_state_stays_within_tsirelson_bound(self, setting):
+        # B. S. Cirel'son, Lett. Math. Phys. 4, 93 (1980).
+        rho, observables = setting
+        assert abs(chsh_value(rho, *observables)) <= 2.0 * np.sqrt(2.0) + 1e-9
 
 
 class TestPsaAxioms:

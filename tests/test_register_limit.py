@@ -1,9 +1,10 @@
-"""The advertised 10-qubit limit holds under a 2 GiB address-space cap.
+"""The advertised 10-qubit limit, and every accepted shot count, holds under a
+2 GiB address-space cap.
 
-Each circuit or formula runs through ``bornlab`` in a child interpreter whose
-address space is capped, so an allocation that scales with 4**n per Kraus
-matrix or per formula composite fails there as a ``MemoryError`` instead of
-exhausting the machine.
+Each circuit, formula or sample runs through ``bornlab`` in a child
+interpreter whose address space is capped, so an allocation that scales with
+4**n per Kraus matrix, per formula composite or per shot fails there as a
+``MemoryError`` instead of exhausting the machine.
 """
 
 import itertools
@@ -77,6 +78,32 @@ def test_ten_qubit_circuit_runs_under_a_2_gib_cap(case, tmp_path):
     assert probs.keys() == expected.keys()
     for label, p in expected.items():
         assert abs(probs[label] - p) <= 1e-12, label
+
+
+HADAMARD = SRC.parent / "demos" / "hadamard.qc"
+
+
+@pytest.mark.parametrize("shots", [10**10, 2**63 - 1])
+def test_huge_shot_counts_sample_under_a_2_gib_cap(shots):
+    # One shot per int8 would already need 9.3 GiB at 10**10 shots.
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, "sample", str(HADAMARD), "--shots", str(shots)],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout)
+    assert record["shots"] == shots
+    assert record["counts"].keys() == {"0", "1"}
+    assert sum(record["counts"].values()) == shots
+
+
+def test_shots_past_int64_are_rejected_without_a_traceback():
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, "sample", str(HADAMARD), "--shots", str(2**63)],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "error: shots must be <= 9223372036854775807\n"
 
 
 RECONSTRUCT_CHILD = f"""\
