@@ -55,9 +55,9 @@ TOFFOLI = as_matrix(_controlled_not(2))
 class Gate:
     """A named unitary acting on ``arity`` qubits."""
 
-    def __init__(self, name: str, matrix, tol: float = STRUCTURAL_TOL):
+    def __init__(self, name: str, matrix):
         m = as_matrix(matrix)
-        if not linalg.is_unitary(m, tol):
+        if not linalg.is_unitary(m):
             raise ValueError(f"gate {name!r} is not unitary")
         self.name = name
         self.matrix = m
@@ -108,11 +108,12 @@ class QuantumOperation:
     significant), identity elsewhere.  The default is the whole register, so
     ``QuantumOperation(dense_kraus)`` is the n-qubit map itself.
 
-    The family must satisfy sum(dagger(A_i) @ A_i) == I within ``tol``;
-    complete positivity then holds by construction of the Kraus form.
+    The family must satisfy sum(dagger(A_i) @ A_i) == I within
+    ``STRUCTURAL_TOL``; complete positivity then holds by construction of the
+    Kraus form.
     """
 
-    def __init__(self, kraus, targets=None, n_qubits=None, tol: float = STRUCTURAL_TOL):
+    def __init__(self, kraus, targets=None, n_qubits=None):
         ks = tuple(as_matrix(k) for k in kraus)
         if not ks:
             raise ValueError("Kraus family must be non-empty")
@@ -121,7 +122,7 @@ class QuantumOperation:
             raise ValueError("Kraus matrices must share one dimension")
         self._place(ks, targets, n_qubits)
         total = sum(linalg.dagger(a) @ a for a in ks)
-        if linalg.max_abs(total - np.eye(dim)) > tol:
+        if linalg.max_abs(total - np.eye(dim)) > STRUCTURAL_TOL:
             raise ValueError("Kraus family is not trace preserving")
 
     def _place(self, ks: tuple, targets, n_qubits) -> None:

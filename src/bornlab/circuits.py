@@ -41,7 +41,7 @@ from .linalg import STRUCTURAL_TOL
 from .psa import Context
 from .qcl import And, Atom, Formula, Not, Or
 from .states import MAX_QUBITS, DensityOperator, Projector, QuRegister, check_qubit_count
-from .states import pure_to_density
+from .states import check_density, pure_to_density
 
 
 class _LocatedError(ValueError):
@@ -235,11 +235,6 @@ def inject_noise(ir: CircuitIr, kind: str, p: float) -> CircuitIr:
     return CircuitIr(ir.n_qubits, tuple(out))
 
 
-def _check_trace_and_hermiticity(matrix: np.ndarray, after: str) -> None:
-    if abs(linalg.trace(matrix) - 1.0) > linalg.STRUCTURAL_TOL or not linalg.is_hermitian(matrix):
-        raise ValueError(f"{after} left a non-hermitian or non-unit-trace state")
-
-
 def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> DensityOperator:
     """Fold the circuit's steps over the input state (default |0..0><0..0|).
 
@@ -247,13 +242,13 @@ def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> Densi
     its leading gate steps act on that vector (``evolve`` of the lifted gate:
     2**n work per gate, not 4**n), its norm checked after each.  At the first
     noise or measure step, or at the end, the vector becomes |psi><psi|.
-    Each remaining step is one ``apply``; a measure step is the single-qubit
-    measurement channel on each measured qubit in turn, the joint channel
-    exactly.  Trace and hermiticity are checked after every step on the
-    matrix, or once on the final matrix if no step runs on it.  Positivity is
-    checked once, by ``linalg.is_psd``: on the diagonal blocks of the measured
-    sectors when the circuit ends in a measure step (their spectra make up
-    the final matrix's spectrum), else on the whole matrix.
+    Each remaining step is one ``apply``, its trace checked after each (2**n
+    work); a measure step is the single-qubit measurement channel on each
+    measured qubit in turn, the joint channel exactly.  Hermiticity and
+    positivity are checked once, on the returned state, by
+    ``states.check_density``: on the diagonal blocks of the measured sectors
+    when the circuit ends in a measure step (their spectra make up the
+    final matrix's spectrum), else on the whole matrix.
     """
     n = ir.n_qubits
     steps = list(enumerate(ir.steps, start=1))
@@ -262,33 +257,26 @@ def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> Densi
         while steps and isinstance(steps[0][1], GateStep):
             i, step = steps.pop(0)
             psi = evolve(lift_unitary(GATES[step.name], n, step.targets), psi)
-            if abs(np.vdot(psi, psi).real - 1.0) > linalg.STRUCTURAL_TOL:
+            if abs(np.vdot(psi, psi).real - 1.0) > STRUCTURAL_TOL:
                 raise ValueError(f"step {i} ({step}) left a vector that is not of unit norm")
         rho = DensityOperator._unchecked(np.outer(psi, psi.conj()))
     else:
         rho = input_state
     if rho.n_qubits != n:
         raise ValueError(f"input state has {rho.n_qubits} qubits, circuit has {n}")
-    if not steps:
-        _check_trace_and_hermiticity(rho.matrix, "the circuit")
     for i, step in steps:
         if isinstance(step, GateStep):
             rho = apply(lift_unitary(GATES[step.name], n, step.targets), rho)
         elif isinstance(step, NoiseStep):
             rho = apply(noise_channel(step.kind, step.p, n, step.target), rho)
         else:
-            for q in step.targets if step.targets is not None else range(n):
+            for q in measured_positions(ir):
                 rho = apply(measurement_channel(n, [q]), rho)
-        _check_trace_and_hermiticity(rho.matrix, f"step {i} ({step})")
+        if abs(linalg.trace(rho.matrix) - 1.0) > STRUCTURAL_TOL:
+            raise ValueError(f"step {i} ({step}) left a state that is not of unit trace")
     matrix = rho.matrix
-    last = ir.steps[-1] if ir.steps else None
-    if isinstance(last, MeasureStep):
-        measured = last.targets if last.targets is not None else range(n)
-        blocks = linalg.sector_blocks(matrix, n, measured)
-    else:
-        blocks = matrix
-    if not linalg.is_psd(blocks):
-        raise ValueError("density operator must be positive semidefinite")
+    ends_in_measure = bool(ir.steps) and isinstance(ir.steps[-1], MeasureStep)
+    check_density(linalg.sector_blocks(matrix, n, measured_positions(ir)) if ends_in_measure else matrix)
     matrix.setflags(write=False)
     return DensityOperator._unchecked(matrix)
 
@@ -524,7 +512,7 @@ def _unit_vector(amplitudes: np.ndarray) -> np.ndarray:
     imaginary part into [0.5, 1): no finite non-zero vector overflows or
     underflows to zero.  The scale is a power of two, so a vector of moderate
     magnitude gets the same bits as without it.  A non-finite entry is passed
-    on for the state or projector check to reject."""
+    on for the caller to reject."""
     parts = np.ascontiguousarray(amplitudes, dtype=complex).view(float)  # re, im, re, ...
     largest = float(np.abs(parts).max(initial=0.0))
     if not math.isfinite(largest):
@@ -690,6 +678,8 @@ def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
                 raise ValueError(f"{kw!r} outside a context block")
             if kw == "vector":
                 u = _unit_vector(_complex_tokens(args))
+                if not np.all(np.isfinite(u)):  # before the product turns inf * 0 into nan
+                    raise ValueError("matrix entries must be finite")
                 current[1].append(Projector(np.outer(u, u.conj())))
             else:
                 current[1].append(Projector(_complex_tokens(args, square=True)))

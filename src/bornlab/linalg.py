@@ -16,9 +16,6 @@ import numpy as np
 #: Tolerance for structural predicates (hermitian / PSD / projector / unitary).
 STRUCTURAL_TOL = 1e-10
 
-#: Tolerance for arithmetic identities (gate algebra, trace laws).
-IDENTITY_TOL = 1e-12
-
 
 def as_matrix(entries) -> np.ndarray:
     """Coerce ``entries`` to an immutable square complex matrix.

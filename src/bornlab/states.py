@@ -79,20 +79,28 @@ def basis_state(n_qubits: int, index) -> QuRegister:
     return QuRegister(v)
 
 
+def check_density(a: np.ndarray) -> None:
+    """The state rule besides unit trace, on ``a`` or on each matrix of a stack
+    ``(k, d, d)``: hermitian, then positive semidefinite, within
+    ``STRUCTURAL_TOL``.  ``DensityOperator`` and ``simulate`` both check it
+    here."""
+    try:  # is_psd tests hermiticity first, once for both checks
+        psd = linalg.is_psd(a)
+    except linalg.NotHermitianError:
+        raise ValueError("density operator must be hermitian") from None
+    if not psd:
+        raise ValueError("density operator must be positive semidefinite")
+
+
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace matrix on n qubits."""
 
-    def __init__(self, matrix, tol: float = STRUCTURAL_TOL):
+    def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
         self.n_qubits = linalg.n_qubits_of(m.shape[0])
-        try:  # is_psd tests hermiticity first, once for both checks
-            psd = linalg.is_psd(m, tol)
-        except linalg.NotHermitianError:
-            raise ValueError("density operator must be hermitian") from None
-        if not psd:
-            raise ValueError("density operator must be positive semidefinite")
+        check_density(m)
         tr = linalg.trace(m)
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"density operator must have unit trace, got {tr}")
         self.matrix = m
 
@@ -121,10 +129,10 @@ class DensityOperator:
 class Projector:
     """Hermitian idempotent matrix on n qubits; the carrier of properties."""
 
-    def __init__(self, matrix, tol: float = STRUCTURAL_TOL):
+    def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
         self.n_qubits = linalg.n_qubits_of(m.shape[0])
-        if not linalg.is_projector(m, tol):
+        if not linalg.is_projector(m):
             raise ValueError("matrix is not a projector (hermitian idempotent)")
         self.matrix = m
 
@@ -149,7 +157,7 @@ def projector_onto(psi: QuRegister) -> Projector:
 class MaximalTest:
     """An n-outcome measurement given by a complete orthonormal basis."""
 
-    def __init__(self, basis, tol: float = STRUCTURAL_TOL):
+    def __init__(self, basis):
         basis = tuple(basis)
         if not basis:
             raise ValueError("a maximal test needs at least one basis vector")
@@ -162,7 +170,7 @@ class MaximalTest:
             )
         for i, ei in enumerate(basis):
             for j in range(i + 1, len(basis)):
-                if abs(ei.inner(basis[j])) > tol:
+                if abs(ei.inner(basis[j])) > STRUCTURAL_TOL:
                     raise ValueError(f"basis vectors {i} and {j} are not orthogonal")
         self.basis = basis
         self.n_qubits = n

@@ -206,19 +206,27 @@ class TestSimulate:
 
     def test_measured_circuit_checks_positivity_once_on_its_sector_blocks(self, monkeypatch):
         # Structure, not time: a 10-qubit noise-free circuit ending in
-        # ``measure 0`` runs one positivity check, on its two 512 x 512
-        # sector blocks, and no eigensolver on the 1024 x 1024 matrix.
-        psd_shapes, eig_shapes, eigvalsh = [], [], np.linalg.eigvalsh
+        # ``measure 0`` runs one positivity check and one hermiticity check,
+        # on its two 512 x 512 sector blocks, and no eigensolver on the
+        # 1024 x 1024 matrix.
+        psd_shapes, hermitian_shapes, eig_shapes = [], [], []
+        is_hermitian, eigvalsh = linalg.is_hermitian, np.linalg.eigvalsh
+
+        def counting_is_hermitian(a, *args, **kwargs):
+            hermitian_shapes.append(a.shape)
+            return is_hermitian(a, *args, **kwargs)
 
         def counting_eigvalsh(a, *args, **kwargs):
             eig_shapes.append(a.shape)
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(linalg, "is_psd", counting_is_psd(psd_shapes))
+        monkeypatch.setattr(linalg, "is_hermitian", counting_is_hermitian)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         ir = parse_circuit("qubits 10\ngate h 9\ngate h 3\ngate toffoli 9 3 0\nmeasure 0\n")
         dist = outcome_distribution(simulate(ir))
         assert psd_shapes == [(2, 512, 512)]
+        assert hermitian_shapes == [(2, 512, 512)]
         assert all(shape[-1] < 1024 for shape in eig_shapes)
         assert sum(p for label, p in dist.items() if label[0] == "1") == pytest.approx(0.25, abs=1e-12)
 
@@ -252,6 +260,30 @@ class TestSimulate:
         bad = GATES["cnot"].matrix * 1.1
         monkeypatch.setattr(GATES["cnot"], "matrix", bad)
         with pytest.raises(ValueError, match=r"step 2 \(.*cnot.*\) left a vector that is not of unit norm"):
+            simulate(ir)
+
+    @pytest.mark.parametrize("measure", ["", "measure 0\n"])
+    @pytest.mark.parametrize(
+        "entries, broken", [([(0, 1)], "hermitian"), ([(0, 1), (1, 0)], "positive semidefinite")]
+    )
+    def test_broken_result_fails_the_density_operator_check(self, monkeypatch, measure, entries, broken):
+        # A noise step that adds 1e-6 to entry (0, 1) of |0+><0+|, inside the
+        # sector of ``measure 0``, leaves a non-hermitian state; adding it to
+        # (1, 0) too leaves an eigenvalue of -1e-6.  Either is caught once, on
+        # the returned state, with the message ``DensityOperator`` gives.
+        evolve = channels.evolve
+
+        def skewing_evolve(op, state):
+            out = evolve(op, state)
+            if any(np.count_nonzero(k - np.diag(np.diagonal(k))) for k in op.kraus):
+                out = out.copy()
+                for entry in entries:
+                    out[entry] += 1e-6
+            return out
+
+        monkeypatch.setattr(channels, "evolve", skewing_evolve)
+        ir = parse_circuit("qubits 2\ngate h 1\nnoise bitflip 0.1 1\n" + measure)
+        with pytest.raises(ValueError, match=f"^density operator must be {broken}$"):
             simulate(ir)
 
     def test_returned_state_is_read_only(self):
@@ -361,7 +393,9 @@ class TestSampleProperties:
         counts = sample(ir, n, seed).counts
         for label, p in dist.items():
             # 6 sigma, plus 6 counts for the Poisson tail of a label with n p near 1.
-            bound = 6.0 * math.sqrt(n * p * (1.0 - p)) + 6.0
+            # A sure label's p may round to just above 1 (bitflip 0.5 gives two
+            # halves of 0.5000000000000001), which makes p (1 - p) a tiny negative.
+            bound = 6.0 * math.sqrt(max(n * p * (1.0 - p), 0.0)) + 6.0
             assert abs(counts.get(label, 0) - n * p) <= bound, (label, p)
 
 

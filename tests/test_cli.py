@@ -261,6 +261,7 @@ class TestPsaTable:
             ("inf 0", "1 0", "line 1: amplitudes must be finite"),
             ("1 0", "0 0", "line 3: zero vector"),
             ("1 0", "nan 0", "line 3: matrix entries must be finite"),
+            ("1 0", "inf 0", "line 3: matrix entries must be finite"),
         ],
     )
     def test_zero_and_non_finite_amplitudes_are_rejected(self, state, vector, message, tmp_path, capsys):
