@@ -61,13 +61,10 @@ from .qcl import (
 )
 from .states import (
     DensityOperator,
-    MaximalTest,
     Projector,
     QuRegister,
     basis_state,
     born_expectation,
-    born_probability,
-    computational_test,
     mix,
     projector_onto,
     pure_to_density,

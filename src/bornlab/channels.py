@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import STRUCTURAL_TOL, as_matrix
-from .states import DensityOperator
+from .states import DensityOperator, check_targets
 
 IDENTITY_1Q = as_matrix(np.eye(2))
 PAULI_X = as_matrix([[0, 1], [1, 0]])
@@ -133,10 +133,7 @@ class QuantumOperation:
         targets = tuple(range(n) if targets is None else targets)
         if len(targets) != k:
             raise ValueError(f"Kraus matrices of arity {k} need {k} targets, got {len(targets)}")
-        if len(set(targets)) != k:
-            raise ValueError(f"target indices must be distinct, got {list(targets)}")
-        if any(not 0 <= t < n for t in targets):
-            raise ValueError(f"target indices {list(targets)} out of range for {n} qubits")
+        check_targets(targets, n)
         self.kraus = ks
         self.targets = targets
         self.n_qubits = n
@@ -274,12 +271,17 @@ def measurement_channel(n_qubits: int, measured) -> QuantumOperation:
 
     One diagonal 2**m x 2**m Kraus projector per assignment of the m measured
     qubits; the channel zeroes coherences between distinct measured-basis
-    sectors and leaves the diagonal untouched.
+    sectors and leaves the diagonal untouched.  The list is checked as given,
+    by the target rule of a ``measure`` line, and then sorted.
+
+    The family is 2**m projectors of 2**m x 2**m entries, 16 GiB at m = 10,
+    which is why ``simulate`` measures one qubit at a time.
     """
-    qs = sorted(set(measured))
+    qs = tuple(measured)
     if not qs:
         raise ValueError("measured qubit set must be non-empty")
-    return QuantumOperation([np.diag(row) for row in np.eye(2 ** len(qs))], qs, n_qubits)
+    check_targets(qs, n_qubits, what="measured qubit")
+    return QuantumOperation([np.diag(row) for row in np.eye(2 ** len(qs))], sorted(qs), n_qubits)
 
 
 def noise_channel(kind: str, p: float, n_qubits: int, target: int) -> QuantumOperation:

@@ -41,7 +41,7 @@ from .linalg import STRUCTURAL_TOL
 from .psa import Context
 from .qcl import And, Atom, Formula, Not, Or
 from .states import MAX_QUBITS, DensityOperator, Projector, QuRegister, check_qubit_count
-from .states import check_density, pure_to_density
+from .states import TargetError, check_density, check_targets, pure_to_density
 
 
 class _LocatedError(ValueError):
@@ -115,11 +115,10 @@ def _check_step(n_qubits: int, step: Step, previous: Step | None) -> None:
         targets, first, what = step.targets, 1, "measured qubit"
     else:
         raise TypeError(f"unknown step {step!r}")
-    for i, t in enumerate(targets):
-        if not 0 <= t < n_qubits:
-            raise _StepError(f"qubit index {t} out of range for {n_qubits} qubits", first + i)
-        if t in targets[:i]:
-            raise _StepError(f"repeated {what} {t}", first + i)
+    try:
+        check_targets(targets, n_qubits, what)
+    except TargetError as exc:
+        raise _StepError(str(exc), first + exc.index) from None
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,6 @@ def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> Densi
     matrix = rho.matrix
     ends_in_measure = bool(ir.steps) and isinstance(ir.steps[-1], MeasureStep)
     check_density(linalg.sector_blocks(matrix, n, measured_positions(ir)) if ends_in_measure else matrix)
-    matrix.setflags(write=False)
     return DensityOperator._unchecked(matrix)
 
 

@@ -194,7 +194,7 @@ def _validate_dichotomic(obs, tol: float) -> np.ndarray:
         raise ValueError("CHSH observables must be hermitian")
     eigs = np.linalg.eigvalsh(m)
     if float(np.max(np.abs(np.abs(eigs) - 1.0))) > tol:
-        raise ValueError(f"observable eigenvalues {eigs} are not in {{-1, +1}}")
+        raise ValueError(f"observable eigenvalues {[float(e) for e in eigs]} are not in {{-1, +1}}")
     return m
 
 

@@ -1,8 +1,12 @@
-"""Quantum states and Born-rule probability evaluation.
+"""Quantum states and the Born rule.
 
 Pure states (quregisters) and mixed states (density operators) share one
 evaluation path: everything that computes a probability goes through a
-density operator, so gates, noise, and logic treat both uniformly.
+density operator, so gates, noise, and logic treat both uniformly.  The Born
+rule is one function, ``born_expectation``: the value Tr(rho P) a state gives
+a projector.  The probability of outcome e of a test is
+``born_expectation(pure_to_density(psi), projector_onto(e))``, and a family
+of outcomes is a ``psa.Context``, which checks that they are orthogonal.
 """
 
 from __future__ import annotations
@@ -20,6 +24,27 @@ def check_qubit_count(n: int) -> None:
     from a file."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+
+
+class TargetError(ValueError):
+    """A qubit list breaks the target rule; ``index`` is the position of the
+    offending entry in the list."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def check_targets(targets, n_qubits: int, what: str = "target") -> None:
+    """The target rule for the sequence of qubits a gate, noise or measure step
+    acts on: each entry in 0..n_qubits-1 and none repeated, checked entry by
+    entry in order.  ``what`` names the entries in the repeat message.  The
+    circuit DSL and the channel builders both check here."""
+    for i, t in enumerate(targets):
+        if not 0 <= t < n_qubits:
+            raise TargetError(f"qubit index {t} out of range for {n_qubits} qubits", i)
+        if t in targets[:i]:
+            raise TargetError(f"repeated {what} {t}", i)
 
 
 class QuRegister:
@@ -49,12 +74,6 @@ class QuRegister:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def inner(self, other: "QuRegister") -> complex:
-        """The inner product <self|other>."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def __repr__(self) -> str:
         return f"QuRegister(n_qubits={self.n_qubits})"
@@ -106,7 +125,9 @@ class DensityOperator:
 
     @classmethod
     def _unchecked(cls, matrix: np.ndarray) -> "DensityOperator":
-        """Wrap, unchecked, a matrix that is a state by construction."""
+        """Wrap, unchecked, a matrix that is a state by construction, and make
+        it read-only."""
+        matrix.setflags(write=False)
         rho = cls.__new__(cls)
         rho.n_qubits, rho.matrix = linalg.n_qubits_of(matrix.shape[0]), matrix
         return rho
@@ -154,37 +175,6 @@ def projector_onto(psi: QuRegister) -> Projector:
     return Projector(np.outer(v, v.conj()))
 
 
-class MaximalTest:
-    """An n-outcome measurement given by a complete orthonormal basis."""
-
-    def __init__(self, basis):
-        basis = tuple(basis)
-        if not basis:
-            raise ValueError("a maximal test needs at least one basis vector")
-        n = basis[0].n_qubits
-        if any(e.n_qubits != n for e in basis):
-            raise ValueError("basis vectors must share one qubit count")
-        if len(basis) != basis[0].dim:
-            raise ValueError(
-                f"a maximal test on {n} qubits needs {basis[0].dim} outcomes, got {len(basis)}"
-            )
-        for i, ei in enumerate(basis):
-            for j in range(i + 1, len(basis)):
-                if abs(ei.inner(basis[j])) > STRUCTURAL_TOL:
-                    raise ValueError(f"basis vectors {i} and {j} are not orthogonal")
-        self.basis = basis
-        self.n_qubits = n
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.basis)
-
-
-def computational_test(n_qubits: int) -> MaximalTest:
-    """The computational-basis maximal test on n qubits."""
-    return MaximalTest([basis_state(n_qubits, i) for i in range(2**n_qubits)])
-
-
 def pure_to_density(psi: QuRegister) -> DensityOperator:
     """The rank-1 density operator |psi><psi|."""
     v = psi.amplitudes
@@ -212,17 +202,6 @@ def mix(states) -> DensityOperator:
     for w, rho in pairs:
         acc += w * rho.matrix
     return DensityOperator(acc)
-
-
-def born_probability(psi: QuRegister, test: MaximalTest, outcome_index: int) -> float:
-    """Probability |<e_i|psi>|^2 of the i-th outcome of a maximal test."""
-    if psi.n_qubits != test.n_qubits:
-        raise ValueError("state and test act on different qubit counts")
-    if not 0 <= outcome_index < test.n_outcomes:
-        raise IndexError(
-            f"outcome index {outcome_index} out of range for {test.n_outcomes} outcomes"
-        )
-    return abs(test.basis[outcome_index].inner(psi)) ** 2
 
 
 def born_expectation(

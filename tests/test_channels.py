@@ -105,7 +105,7 @@ class TestLiftUnitary:
     def test_bad_targets(self):
         with pytest.raises(ValueError, match="arity"):
             lift_unitary(builtin_gate("CNot"), 2, [0])
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="repeated target 0"):
             lift_unitary(builtin_gate("CNot"), 2, [0, 0])
         with pytest.raises(ValueError, match="out of range"):
             lift_unitary(builtin_gate("Not"), 1, [1])

@@ -1,6 +1,7 @@
 """DSL parsing, simulation, distributions, sampling, and formula files."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,50 @@ class TestParseProperties:
             parse_circuit(text)
         except CircuitParseError:
             pass
+
+
+def _message(call):
+    """The message of the ``ValueError`` that ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _line_message(text):
+    """The message ``parse_circuit(text)`` raises, without its "line L,
+    column C: " prefix, or None."""
+    message = _message(lambda: parse_circuit(text))
+    return None if message is None else re.sub(r"^line \d+, column \d+: ", "", message)
+
+
+_GATE_OF_ARITY = {GATES[name].arity: name for name in ("h", "cnot", "toffoli")}
+_qubit_lists = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(-1, n), min_size=1, max_size=4))
+)
+
+
+class TestTargetRule:
+    """A ``gate``, ``noise`` or ``measure`` line and the channel builder given
+    the same qubit list accept the same lists and fail with the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_qubit_lists)
+    def test_lines_and_channel_builders_share_one_rule(self, case):
+        n, qs = case
+        header, fields = f"qubits {n}\n", " ".join(map(str, qs))
+        measured = _line_message(f"{header}measure {fields}\n")
+        assert measured == _message(lambda: channels.measurement_channel(n, qs))
+        if measured is None:
+            ir = parse_circuit(f"{header}measure {fields}\n")
+            assert channels.measurement_channel(n, qs).targets == ir.steps[-1].targets
+        noisy = _line_message(f"{header}noise bitflip 0.1 {qs[0]}\n")
+        assert noisy == _message(lambda: channels.noise_channel("bitflip", 0.1, n, qs[0]))
+        if len(qs) in _GATE_OF_ARITY:
+            name = _GATE_OF_ARITY[len(qs)]
+            gated = _line_message(f"{header}gate {name} {fields}\n")
+            assert gated == _message(lambda: channels.lift_unitary(GATES[name], n, qs))
 
 
 class TestSimulate:

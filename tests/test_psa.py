@@ -408,3 +408,57 @@ class TestPsaAxioms:
         blend = mix([(0.3, r1), (0.7, r2)])
         expected = 0.3 * intensity(Psa(r1), p) + 0.7 * intensity(Psa(r2), p)
         assert abs(intensity(Psa(blend), p) - expected) <= 1e-12
+
+
+@st.composite
+def orthogonal_families(draw, complete: bool):
+    """A random state on 1-4 qubits and the column groups of a random unitary:
+    its columns cut into 1 to dim consecutive groups, all of them when
+    ``complete``, else a random non-empty selection of them.  The projectors
+    onto the groups are a pairwise-orthogonal family."""
+    n = draw(st.integers(1, 4))
+    dim = 2**n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(dim, rng)
+    cuts = draw(st.lists(st.integers(1, dim - 1), unique=True, max_size=dim - 1)) if dim > 1 else []
+    bounds = [0, *sorted(cuts), dim]
+    groups = [u[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if not complete:
+        keep = draw(st.lists(st.booleans(), min_size=len(groups), max_size=len(groups)))
+        groups = [g for g, k in zip(groups, keep) if k] or groups[:1]
+    return random_density(n, rng=rng, rank=draw(st.integers(1, dim))), groups
+
+
+def _projector(columns):
+    return Projector(columns @ columns.conj().T)
+
+
+def _born_sum(rho, columns):
+    """The sum of the Born values <u|rho|u> of the orthonormal ``columns``."""
+    return sum(float(np.real(np.vdot(c, rho.matrix @ c))) for c in columns.T)
+
+
+class TestOrthogonalityProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(orthogonal_families(complete=False))
+    def test_additivity_holds_on_random_orthogonal_families(self, family):
+        rho, groups = family
+        psa, parts = Psa(rho), [_projector(g) for g in groups]
+        assert check_additivity(psa, parts, tol=1e-10)
+        # and down to rank one: each intensity is the sum of the Born values
+        # of the columns its projector spans
+        for g, p in zip(groups, parts):
+            assert abs(intensity(psa, p) - _born_sum(rho, g)) <= 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(orthogonal_families(complete=True), st.integers(0, 2**32 - 1), st.integers(0, 16))
+    def test_context_and_join_reject_a_non_orthogonal_family(self, family, seed, at):
+        # The groups resolve the identity, so a projector onto a random vector
+        # overlaps one of them; it goes in at a random position.
+        rho, groups = family
+        parts = [_projector(g) for g in groups]
+        parts.insert(at % (len(parts) + 1), projector_onto(random_pure(rho.n_qubits, rng=seed)))
+        with pytest.raises(ValueError, match="not orthogonal"):
+            Context(parts)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            join_projectors(parts)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bornlab import linalg
 from bornlab.channels import apply, builtin_gate, lift_unitary
+from bornlab.circuits import parse_circuit, simulate
 from bornlab.qcl import (
     And,
     Atom,
@@ -142,6 +143,23 @@ class TestAnd:
     def test_output_keeps_all_qubits(self):
         out = qcl_and(random_density(2, rng=0), random_density(1, rng=1))
         assert out.n_qubits == 4
+
+
+class TestResultsAreReadOnly:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: apply(lift_unitary(builtin_gate("h"), 1, [0]), FALSE),
+            lambda: qcl_not(HALF),
+            lambda: qcl_and(HALF, TRUE),
+            lambda: qcl_or(HALF, FALSE),
+            lambda: simulate(parse_circuit("qubits 2\ngate h 0\nnoise bitflip 0.1 1\n")),
+        ],
+        ids=["apply", "qcl_not", "qcl_and", "qcl_or", "simulate"],
+    )
+    def test_writing_into_a_result_raises(self, make):
+        with pytest.raises(ValueError, match="read-only"):
+            make().matrix[0, 0] = 0.5
 
 
 class TestOr:

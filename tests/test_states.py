@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from bornlab import linalg
+from bornlab.psa import Context
 from bornlab.states import (
     DensityOperator,
-    MaximalTest,
     Projector,
     QuRegister,
     basis_state,
     born_expectation,
-    born_probability,
-    computational_test,
     mix,
     projector_onto,
     pure_to_density,
@@ -131,45 +129,32 @@ class TestMix:
             mix([(0.5, random_density(1, rng=0)), (0.5, random_density(2, rng=1))])
 
 
-class TestBornProbability:
+class TestOutcomeProbabilities:
+    """The probability of outcome e of a test is born_expectation(rho, |e><e|)."""
+
     def test_basis_state_is_certain(self):
-        assert born_probability(basis_state(1, 0), computational_test(1), 0) == 1.0
+        rho = pure_to_density(basis_state(1, 0))
+        assert born_expectation(rho, projector_onto(basis_state(1, 0))) == 1.0
 
     def test_qubit_amplitudes_square_to_probabilities(self):
         c0, c1 = np.sqrt(0.3), np.sqrt(0.7) * 1j
-        psi = qubit(c0, c1)
-        test = computational_test(1)
-        assert abs(born_probability(psi, test, 0) - 0.3) <= 1e-12
-        assert abs(born_probability(psi, test, 1) - 0.7) <= 1e-12
+        rho = pure_to_density(qubit(c0, c1))
+        assert abs(born_expectation(rho, projector_onto(basis_state(1, 0))) - 0.3) <= 1e-12
+        assert abs(born_expectation(rho, projector_onto(basis_state(1, 1))) - 0.7) <= 1e-12
 
     def test_hadamard_state_splits_evenly(self):
-        psi = qubit(INV_SQRT2, INV_SQRT2)
-        test = computational_test(1)
-        assert abs(born_probability(psi, test, 0) - 0.5) <= 1e-12
-        assert abs(born_probability(psi, test, 1) - 0.5) <= 1e-12
+        rho = pure_to_density(qubit(INV_SQRT2, INV_SQRT2))
+        for i in (0, 1):
+            assert abs(born_expectation(rho, projector_onto(basis_state(1, i))) - 0.5) <= 1e-12
 
     def test_outcomes_sum_to_one(self):
         rng = np.random.default_rng(43)
         for n in (1, 2, 3):
-            psi = random_pure(n, rng)
+            rho = pure_to_density(random_pure(n, rng))
             u = random_unitary(2**n, rng)
-            test = MaximalTest([QuRegister(u[:, i]) for i in range(2**n)])
-            total = sum(born_probability(psi, test, i) for i in range(test.n_outcomes))
+            test = Context([projector_onto(QuRegister(u[:, i])) for i in range(2**n)])
+            total = sum(born_expectation(rho, p) for p in test.projectors)
             assert abs(total - 1.0) <= 1e-10
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            born_probability(basis_state(1, 0), computational_test(1), 2)
-
-
-class TestMaximalTest:
-    def test_rejects_incomplete_basis(self):
-        with pytest.raises(ValueError, match="outcomes"):
-            MaximalTest([basis_state(1, 0)])
-
-    def test_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            MaximalTest([basis_state(1, 0), qubit(INV_SQRT2, INV_SQRT2)])
 
 
 class TestBornExpectation:
