@@ -6,8 +6,6 @@ from .channels import (
     QuantumOperation,
     apply,
     builtin_gate,
-    compose,
-    identity_operation,
     lift_unitary,
     measurement_channel,
     noise_channel,

@@ -2,13 +2,14 @@
 
 An operation keeps its Kraus matrices on their own 2**k space together with
 the k target qubits they act on in an n-qubit register, so no 2**n x 2**n
-Kraus matrix is built.  ``evolve`` picks its rule from the Kraus matrices.
-When each A_i is a diagonal d_i times an X-string b_i (non-zero only at
-(r, r xor b_i)), as for measurement, bit flip, depolarizing and every Pauli,
-the channel is the sum over b of M_b * flip_b(rho): M_b = sum_{i: b_i = b}
-d_i dagger(d_i) is a 2**k x 2**k mask broadcast over the targets' row and
-column axes, and flip_b reverses those axes of the targets b flips.  Any
-other family is contracted into the target axes of rho.
+Kraus matrix is built.  ``evolve`` contracts the Kraus matrices into the
+target axes of rho, except where the builder of the operation recorded masks:
+``measurement_channel``, ``noise_channel`` and the Pauli gates ``id`` and
+``not`` know that their channel is sum over b of M_b * flip_b(rho), where
+M_b is a 2**k x 2**k mask broadcast over the targets' row and column axes
+and flip_b reverses those axes of the targets b flips.  Noise builds its
+masks from its weights and the exact diagonals of the Paulis, so a weight w
+enters the state as w itself.
 A gate is a unitary on its own 2**arity space, and ``lift_unitary`` places it
 on its targets.  For multi-target gates the earlier-listed targets are the
 controls and the last listed target is the negated qubit, so
@@ -52,8 +53,34 @@ CNOT = as_matrix(_controlled_not(1))
 TOFFOLI = as_matrix(_controlled_not(2))
 
 
+#: Each Pauli P with its flip pattern b and its diagonal d: P[r, r xor b] =
+#: d[r], every entry exact.
+_PAULIS = {
+    "I": (IDENTITY_1Q, 0, (1, 1)),
+    "X": (PAULI_X, 1, (1, 1)),
+    "Y": (PAULI_Y, 1, (-1j, 1j)),
+    "Z": (PAULI_Z, 0, (1, -1)),
+}
+
+
+def _pauli_masks(weighted) -> dict[int, np.ndarray]:
+    """The masks {b: M_b} of rho -> sum of w P rho P over the (Pauli name, w)
+    pairs: M_b = sum of w outer(d, conj(d)) over the Paulis that flip b, in
+    the order listed.  Every outer product has entries +-1, so the masks are
+    exactly hermitian and a lone weight w enters them as w itself."""
+    masks: dict[int, np.ndarray] = {}
+    for name, w in weighted:
+        _, b, d = _PAULIS[name]
+        d = np.array(d, dtype=complex)
+        masks[b] = masks.get(b, 0) + w * np.outer(d, d.conj())
+    return masks
+
+
 class Gate:
-    """A named unitary acting on ``arity`` qubits."""
+    """A named unitary acting on ``arity`` qubits.  The Pauli gates of
+    ``GATES`` also carry the masks ``evolve`` applies them by."""
+
+    _masks = None
 
     def __init__(self, name: str, matrix):
         m = as_matrix(matrix)
@@ -77,6 +104,8 @@ GATES = {
     "cnot": Gate("CNot", CNOT),
     "toffoli": Gate("Toffoli", TOFFOLI),
 }
+GATES["id"]._masks = _pauli_masks([("I", 1.0)])
+GATES["not"]._masks = _pauli_masks([("X", 1.0)])
 
 #: The noise kinds of the circuit DSL.
 NOISE_KINDS = ("bitflip", "depolarizing")
@@ -105,15 +134,18 @@ class QuantumOperation:
 
     The Kraus matrices act on their own 2**k space: on qubits ``targets`` of
     an ``n_qubits`` register (index slot m is targets[m], slot 0 the most
-    significant), identity elsewhere.  The default is the whole register, so
-    ``QuantumOperation(dense_kraus)`` is the n-qubit map itself.
+    significant), identity elsewhere.
 
     The family must satisfy sum(dagger(A_i) @ A_i) == I within
     ``STRUCTURAL_TOL``; complete positivity then holds by construction of the
     Kraus form.
     """
 
-    def __init__(self, kraus, targets=None, n_qubits=None):
+    # The masks {b: M_b} that ``evolve`` applies in place of the Kraus
+    # matrices; set only by the builders that know their channel's structure.
+    _masks = None
+
+    def __init__(self, kraus, targets, n_qubits):
         ks = tuple(as_matrix(k) for k in kraus)
         if not ks:
             raise ValueError("Kraus family must be non-empty")
@@ -125,18 +157,17 @@ class QuantumOperation:
         if linalg.max_abs(total - np.eye(dim)) > STRUCTURAL_TOL:
             raise ValueError("Kraus family is not trace preserving")
 
-    def _place(self, ks: tuple, targets, n_qubits) -> None:
+    def _place(self, ks: tuple, targets, n_qubits: int) -> None:
         """Keep the Kraus matrices ``ks`` of one dimension on ``targets`` of
         an ``n_qubits`` register, after checking the targets."""
         k = linalg.n_qubits_of(ks[0].shape[0])
-        n = k if n_qubits is None else n_qubits
-        targets = tuple(range(n) if targets is None else targets)
+        targets = tuple(targets)
         if len(targets) != k:
             raise ValueError(f"Kraus matrices of arity {k} need {k} targets, got {len(targets)}")
-        check_targets(targets, n)
+        check_targets(targets, n_qubits)
         self.kraus = ks
         self.targets = targets
-        self.n_qubits = n
+        self.n_qubits = n_qubits
 
     @property
     def dim(self) -> int:
@@ -148,38 +179,12 @@ class QuantumOperation:
         return f"QuantumOperation(n_qubits={self.n_qubits}, targets={self.targets}, n_kraus={k})"
 
 
-def identity_operation(n_qubits: int) -> QuantumOperation:
-    return QuantumOperation([np.eye(2**n_qubits)])
-
-
 def _contract(a: np.ndarray, axes, t: np.ndarray) -> np.ndarray:
     """Multiply the 2**k matrix ``a`` into the k listed axes of the (2,)*2n
     tensor ``t``; slot m of ``a`` meets axis axes[m]."""
     k = len(axes)
     out = np.tensordot(a.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), list(axes)))
     return np.moveaxis(out, list(range(k)), list(axes))
-
-
-def _flip_masks(kraus) -> dict[int, np.ndarray] | None:
-    """{b: M_b} when every A_i is non-zero only at (r, r xor b_i), else None.
-
-    Such an A_i is diag(d_i) times the X-string b_i, with d_i[r] = A_i[r, r
-    xor b_i], and M_b = sum over i with b_i = b of d_i dagger(d_i), a
-    2**k x 2**k matrix, summed in the order the family lists its matrices.
-    numpy may fuse the multiply-add of a complex product, so d dagger(d)
-    need not be exactly hermitian; each M_b is returned as (M + dagger(M))/2,
-    which is, and which leaves a real symmetric M unchanged.
-    """
-    rows = np.arange(kraus[0].shape[0])
-    masks: dict[int, np.ndarray] = {}
-    for a in kraus:
-        r, c = np.nonzero(a)
-        b = int(r[0] ^ c[0]) if r.size else 0
-        if np.any(r ^ c != b):
-            return None
-        d = a[rows, rows ^ b]
-        masks[b] = masks.get(b, 0) + np.outer(d, d.conj())
-    return {b: (m + linalg.dagger(m)) / 2 for b, m in masks.items()}
 
 
 def _evolve_masked(masks: dict, targets, t: np.ndarray) -> np.ndarray:
@@ -220,16 +225,17 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     psi, and returns A psi by contracting A into the vector's target axes.
     The result is not checked.
 
-    The rule for rho is read off the Kraus matrices.  When every A_i is a
-    diagonal d_i times an X-string b_i (non-zero only at (r, r xor b_i):
-    measurement projectors, bit flip, depolarizing, any Pauli), then
+    An operation whose builder recorded masks is applied by them, without
+    reading its Kraus matrices.  When every A_i is a diagonal d_i times an
+    X-string b_i (non-zero only at (r, r xor b_i)), then
     (A_i rho dagger(A_i))[r, c] = d_i[r] conj(d_i[c]) rho[r xor b_i, c xor b_i],
     so the result is sum_b M_b * flip_b(rho): M_b = sum_{i: b_i = b}
     d_i dagger(d_i) is a 2**k x 2**k mask broadcast over the targets' row and
     column axes, and flip_b is ``np.flip`` of the row and column axes of the
-    targets flipped by b, a view.  Measurement is one 0/1 mask, which leaves
-    the entries between sectors exactly 0.  Every other family goes through
-    ``_evolve_contracted``.
+    targets flipped by b, a view.  ``measurement_channel`` records the one
+    mask M_0 = I, which leaves the entries between sectors exactly 0;
+    ``noise_channel`` and the gates ``id`` and ``not`` record the masks of
+    their Paulis.  Every other operation goes through ``_evolve_contracted``.
     """
     n = op.n_qubits
     if state.shape == (op.dim,):
@@ -239,9 +245,8 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     if state.shape != (op.dim, op.dim):
         raise ValueError("operation and state act on different qubit counts")
     t = state.reshape((2,) * (2 * n))
-    masks = _flip_masks(op.kraus)
-    if masks is not None:
-        return _evolve_masked(masks, op.targets, t).reshape(state.shape)
+    if op._masks is not None:
+        return _evolve_masked(op._masks, op.targets, t).reshape(state.shape)
     return _evolve_contracted(op.kraus, op.targets, t).reshape(state.shape)
 
 
@@ -251,10 +256,11 @@ def lift_unitary(gate: Gate, n_qubits: int, targets) -> QuantumOperation:
 
     Only the targets are checked here.  The completeness sum of the family
     {U} is dagger(U) U = I, which ``Gate`` proved once for its read-only
-    matrix.
+    matrix.  A Pauli gate passes on its masks.
     """
     op = QuantumOperation.__new__(QuantumOperation)
     op._place((gate.matrix,), targets, n_qubits)
+    op._masks = gate._masks
     return op
 
 
@@ -271,8 +277,9 @@ def measurement_channel(n_qubits: int, measured) -> QuantumOperation:
 
     One diagonal 2**m x 2**m Kraus projector per assignment of the m measured
     qubits; the channel zeroes coherences between distinct measured-basis
-    sectors and leaves the diagonal untouched.  The list is checked as given,
-    by the target rule of a ``measure`` line, and then sorted.
+    sectors and leaves the diagonal untouched: its one mask is M_0 = I on
+    the measured qubits.  The list is checked as given, by the target rule of
+    a ``measure`` line, and then sorted.
 
     The family is 2**m projectors of 2**m x 2**m entries, 16 GiB at m = 10,
     which is why ``simulate`` measures one qubit at a time.
@@ -281,39 +288,22 @@ def measurement_channel(n_qubits: int, measured) -> QuantumOperation:
     if not qs:
         raise ValueError("measured qubit set must be non-empty")
     check_targets(qs, n_qubits, what="measured qubit")
-    return QuantumOperation([np.diag(row) for row in np.eye(2 ** len(qs))], sorted(qs), n_qubits)
+    op = QuantumOperation([np.diag(row) for row in np.eye(2 ** len(qs))], sorted(qs), n_qubits)
+    op._masks = {0: np.eye(2 ** len(qs))}
+    return op
 
 
 def noise_channel(kind: str, p: float, n_qubits: int, target: int) -> QuantumOperation:
-    """Single-qubit noise on ``target``: a kind of ``NOISE_KINDS``, which
-    may also be spelled with underscores (``bit_flip``)."""
-    kind = kind.replace("_", "")
+    """Single-qubit noise of a kind of ``NOISE_KINDS`` on ``target``: Kraus
+    matrices sqrt(w) P, and masks built from the weights w themselves."""
     check_noise_kind(kind)
     check_noise_probability(p)
     if kind == "bitflip":
-        weighted = [(1.0 - p, IDENTITY_1Q), (p, PAULI_X)]
+        weighted = [("I", 1.0 - p), ("X", p)]
     else:
         q = p / 4.0
-        weighted = [(1.0 - 3.0 * q, IDENTITY_1Q), (q, PAULI_X), (q, PAULI_Y), (q, PAULI_Z)]
-    kraus = [np.sqrt(w) * m for w, m in weighted if w > 0.0]
-    return QuantumOperation(kraus, [target], n_qubits)
-
-
-def compose(ops) -> QuantumOperation:
-    """Composite of operations applied in list order (first entry acts first).
-
-    The Kraus family of the composite is the full set of ordered products,
-    each lifted to the whole register by the contraction ``evolve`` uses; no
-    compression pass is attempted at these sizes.
-    """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("compose of an empty list")
-    n = ops[0].n_qubits
-    if any(op.n_qubits != n for op in ops):
-        raise ValueError("composed operations must share one qubit count")
-    dim = 2**n
-    kraus = [np.eye(dim).reshape((2,) * (2 * n))]
-    for op in ops:
-        kraus = [_contract(b, op.targets, a) for b in op.kraus for a in kraus]
-    return QuantumOperation([k.reshape(dim, dim) for k in kraus])
+        weighted = [("I", 1.0 - 3.0 * q), ("X", q), ("Y", q), ("Z", q)]
+    weighted = [(name, w) for name, w in weighted if w > 0.0]
+    op = QuantumOperation([np.sqrt(w) * _PAULIS[name][0] for name, w in weighted], [target], n_qubits)
+    op._masks = _pauli_masks(weighted)
+    return op

@@ -37,10 +37,13 @@ class TargetError(ValueError):
 
 def check_targets(targets, n_qubits: int, what: str = "target") -> None:
     """The target rule for the sequence of qubits a gate, noise or measure step
-    acts on: each entry in 0..n_qubits-1 and none repeated, checked entry by
-    entry in order.  ``what`` names the entries in the repeat message.  The
-    circuit DSL and the channel builders both check here."""
+    acts on: each entry an integer (``bool`` is not one) in 0..n_qubits-1 and
+    none repeated, checked entry by entry in order.  ``what`` names the
+    entries in the repeat message.  The circuit DSL and the channel builders
+    both check here."""
     for i, t in enumerate(targets):
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise TargetError(f"qubit index {t} is not an integer", i)
         if not 0 <= t < n_qubits:
             raise TargetError(f"qubit index {t} out of range for {n_qubits} qubits", i)
         if t in targets[:i]:

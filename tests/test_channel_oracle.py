@@ -5,9 +5,10 @@ The reference embeds every Kraus matrix into the full register with
 uses nothing from ``bornlab.channels``.  Circuits are generated by
 hypothesis: every DSL gate with its targets in any order, both noise kinds,
 partial and full measurement, from |0..0> (whose leading gates run on a
-state vector) or a random mixed state.  Families of diagonal times X-string
-matrices, which ``evolve`` applies as masks, are also drawn on their own and
-checked against both the contraction path and the reference.
+state vector) or a random mixed state.  The operations whose builders record
+masks (noise, measurement and the gates ``id`` and ``not``) are also drawn on
+their own, and ``evolve`` is checked against both the contraction path and
+the reference on them.
 """
 
 import numpy as np
@@ -16,12 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornlab.channels import (
-    QuantumOperation,
     _evolve_contracted,
-    _flip_masks,
-    apply,
     builtin_gate,
-    compose,
     evolve,
     lift_unitary,
     measurement_channel,
@@ -159,82 +156,20 @@ def test_simulate_matches_dense_reference(ir, seed):
     assert np.max(np.abs(got - reference_simulate(ir, rho0))) <= 1e-12
 
 
-@st.composite
-def operations(draw):
-    """An n-qubit register and 1-3 operations on drawn targets."""
-    n = draw(st.integers(1, 4))
-    ops = []
-    for _ in range(draw(st.integers(1, 3))):
-        choice = draw(st.sampled_from(["gate", "noise", "measure"]))
-        if choice == "gate":
-            name = draw(st.sampled_from([g for g in GATES if ARITY[g] <= n]))
-            targets = draw(st.permutations(range(n)))[: ARITY[name]]
-            op = lift_unitary(builtin_gate(name), n, targets)
-            ops.append((op, [embed(GATES[name], n, targets)]))
-        elif choice == "noise":
-            kind = draw(st.sampled_from(sorted(PAULI_WEIGHTS)))
-            step = NoiseStep(kind, draw(st.floats(0, 1)), draw(st.integers(0, n - 1)))
-            ops.append((noise_channel(step.kind, step.p, n, step.target), step_kraus(n, step)))
-        else:
-            qs = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-            ops.append((measurement_channel(n, qs), measurement_kraus(n, qs)))
-    return n, ops
-
-
-@ORACLE
-@given(operations(), st.integers(0, 2**32 - 1))
-def test_compose_equals_sequential_application(n_ops, seed):
-    n, pairs = n_ops
-    ops = [op for op, _ in pairs]
-    rho = random_density(n, rng=seed)
-    sequential = rho
-    for op in ops:
-        sequential = apply(op, sequential)
-    composite = compose(ops)
-    assert np.max(np.abs(apply(composite, rho).matrix - sequential.matrix)) <= 1e-12
-    # The composite's Kraus family is the ordered products of the dense
-    # reference matrices, first operation rightmost.
-    expected = [np.eye(2**n)]
-    for _, kraus in pairs:
-        expected = [b @ a for b in kraus for a in expected]
-    assert len(composite.kraus) == len(expected)
-    for got, want in zip(composite.kraus, expected):
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-
-def flip_family(k, flips, rng, zeros=0.0):
-    """A random complete family on k qubits: A_i is non-zero only at
-    (c xor flips[i], c), with value e_i[c], each column of e of unit norm;
-    entries of e are zeroed with probability ``zeros``."""
-    dim = 2**k
-    e = rng.normal(size=(len(flips), dim)) + 1j * rng.normal(size=(len(flips), dim))
-    e *= rng.random(e.shape) >= zeros
-    e[0, ~e.any(axis=0)] = 1
-    e /= np.linalg.norm(e, axis=0)
-    cols = np.arange(dim)
-    kraus = []
-    for b, column in zip(flips, e):
-        a = np.zeros((dim, dim), dtype=complex)
-        a[cols ^ b, cols] = column
-        kraus.append(a)
-    return kraus
-
-
 def exactly_hermitian_density(n, seed):
     rho = random_density(n, rng=seed).matrix
     return (rho + rho.conj().T) / 2
 
 
-def check_masked_evolve(op, rho):
-    """``evolve`` takes the mask path for ``op``, agrees with the contraction
-    path and the dense reference within 1e-12, and keeps an exactly hermitian
-    ``rho`` exactly hermitian."""
+def check_masked_evolve(op, kraus, rho):
+    """``evolve`` takes the mask path the builder recorded for ``op``, agrees
+    with the contraction path and with the dense reference family ``kraus``
+    within 1e-12, and keeps an exactly hermitian ``rho`` exactly hermitian."""
     n, targets = op.n_qubits, op.targets
-    assert _flip_masks(op.kraus) is not None
+    assert op._masks is not None
     got = evolve(op, rho)
     contracted = _evolve_contracted(op.kraus, targets, rho.reshape((2,) * (2 * n)))
-    full = [embed(a, n, targets) for a in op.kraus]
-    reference = sum(a @ rho @ a.conj().T for a in full)
+    reference = sum(a @ rho @ a.conj().T for a in kraus)
     assert np.max(np.abs(got - contracted.reshape(rho.shape))) <= 1e-12
     assert np.max(np.abs(got - reference)) <= 1e-12
     assert np.array_equal(got, got.conj().T)
@@ -242,22 +177,27 @@ def check_masked_evolve(op, rho):
 
 
 @st.composite
-def flip_operations(draw):
-    """A complete diagonal-times-X-string family on 1-3 targets, in any
-    order, of a 1-6 qubit register."""
+def mask_operations(draw):
+    """A noise channel, a measurement or an ``id``/``not`` gate on drawn
+    targets of a 1-6 qubit register, with its dense reference family."""
     n = draw(st.integers(1, 6))
-    k = draw(st.integers(1, min(3, n)))
-    targets = draw(st.permutations(range(n)))[:k]
-    flips = draw(st.lists(st.integers(0, 2**k - 1), min_size=1, max_size=5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    zeros = draw(st.sampled_from([0.0, 0.5]))
-    return QuantumOperation(flip_family(k, flips, rng, zeros), targets, n)
+    choice = draw(st.sampled_from(["gate", "noise", "measure"]))
+    if choice == "gate":
+        name, target = draw(st.sampled_from(["id", "not"])), draw(st.integers(0, n - 1))
+        return lift_unitary(builtin_gate(name), n, [target]), [embed(GATES[name], n, [target])]
+    if choice == "noise":
+        kind = draw(st.sampled_from(sorted(PAULI_WEIGHTS)))
+        step = NoiseStep(kind, draw(st.floats(0, 1)), draw(st.integers(0, n - 1)))
+        return noise_channel(step.kind, step.p, n, step.target), step_kraus(n, step)
+    qs = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    return measurement_channel(n, qs), measurement_kraus(n, sorted(qs))
 
 
 @ORACLE
-@given(flip_operations(), st.integers(0, 2**32 - 1))
-def test_masked_evolve_matches_contraction_and_reference(op, seed):
-    check_masked_evolve(op, exactly_hermitian_density(op.n_qubits, seed))
+@given(mask_operations(), st.integers(0, 2**32 - 1))
+def test_masked_evolve_matches_contraction_and_reference(op_kraus, seed):
+    op, kraus = op_kraus
+    check_masked_evolve(op, kraus, exactly_hermitian_density(op.n_qubits, seed))
 
 
 @pytest.mark.parametrize(
@@ -266,11 +206,11 @@ def test_masked_evolve_matches_contraction_and_reference(op, seed):
 )
 def test_noise_at_the_ends_of_its_range(kind, p, groups):
     op = noise_channel(kind, p, 3, 1)
-    assert list(_flip_masks(op.kraus)) == groups
-    check_masked_evolve(op, exactly_hermitian_density(3, 17))
+    assert list(op._masks) == groups
+    check_masked_evolve(op, step_kraus(3, NoiseStep(kind, p, 1)), exactly_hermitian_density(3, 17))
 
 
 def test_identity_family_returns_rho_unchanged():
     rho = exactly_hermitian_density(4, 23)
-    op = QuantumOperation([np.eye(4)], [3, 1], 4)
-    np.testing.assert_array_equal(check_masked_evolve(op, rho), rho)
+    op = lift_unitary(builtin_gate("id"), 4, [3])
+    np.testing.assert_array_equal(check_masked_evolve(op, [np.eye(16)], rho), rho)

@@ -1,25 +1,28 @@
-"""Gates, lifting, Kraus application, measurement, noise, and composition."""
+"""Gates, lifting, Kraus application, measurement and noise."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bornlab import linalg
 from bornlab.channels import (
+    GATES,
     PAULI_Y,
     PAULI_Z,
     QuantumOperation,
-    _flip_masks,
+    _evolve_contracted,
     apply,
     builtin_gate,
-    compose,
     evolve,
-    identity_operation,
     lift_unitary,
     measurement_channel,
     noise_channel,
 )
+from bornlab.circuits import parse_circuit
 from bornlab.states import (
     DensityOperator,
+    TargetError,
     basis_state,
     pure_to_density,
     qubit,
@@ -110,6 +113,27 @@ class TestLiftUnitary:
         with pytest.raises(ValueError, match="out of range"):
             lift_unitary(builtin_gate("Not"), 1, [1])
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, np.float64(1.0), np.bool_(True)], ids=repr)
+    @pytest.mark.parametrize(
+        "build, index",
+        [
+            (lambda bad: lift_unitary(builtin_gate("cnot"), 3, [2, bad]), 1),
+            (lambda bad: noise_channel("bitflip", 0.1, 3, bad), 0),
+            (lambda bad: measurement_channel(3, [2, bad]), 1),
+        ],
+        ids=["lift_unitary", "noise_channel", "measurement_channel"],
+    )
+    def test_non_integer_qubits_are_rejected_at_their_index(self, build, index, bad):
+        with pytest.raises(TargetError, match=f"^qubit index {bad} is not an integer$") as exc:
+            build(bad)
+        assert exc.value.index == index
+
+    def test_numpy_integer_qubits_are_accepted(self):
+        qs = np.array([2, 0])
+        assert lift_unitary(builtin_gate("cnot"), 3, qs).targets == (2, 0)
+        assert noise_channel("bitflip", 0.1, 3, qs[0]).targets == (2,)
+        assert measurement_channel(3, qs).targets == (0, 2)
+
     def test_the_gate_matrix_is_not_checked_again(self, monkeypatch):
         # ``Gate`` proved the matrix unitary; only the targets are checked.
         built, init = [], QuantumOperation.__init__
@@ -150,19 +174,46 @@ class TestEvolve:
             (noise_channel("depolarizing", 0.1, 3, 1), [0, 1]),
             (lift_unitary(builtin_gate("not"), 3, [2]), [1]),
             (lift_unitary(builtin_gate("id"), 3, [0]), [0]),
-            (QuantumOperation([np.kron(PAULI_Y, PAULI_Z)], [2, 0], 3), [2]),
-            (compose([noise_channel("bitflip", 0.1, 2, 0), measurement_channel(2, [1])]), [0, 2]),
         ],
         ids=repr,
     )
     def test_diagonal_times_x_string_families_take_the_mask_path(self, op, groups):
-        assert list(_flip_masks(op.kraus)) == groups
+        assert list(op._masks) == groups
 
     @pytest.mark.parametrize("name", ["h", "sqrtnot", "cnot", "toffoli"])
     def test_other_gates_take_the_contraction_path(self, name):
         gate = builtin_gate(name)
-        assert _flip_masks(lift_unitary(gate, 3, range(gate.arity)).kraus) is None
-        assert _flip_masks(compose([lift_unitary(gate, 3, range(gate.arity))]).kraus) is None
+        assert lift_unitary(gate, 3, range(gate.arity))._masks is None
+
+    def test_operations_built_by_hand_are_contracted(self):
+        # A Pauli string built by hand is contracted: only the builders
+        # record masks.
+        op = QuantumOperation([np.kron(PAULI_Y, PAULI_Z)], [2, 0], 3)
+        assert op._masks is None
+        rho = random_density(3, rng=11).matrix
+        want = _evolve_contracted(op.kraus, op.targets, rho.reshape((2,) * 6)).reshape(8, 8)
+        np.testing.assert_array_equal(evolve(op, rho), want)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: noise_channel("depolarizing", 0.3, 3, 1),
+            lambda: measurement_channel(3, [2, 0]),
+            lambda: lift_unitary(GATES["not"], 3, [1]),
+        ],
+        ids=["noise_channel", "measurement_channel", "not"],
+    )
+    def test_the_mask_path_reads_no_kraus_matrix(self, build):
+        class Unreadable:
+            def fail(self, *args):
+                raise AssertionError("evolve read the Kraus matrices")
+
+            __getattr__ = __len__ = __iter__ = __getitem__ = fail
+
+        op, rho = build(), random_density(3, rng=13).matrix
+        want = evolve(op, rho)
+        op.kraus = Unreadable()
+        np.testing.assert_array_equal(evolve(op, rho), want)
 
     def test_shape_mismatch(self):
         op = lift_unitary(builtin_gate("h"), 2, [0])
@@ -171,11 +222,6 @@ class TestEvolve:
 
 
 class TestApply:
-    def test_identity_operation_fixes_everything(self):
-        rho = random_density(2, rng=5)
-        out = apply(identity_operation(2), rho)
-        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
-
     def test_hadamard_on_ket0(self):
         op = lift_unitary(builtin_gate("H"), 1, [0])
         out = apply(op, pure_to_density(basis_state(1, 0)))
@@ -184,14 +230,14 @@ class TestApply:
     def test_random_operations_preserve_trace(self):
         rng = np.random.default_rng(67)
         for n in (1, 2):
-            op = QuantumOperation(random_kraus_family(n, rng))
+            op = QuantumOperation(random_kraus_family(n, rng), range(n), n)
             rho = random_density(n, rng=rng)
             out = apply(op, rho)
             assert abs(linalg.trace(out.matrix) - 1.0) <= 1e-10
 
     def test_rejects_non_trace_preserving_family(self):
         with pytest.raises(ValueError, match="trace preserving"):
-            QuantumOperation([np.eye(2) * 0.5])
+            QuantumOperation([np.eye(2) * 0.5], [0], 1)
 
     def test_unitary_lift_preserves_purity(self):
         rng = np.random.default_rng(71)
@@ -201,7 +247,7 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="qubit count"):
-            apply(identity_operation(2), random_density(1, rng=3))
+            apply(lift_unitary(GATES["id"], 2, [0]), random_density(1, rng=3))
 
     def test_result_is_not_checked_again(self, monkeypatch):
         rho, calls = random_density(2, rng=5), []
@@ -253,12 +299,12 @@ class TestMeasurementChannel:
 
 class TestNoiseChannel:
     def test_zero_probability_is_the_identity_channel(self):
-        for kind in ("bit_flip", "depolarizing"):
+        for kind in ("bitflip", "depolarizing"):
             op = noise_channel(kind, 0.0, 1, 0)
-            assert channels_equal(op, identity_operation(1), SPANNING_1Q)
+            assert channels_equal(op, lift_unitary(GATES["id"], 1, [0]), SPANNING_1Q)
 
     def test_certain_bit_flip(self):
-        op = noise_channel("bit_flip", 1.0, 1, 0)
+        op = noise_channel("bitflip", 1.0, 1, 0)
         out = apply(op, pure_to_density(basis_state(1, 0)))
         np.testing.assert_allclose(out.matrix, np.diag([0, 1.0]), atol=1e-15)
 
@@ -269,58 +315,38 @@ class TestNoiseChannel:
             np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
 
     def test_acts_only_on_the_target(self):
-        op = noise_channel("bit_flip", 1.0, 2, 1)
+        op = noise_channel("bitflip", 1.0, 2, 1)
         out = apply(op, pure_to_density(basis_state(2, "00")))
         np.testing.assert_allclose(
             out.matrix, pure_to_density(basis_state(2, "01")).matrix, atol=1e-15
         )
 
-    def test_dsl_spelling_accepted(self):
-        assert len(noise_channel("bitflip", 0.5, 1, 0).kraus) == 2
+    def test_underscore_spelling_is_rejected_as_in_the_dsl(self):
+        # The builder and a ``noise`` line accept the same kinds.
+        with pytest.raises(ValueError, match="^unknown noise kind 'bit_flip'$"):
+            noise_channel("bit_flip", 0.5, 1, 0)
+        with pytest.raises(ValueError, match="unknown noise kind 'bit_flip'$"):
+            parse_circuit("qubits 1\nnoise bit_flip 0.5 0\n")
+
+    @given(st.floats(0, 1), st.data())
+    def test_bit_flip_moves_exactly_its_weight(self, p, data):
+        # The masks are built from p itself, so a basis state keeps exactly
+        # 1 - p and its flip gets exactly p.
+        n = data.draw(st.integers(1, 3))
+        index, target = data.draw(st.integers(0, 2**n - 1)), data.draw(st.integers(0, n - 1))
+        rho = pure_to_density(basis_state(n, index))
+        out = np.diagonal(apply(noise_channel("bitflip", p, n, target), rho).matrix)
+        flipped = index ^ (1 << (n - 1 - target))
+        if p < 1:
+            assert out[index] == 1 - p
+        if p > 0:
+            assert out[flipped] == p
+        assert np.count_nonzero(out) == (p > 0) + (p < 1)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError, match="probability"):
-            noise_channel("bit_flip", 1.5, 1, 0)
+            noise_channel("bitflip", 1.5, 1, 0)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="noise kind"):
             noise_channel("amplitude_damping", 0.1, 1, 0)
-
-
-class TestCompose:
-    def test_double_negation_is_identity(self):
-        op = lift_unitary(builtin_gate("Not"), 1, [0])
-        assert channels_equal(compose([op, op]), identity_operation(1), SPANNING_1Q)
-
-    def test_double_hadamard_is_identity(self):
-        op = lift_unitary(builtin_gate("H"), 1, [0])
-        assert channels_equal(compose([op, op]), identity_operation(1), SPANNING_1Q)
-
-    def test_sqrt_not_twice_is_the_not_channel(self):
-        half = lift_unitary(builtin_gate("SqrtNot"), 1, [0])
-        whole = lift_unitary(builtin_gate("Not"), 1, [0])
-        assert channels_equal(compose([half, half]), whole, SPANNING_1Q)
-
-    def test_composite_family_is_trace_preserving(self):
-        rng = np.random.default_rng(83)
-        ops = [QuantumOperation(random_kraus_family(1, rng, n_kraus=2)) for _ in range(3)]
-        combined = compose(ops)  # constructor revalidates completeness
-        assert len(combined.kraus) == 8
-
-    def test_matches_sequential_application(self):
-        rng = np.random.default_rng(89)
-        ops = [
-            noise_channel("depolarizing", 0.3, 1, 0),
-            lift_unitary(builtin_gate("H"), 1, [0]),
-            noise_channel("bit_flip", 0.2, 1, 0),
-        ]
-        rho = random_density(1, rng=rng)
-        sequential = rho
-        for op in ops:
-            sequential = apply(op, sequential)
-        at_once = apply(compose(ops), rho)
-        assert linalg.max_abs(at_once.matrix - sequential.matrix) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="qubit count"):
-            compose([identity_operation(1), identity_operation(2)])

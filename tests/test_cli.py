@@ -69,6 +69,13 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["probabilities"]["0"] - 0.5) <= 1e-12
 
+    def test_bit_flip_at_one_half_records_exact_halves(self, tmp_path, capsys):
+        # The noise masks are built from p itself, not from sqrt(p) squared.
+        path = tmp_path / "bitflip.qc"
+        path.write_text("qubits 2\nnoise bitflip 0.5 1\nmeasure 0\n", encoding="utf-8")
+        assert main(["run", str(path), "--format", "record"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"probabilities": {"00": 0.5, "01": 0.5}}
+
     def test_csv_format(self, tmp_path, capsys):
         path = tmp_path / "h.qc"
         path.write_text(HADAMARD, encoding="utf-8")

@@ -1,5 +1,8 @@
 """Intensive valuation: additivity, contexts, reconstruction, and CHSH."""
 
+from functools import cache
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from bornlab.psa import (
 from bornlab.states import (
     DensityOperator,
     Projector,
+    QuRegister,
     basis_state,
     mix,
     projector_onto,
@@ -462,3 +466,81 @@ class TestOrthogonalityProperties:
             Context(parts)
         with pytest.raises(ValueError, match="not orthogonal"):
             join_projectors(parts)
+
+
+# Cabello, Estebaranz and Garcia-Alcaine's 18 vectors in C^4 (Phys. Lett. A
+# 212, 183, 1996): 9 orthogonal bases, each vector in exactly two of them.
+# A 0/1 valuation would give each basis exactly one 1, so the 9 bases would
+# hold an odd number of 1s, while counting each vector twice makes it even.
+KS_BASES = [
+    [(0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0), (1, -1, 0, 0)],
+    [(0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0)],
+    [(1, -1, 1, -1), (1, -1, -1, 1), (1, 1, 0, 0), (0, 0, 1, 1)],
+    [(1, -1, 1, -1), (1, 1, 1, 1), (1, 0, -1, 0), (0, 1, 0, -1)],
+    [(0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 1), (1, 0, 0, -1)],
+    [(1, -1, -1, 1), (1, 1, 1, 1), (1, 0, 0, -1), (0, 1, -1, 0)],
+    [(1, 1, -1, 1), (1, 1, 1, -1), (1, -1, 0, 0), (0, 0, 1, 1)],
+    [(1, 1, -1, 1), (-1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 0, -1)],
+    [(1, 1, 1, -1), (-1, 1, 1, 1), (1, 0, 0, 1), (0, 1, -1, 0)],
+]
+KS_VECTORS = sorted({v for basis in KS_BASES for v in basis})
+
+
+def ks_ray(v):
+    return projector_onto(QuRegister(np.array(v) / np.linalg.norm(v)))
+
+
+def ks_contexts():
+    """One ``Context`` per basis, each building its own projectors."""
+    return [Context(map(ks_ray, basis)) for basis in KS_BASES]
+
+
+class TestKochenSpecker:
+    """No 0/1 valuation exists on the 18-vector set, while the Born rule
+    values every one of its projectors once, whatever its context."""
+
+    def test_the_set_is_18_rays_in_9_contexts_each_in_two(self):
+        unit = np.array(KS_VECTORS) / np.linalg.norm(KS_VECTORS, axis=1, keepdims=True)
+        overlaps = np.abs(unit @ unit.T)[~np.eye(len(unit), dtype=bool)]
+        assert len(KS_VECTORS) == 18 and np.all(overlaps < 1 - 1e-9)
+        assert len(ks_contexts()) == 9
+        assert all(sum(v in b for b in KS_BASES) == 2 for v in KS_VECTORS)
+
+    def test_no_zero_one_valuation_exists(self):
+        incidence = np.array([[v in b for v in KS_VECTORS] for b in KS_BASES], dtype=np.uint8)
+        assignments = (np.arange(2**18)[:, None] >> np.arange(18)).astype(np.uint8) & 1
+        ones_per_context = assignments @ incidence.T
+        assert not np.any(np.all(ones_per_context == 1, axis=1))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_the_born_valuation_is_total_and_noncontextual(self, seed, rank):
+        psa, contexts = Psa(random_density(2, rng=seed, rank=rank)), ks_contexts()
+        table = global_valuation(psa, contexts)
+        for ci in range(len(contexts)):
+            assert abs(sum(table[(ci, pi)] for pi in range(4)) - 1.0) <= 1e-10
+        sharing = [(i, j) for i, j in combinations(range(9), 2) if set(KS_BASES[i]) & set(KS_BASES[j])]
+        assert len(sharing) == 18
+        for i, j in sharing:
+            assert check_noncontextuality(psa, contexts[i], contexts[j])
+
+
+@cache
+def pauli_eigenprojectors(n):
+    """The 6**n products of the eigenprojectors of X, Y and Z on each qubit,
+    an informationally complete family."""
+    singles = [p.matrix for p in one_qubit_ic_family()]
+    singles += [projector_onto(qubit(INV_SQRT2, s * INV_SQRT2)).matrix for s in (-1, -1j)]
+    family = [np.ones((1, 1))]
+    for _ in range(n):
+        family = [np.kron(f, s) for f in family for s in singles]
+    return [Projector(f) for f in family]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_reconstruction_round_trip_from_pauli_eigenprojectors(n, seed, data):
+    rho = random_density(n, rng=seed, rank=data.draw(st.integers(1, 2**n)))
+    psa = Psa(rho)
+    recovered = reconstruct_density([(p, intensity(psa, p)) for p in pauli_eigenprojectors(n)], n)
+    assert linalg.max_abs(recovered.matrix - rho.matrix) <= 1e-10

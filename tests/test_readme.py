@@ -1,7 +1,8 @@
 """The README's examples run as written: every ``bornlab`` line of its
 "Command line" block, and every example block of its "File formats"
-section."""
+section.  Every Python name its "Library layout" table shows exists."""
 
+import importlib
 import re
 import shlex
 import shutil
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import bornlab
 from bornlab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,3 +85,22 @@ def test_file_format_examples(heading, tmp_path, capsys):
     assert main([command, str(path)]) == 0
     if expected is not None:
         assert capsys.readouterr().out == expected
+
+
+# Backticked words of the "Library layout" table that name no attribute: a
+# numpy routine, symbols of a formula, a DSL keyword and the command.
+NOT_NAMES = {"eigvalsh", "b", "rho", "measure", "bornlab"}
+LAYOUT_ROWS = re.findall(r"^\| `(bornlab\.\w+)` +\|(.*)\|$", _section("Library layout"), re.M)
+
+
+def test_library_layout_has_a_row_per_module():
+    assert [module for module, _ in LAYOUT_ROWS] == [
+        f"bornlab.{m}" for m in ("linalg", "states", "channels", "qcl", "psa", "circuits", "cli")
+    ]
+
+
+@pytest.mark.parametrize("module, contents", LAYOUT_ROWS, ids=[m for m, _ in LAYOUT_ROWS])
+def test_library_layout_names_exist(module, contents):
+    owner = importlib.import_module(module)
+    names = {word for word in re.findall(r"`([^`]*)`", contents) if word.isidentifier()} - NOT_NAMES
+    assert sorted(n for n in names if not hasattr(owner, n) and not hasattr(bornlab, n)) == []
