@@ -20,6 +20,7 @@ from .circuits import (
     NoiseStep,
     inject_noise,
     outcome_distribution,
+    output_distribution,
     parse_chsh_file,
     parse_circuit,
     parse_formula,

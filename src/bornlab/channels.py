@@ -104,7 +104,11 @@ GATES = {
     "cnot": Gate("CNot", CNOT),
     "toffoli": Gate("Toffoli", TOFFOLI),
 }
-GATES["id"]._masks = _pauli_masks([("I", 1.0)])
+#: The masks of the identity channel, which ``id`` records: ``evolve`` of an
+#: operation carrying this very object returns the state it was given, matrix
+#: or vector, without a pass over it.
+_IDENTITY_MASKS = _pauli_masks([("I", 1.0)])
+GATES["id"]._masks = _IDENTITY_MASKS
 GATES["not"]._masks = _pauli_masks([("X", 1.0)])
 
 #: The noise kinds of the circuit DSL.
@@ -236,14 +240,18 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     mask M_0 = I, which leaves the entries between sectors exactly 0;
     ``noise_channel`` and the gates ``id`` and ``not`` record the masks of
     their Paulis.  Every other operation goes through ``_evolve_contracted``.
+    The identity's masks (``id``) return ``state`` itself, vector or matrix.
     """
     n = op.n_qubits
     if state.shape == (op.dim,):
         if len(op.kraus) != 1:
             raise ValueError("only a single-Kraus operation maps a vector to a vector")
-        return _contract(op.kraus[0], op.targets, state.reshape((2,) * n)).reshape(state.shape)
-    if state.shape != (op.dim, op.dim):
+    elif state.shape != (op.dim, op.dim):
         raise ValueError("operation and state act on different qubit counts")
+    if op._masks is _IDENTITY_MASKS:
+        return state
+    if state.ndim == 1:
+        return _contract(op.kraus[0], op.targets, state.reshape((2,) * n)).reshape(state.shape)
     t = state.reshape((2,) * (2 * n))
     if op._masks is not None:
         return _evolve_masked(op._masks, op.targets, t).reshape(state.shape)

@@ -234,30 +234,44 @@ def inject_noise(ir: CircuitIr, kind: str, p: float) -> CircuitIr:
     return CircuitIr(ir.n_qubits, tuple(out))
 
 
+def _gate_prefix(ir: CircuitIr) -> tuple[np.ndarray, int]:
+    """Run the leading gate steps of ``ir`` on the vector |0..0>: ``evolve``
+    of each lifted gate, 2**n work per gate, the norm checked after each.
+    Returns the vector and the number of steps run."""
+    n = ir.n_qubits
+    psi = np.eye(1, 2**n, dtype=complex)[0]
+    for i, step in enumerate(ir.steps):
+        if not isinstance(step, GateStep):
+            return psi, i
+        psi = evolve(lift_unitary(GATES[step.name], n, step.targets), psi)
+        if abs(np.vdot(psi, psi).real - 1.0) > STRUCTURAL_TOL:
+            raise ValueError(f"step {i + 1} ({step}) left a vector that is not of unit norm")
+    return psi, len(ir.steps)
+
+
 def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> DensityOperator:
     """Fold the circuit's steps over the input state (default |0..0><0..0|).
 
     Without ``input_state`` the circuit starts from the vector |0..0>, and
-    its leading gate steps act on that vector (``evolve`` of the lifted gate:
-    2**n work per gate, not 4**n), its norm checked after each.  At the first
-    noise or measure step, or at the end, the vector becomes |psi><psi|.
-    Each remaining step is one ``apply``, its trace checked after each (2**n
-    work); a measure step is the single-qubit measurement channel on each
-    measured qubit in turn, the joint channel exactly.  Hermiticity and
-    positivity are checked once, on the returned state, by
+    its leading gate steps act on that vector (``_gate_prefix``).  At the
+    first noise or measure step, or at the end, the vector becomes
+    |psi><psi|.  Each remaining step is one ``apply``, its trace checked
+    after each (2**n work); a measure step is the single-qubit measurement
+    channel on each measured qubit in turn, the joint channel exactly.
+    Hermiticity and positivity are checked once, on the returned state, by
     ``states.check_density``: on the diagonal blocks of the measured sectors
     when the circuit ends in a measure step (their spectra make up the
     final matrix's spectrum), else on the whole matrix.
+
+    This is the definition ``output_distribution`` is tested against: on a
+    circuit without noise it must give ``outcome_distribution`` of this
+    state, entry for entry.
     """
     n = ir.n_qubits
     steps = list(enumerate(ir.steps, start=1))
     if input_state is None:
-        psi = np.eye(1, 2**n, dtype=complex)[0]
-        while steps and isinstance(steps[0][1], GateStep):
-            i, step = steps.pop(0)
-            psi = evolve(lift_unitary(GATES[step.name], n, step.targets), psi)
-            if abs(np.vdot(psi, psi).real - 1.0) > STRUCTURAL_TOL:
-                raise ValueError(f"step {i} ({step}) left a vector that is not of unit norm")
+        psi, done = _gate_prefix(ir)
+        steps = steps[done:]
         rho = DensityOperator._unchecked(np.outer(psi, psi.conj()))
     else:
         rho = input_state
@@ -285,20 +299,37 @@ def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> Densi
 PROB_FLOOR = 1e-15
 
 
+def _by_label(n: int, probs: np.ndarray) -> dict[str, float]:
+    """The 2**n basis probabilities ``probs`` by n-bit label, in index
+    order, without the entries at or below ``PROB_FLOOR``."""
+    kept = np.flatnonzero(probs > PROB_FLOOR)
+    return {format(i, f"0{n}b"): p for i, p in zip(kept.tolist(), probs[kept].tolist())}
+
+
 def outcome_distribution(rho: DensityOperator) -> dict[str, float]:
     """Computational-basis probabilities: the diagonal of rho, by label.
 
     Zero and sub-``PROB_FLOOR`` entries are omitted; the remaining values
     sum to 1 within tolerance.
     """
-    n = rho.n_qubits
-    diag = np.real(np.diagonal(rho.matrix))
-    out: dict[str, float] = {}
-    for i, p in enumerate(diag):
-        p = float(p)
-        if p > PROB_FLOOR:
-            out[format(i, f"0{n}b")] = p
-    return out
+    return _by_label(rho.n_qubits, np.real(np.diagonal(rho.matrix)))
+
+
+def output_distribution(ir: CircuitIr) -> dict[str, float]:
+    """The outcome distribution of the circuit run from |0..0>, by label:
+    ``outcome_distribution(simulate(ir))``, entry for entry and in its order.
+
+    A circuit without a noise step is pure up to its measure step, and
+    measurement leaves the diagonal alone, so its distribution is the Born
+    rule on the vector the gates leave, p(i) = |psi_i|**2 =
+    ``(psi * conj(psi)).real``: the multiply that fills the diagonal of
+    |psi><psi|.  No matrix is formed, and no positivity check is needed, as
+    re**2 + im**2 is never negative.  A noisy circuit is simulated.
+    """
+    if any(isinstance(step, NoiseStep) for step in ir.steps):
+        return outcome_distribution(simulate(ir))
+    psi, _ = _gate_prefix(ir)
+    return _by_label(ir.n_qubits, (psi * psi.conj()).real)
 
 
 def _marginalize(dist: dict[str, float], positions) -> dict[str, float]:
@@ -345,9 +376,9 @@ MAX_SHOTS = int(np.iinfo(np.int64).max)
 def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
     """Draw ``shots`` outcomes from the exact output distribution.
 
-    The distribution is computed once by exact simulation, then all the
-    shots are drawn at once as one multinomial over its outcomes: time and
-    memory grow with the outcomes, not the shots.  Identical (ir, shots,
+    The distribution is computed once by ``output_distribution``, then all
+    the shots are drawn at once as one multinomial over its outcomes: time
+    and memory grow with the outcomes, not the shots.  Identical (ir, shots,
     seed) triples give identical histograms.
     """
     if shots < 1:
@@ -356,7 +387,7 @@ def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
         raise ValueError(f"shots must be <= {MAX_SHOTS}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    dist = _marginalize(outcome_distribution(simulate(ir)), measured_positions(ir))
+    dist = _marginalize(output_distribution(ir), measured_positions(ir))
     labels = sorted(dist)
     probs = np.array([dist[l] for l in labels])
     probs = probs / probs.sum()

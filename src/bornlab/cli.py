@@ -26,13 +26,12 @@ from .circuits import (
     histogram_csv,
     histogram_record,
     histogram_table,
-    outcome_distribution,
+    output_distribution,
     parse_chsh_file,
     parse_circuit,
     parse_formula_file,
     parse_psa_file,
     sample,
-    simulate,
 )
 from .linalg import STRUCTURAL_TOL
 from .psa import Psa, chsh_preset, chsh_value, intensity
@@ -83,7 +82,7 @@ def _scalar(args, key: str, value: float) -> str:
 
 
 def cmd_run(args) -> str:
-    dist = outcome_distribution(simulate(_read_circuit(args)))
+    dist = output_distribution(_read_circuit(args))
     labels = sorted(dist)
     if args.fmt == "table":
         return "".join(f"{l} {dist[l]:.6f}\n" for l in labels)

@@ -1,5 +1,7 @@
 """Gates, lifting, Kraus application, measurement and noise."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -200,8 +202,9 @@ class TestEvolve:
             lambda: noise_channel("depolarizing", 0.3, 3, 1),
             lambda: measurement_channel(3, [2, 0]),
             lambda: lift_unitary(GATES["not"], 3, [1]),
+            lambda: lift_unitary(GATES["id"], 3, [1]),
         ],
-        ids=["noise_channel", "measurement_channel", "not"],
+        ids=["noise_channel", "measurement_channel", "not", "id"],
     )
     def test_the_mask_path_reads_no_kraus_matrix(self, build):
         class Unreadable:
@@ -214,6 +217,34 @@ class TestEvolve:
         want = evolve(op, rho)
         op.kraus = Unreadable()
         np.testing.assert_array_equal(evolve(op, rho), want)
+
+    @pytest.mark.parametrize("n, target", [(1, 0), (3, 1), (4, 3)])
+    def test_the_identity_returns_the_state_it_was_given(self, n, target):
+        op = lift_unitary(GATES["id"], n, [target])
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        rho = random_density(n, rng=rng)
+        for state in (psi, rho.matrix):
+            out = evolve(op, state)
+            assert out is state
+            assert np.array_equal(out, state)
+        out = apply(op, rho)
+        assert np.array_equal(out.matrix, rho.matrix)
+        assert not out.matrix.flags.writeable
+
+    def test_the_identity_on_ten_qubits_allocates_no_matrix(self):
+        # Structure, not time: the 2**20-entry (16 MiB) matrix is returned,
+        # not multiplied by a mask of ones into a new array.
+        rho = random_density(10, rng=3)
+        op = lift_unitary(GATES["id"], 10, [3])
+        tracemalloc.start()
+        try:
+            out = evolve(op, rho.matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.array_equal(out, rho.matrix)
 
     def test_shape_mismatch(self):
         op = lift_unitary(builtin_gate("h"), 2, [0])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import channels, linalg
+from bornlab import channels, circuits, linalg
 from bornlab.channels import GATES, NOISE_KINDS
 from bornlab.circuits import (
     MAX_FORMULA_DEPTH,
@@ -25,6 +25,7 @@ from bornlab.circuits import (
     inject_noise,
     measured_positions,
     outcome_distribution,
+    output_distribution,
     parse_circuit,
     parse_formula,
     parse_formula_file,
@@ -32,7 +33,7 @@ from bornlab.circuits import (
     sample,
     simulate,
 )
-from bornlab.circuits import _marginalize, _unit_vector
+from bornlab.circuits import PROB_FLOOR, _by_label, _marginalize, _unit_vector
 from bornlab.qcl import And, Atom, Not, Or
 from bornlab.states import basis_state, pure_to_density, random_density
 
@@ -125,13 +126,13 @@ class TestPrettyPrintRoundTrip:
 
 
 @st.composite
-def circuit_irs(draw, max_qubits=6):
+def circuit_irs(draw, max_qubits=6, noise=True):
     n = draw(st.integers(1, max_qubits))
     names = sorted(g for g in GATES if GATES[g].arity <= n)
     steps = []
     for _ in range(draw(st.integers(0, 8))):
         order = draw(st.permutations(range(n)))
-        if draw(st.booleans()):
+        if not noise or draw(st.booleans()):
             name = draw(st.sampled_from(names))
             steps.append(GateStep(name, tuple(order[: GATES[name].arity])))
         else:
@@ -337,6 +338,12 @@ class TestSimulate:
             rho.matrix[0, 0] = 2.0
 
 
+def _diagonals(n):
+    """2**n real entries, many at or next to the floor."""
+    floor = st.sampled_from([0.0, -0.0, PROB_FLOOR, np.nextafter(PROB_FLOOR, 1.0), 1e-300, -1e-3])
+    return st.lists(floor | st.floats(-1.0, 1.0), min_size=2**n, max_size=2**n).map(np.array)
+
+
 class TestOutcomeDistribution:
     def test_basis_state_is_a_point_mass(self):
         dist = outcome_distribution(pure_to_density(basis_state(3, 0)))
@@ -358,6 +365,65 @@ class TestOutcomeDistribution:
         rng = np.random.default_rng(79)
         dist = outcome_distribution(random_density(3, rng=rng))
         assert abs(sum(dist.values()) - 1.0) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(_diagonals))
+    def test_labels_keep_what_the_floor_rule_keeps_in_index_order(self, probs):
+        # The loop the labelling stands for: every entry above the floor, in
+        # index order, as a Python float.
+        n = probs.size.bit_length() - 1
+        want = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if float(p) > PROB_FLOOR}
+        got = _by_label(n, probs)
+        assert got == want
+        assert list(got) == list(want)
+        assert all(type(p) is float for p in got.values())
+
+
+def _simulated_distribution(ir):
+    return outcome_distribution(simulate(ir))
+
+
+class TestOutputDistribution:
+    @settings(max_examples=80, deadline=None)
+    @given(circuit_irs(max_qubits=10, noise=False))
+    def test_noise_free_circuits_give_the_diagonal_of_simulate_exactly(self, ir):
+        got, want = output_distribution(ir), _simulated_distribution(ir)
+        assert got == want
+        assert list(got) == list(want)
+        positions = measured_positions(ir)
+        got, want = _marginalize(got, positions), _marginalize(want, positions)
+        assert got == want
+        assert list(got) == list(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuit_irs(max_qubits=4).filter(lambda ir: any(isinstance(s, NoiseStep) for s in ir.steps)))
+    def test_noisy_circuits_give_what_simulate_gives(self, ir):
+        got, want = output_distribution(ir), _simulated_distribution(ir)
+        assert got == want
+        assert list(got) == list(want)
+
+    def test_a_noisy_circuit_runs_its_gates_once(self, monkeypatch):
+        # The noise test comes first: the gate prefix runs once, inside
+        # ``simulate``, not once before it and again in it.
+        prefixes, prefix = [], circuits._gate_prefix
+
+        def counting_prefix(ir):
+            prefixes.append(ir)
+            return prefix(ir)
+
+        ir = parse_circuit("qubits 3\ngate h 0\ngate cnot 0 2\nnoise bitflip 0.1 2\nmeasure all\n")
+        want = _simulated_distribution(ir)
+        monkeypatch.setattr(circuits, "_gate_prefix", counting_prefix)
+        assert output_distribution(ir) == want
+        assert prefixes == [ir]
+
+    def test_a_non_unit_gate_fails_with_the_message_of_simulate(self, monkeypatch):
+        ir = parse_circuit("qubits 2\ngate h 0\ngate cnot 0 1\nmeasure all\n")
+        monkeypatch.setattr(GATES["cnot"], "matrix", GATES["cnot"].matrix * 1.1)
+        message = r"^step 2 \(.*cnot.*\) left a vector that is not of unit norm$"
+        for run in (simulate, output_distribution):
+            with pytest.raises(ValueError, match=message):
+                run(ir)
 
 
 class TestSample:

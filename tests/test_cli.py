@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bornlab import circuits, cli, linalg, states
 from bornlab.cli import build_parser, main
 
 from conftest import THREE_QUBIT_DEMO
@@ -127,6 +128,65 @@ class TestSample:
     def test_rejects_a_negative_seed(self, demo_circuit, capsys):
         assert main(["sample", str(demo_circuit), "--seed", "-1"]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
+
+
+# Ten qubits, measured in full: q0 = q4 = q9 and q6 are fair coins, the rest 0.
+TEN_QUBITS_MEASURED = """\
+qubits 10
+gate h 0
+gate cnot 0 9
+gate toffoli 0 9 4
+gate h 6
+gate id 2
+measure all
+"""
+
+
+class TestNoiseFreeCircuits:
+    """``run`` and ``sample`` read a noise-free circuit's outcomes off its
+    state vector, with the bytes of the density-matrix path."""
+
+    COMMANDS = (["run", "--format", "record"], ["sample", "--shots", "1000", "--seed", "5", "--format", "record"])
+
+    def _outputs(self, path, capsys):
+        outputs = []
+        for command in self.COMMANDS:
+            assert main([command[0], str(path), *command[1:]]) == 0
+            outputs.append(capsys.readouterr().out)
+        return outputs
+
+    def test_run_and_sample_form_no_state(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "ten.qc"
+        path.write_text(TEN_QUBITS_MEASURED, encoding="utf-8")
+
+        def simulated(ir):
+            return circuits.outcome_distribution(circuits.simulate(ir))
+
+        with monkeypatch.context() as m:  # the outputs of the density-matrix path
+            m.setattr(circuits, "output_distribution", simulated)
+            m.setattr(cli, "output_distribution", simulated)
+            expected = self._outputs(path, capsys)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a density matrix was formed or checked")
+
+        for owner, name in [
+            (circuits, "simulate"),
+            (circuits, "apply"),
+            (circuits, "check_density"),
+            (linalg, "is_psd"),
+            (states, "check_density"),
+            (states.DensityOperator, "__init__"),
+            (states.DensityOperator, "_unchecked"),
+        ]:
+            monkeypatch.setattr(owner, name, fail)
+        run, sampled = self._outputs(path, capsys)
+        assert [run, sampled] == expected
+        probabilities = json.loads(run)["probabilities"]
+        assert sorted(probabilities) == ["0000000000", "0000001000", "1000100001", "1000101001"]
+        assert all(abs(p - 0.25) <= 1e-12 for p in probabilities.values())
+        counts = json.loads(sampled)["counts"]
+        assert set(counts) <= set(probabilities) and sum(counts.values()) == 1000
 
 
 class TestEval:
