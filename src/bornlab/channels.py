@@ -2,14 +2,17 @@
 
 An operation keeps its Kraus matrices on their own 2**k space together with
 the k target qubits they act on in an n-qubit register, so no 2**n x 2**n
-Kraus matrix is built.  ``evolve`` contracts the Kraus matrices into the
-target axes of rho, except where the builder of the operation recorded masks:
-``measurement_channel``, ``noise_channel`` and the Pauli gates ``id`` and
-``not`` know that their channel is sum over b of M_b * flip_b(rho), where
-M_b is a 2**k x 2**k mask broadcast over the targets' row and column axes
-and flip_b reverses those axes of the targets b flips.  Noise builds its
-masks from its weights and the exact diagonals of the Paulis, so a weight w
-enters the state as w itself.
+Kraus matrix is built.  ``evolve`` applies an operation by the structure its
+builder recorded, and contracts the Kraus matrices into the target axes of
+rho only where none was recorded (``h``, ``sqrtnot``, families built by
+hand).  ``measurement_channel``, ``noise_channel`` and the Pauli gates ``id``
+and ``not`` know that their channel is sum over b of M_b * flip_b(rho),
+where M_b is a 2**k x 2**k mask broadcast over the targets' row and column
+axes and flip_b reverses those axes of the targets b flips.  Noise builds
+its masks from its weights and the exact diagonals of the Paulis, so a
+weight w enters the state as w itself.  The permutation gates ``cnot`` and
+``toffoli`` carry the index permutation of their exact 0/1 matrix, and act
+as a gather of the register's entries.
 A gate is a unitary on its own 2**arity space, and ``lift_unitary`` places it
 on its targets.  For multi-target gates the earlier-listed targets are the
 controls and the last listed target is the negated qubit, so
@@ -25,6 +28,8 @@ probability:
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -76,11 +81,22 @@ def _pauli_masks(weighted) -> dict[int, np.ndarray]:
     return masks
 
 
+def _permutation(matrix: np.ndarray) -> np.ndarray:
+    """The index src of a matrix whose rows each hold one entry, exactly 1,
+    at column src[i] and exact zeros elsewhere: (U psi)[i] = psi[src[i]]."""
+    rows, cols = np.nonzero(matrix)
+    if not np.array_equal(rows, np.arange(len(matrix))) or np.any(matrix[rows, cols] != 1):
+        raise ValueError("not a 0/1 permutation matrix")
+    return cols
+
+
 class Gate:
     """A named unitary acting on ``arity`` qubits.  The Pauli gates of
-    ``GATES`` also carry the masks ``evolve`` applies them by."""
+    ``GATES`` also carry the masks ``evolve`` applies them by, and the
+    permutation gates the index permutation it gathers them by."""
 
     _masks = None
+    _perm = None
 
     def __init__(self, name: str, matrix):
         m = as_matrix(matrix)
@@ -110,6 +126,8 @@ GATES = {
 _IDENTITY_MASKS = _pauli_masks([("I", 1.0)])
 GATES["id"]._masks = _IDENTITY_MASKS
 GATES["not"]._masks = _pauli_masks([("X", 1.0)])
+GATES["cnot"]._perm = _permutation(CNOT)
+GATES["toffoli"]._perm = _permutation(TOFFOLI)
 
 #: The noise kinds of the circuit DSL.
 NOISE_KINDS = ("bitflip", "depolarizing")
@@ -145,9 +163,11 @@ class QuantumOperation:
     Kraus form.
     """
 
-    # The masks {b: M_b} that ``evolve`` applies in place of the Kraus
-    # matrices; set only by the builders that know their channel's structure.
+    # The masks {b: M_b} or the gate's index permutation that ``evolve``
+    # applies in place of the Kraus matrices; set only by the builders that
+    # know their channel's structure.
     _masks = None
+    _perm = None
 
     def __init__(self, kraus, targets, n_qubits):
         ks = tuple(as_matrix(k) for k in kraus)
@@ -156,15 +176,15 @@ class QuantumOperation:
         dim = ks[0].shape[0]
         if any(k.shape[0] != dim for k in ks):
             raise ValueError("Kraus matrices must share one dimension")
-        self._place(ks, targets, n_qubits)
+        self._place(ks, linalg.n_qubits_of(dim), targets, n_qubits)
         total = sum(linalg.dagger(a) @ a for a in ks)
         if linalg.max_abs(total - np.eye(dim)) > STRUCTURAL_TOL:
             raise ValueError("Kraus family is not trace preserving")
 
-    def _place(self, ks: tuple, targets, n_qubits: int) -> None:
-        """Keep the Kraus matrices ``ks`` of one dimension on ``targets`` of
-        an ``n_qubits`` register, after checking the targets."""
-        k = linalg.n_qubits_of(ks[0].shape[0])
+    def _place(self, ks, k: int, targets, n_qubits: int) -> None:
+        """Keep the Kraus matrices ``ks`` on 2**k entries on ``targets`` of an
+        ``n_qubits`` register, after checking the targets.  ``ks`` is any
+        sequence; no matrix of it is read here."""
         targets = tuple(targets)
         if len(targets) != k:
             raise ValueError(f"Kraus matrices of arity {k} need {k} targets, got {len(targets)}")
@@ -223,24 +243,43 @@ def _evolve_contracted(kraus, targets, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _register_index(perm: np.ndarray, targets, n: int) -> np.ndarray:
+    """The index idx with (U psi)[r] = psi[idx[r]] for the 2**k permutation
+    (U psi)[i] = psi[perm[i]] placed on ``targets`` of an n-qubit register:
+    r with the targets' bits s (slot m is targets[m]) replaced by perm[s]."""
+    r, k = np.arange(2**n), len(targets)
+    shifts = [(k - 1 - m, n - 1 - q) for m, q in enumerate(targets)]
+    local = sum(((r >> reg) & 1) << slot for slot, reg in shifts)
+    moved = local ^ perm[local]
+    return r ^ sum(((moved >> slot) & 1) << reg for slot, reg in shifts)
+
+
 def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     """The kernel behind every channel: sum_i A_i rho dagger(A_i) on a raw
     2**n x 2**n array.  A single-Kraus operation also takes a raw 2**n vector
-    psi, and returns A psi by contracting A into the vector's target axes.
-    The result is not checked.
+    psi, and returns A psi.  The result is not checked.
 
-    An operation whose builder recorded masks is applied by them, without
-    reading its Kraus matrices.  When every A_i is a diagonal d_i times an
-    X-string b_i (non-zero only at (r, r xor b_i)), then
-    (A_i rho dagger(A_i))[r, c] = d_i[r] conj(d_i[c]) rho[r xor b_i, c xor b_i],
-    so the result is sum_b M_b * flip_b(rho): M_b = sum_{i: b_i = b}
-    d_i dagger(d_i) is a 2**k x 2**k mask broadcast over the targets' row and
-    column axes, and flip_b is ``np.flip`` of the row and column axes of the
-    targets flipped by b, a view.  ``measurement_channel`` records the one
-    mask M_0 = I, which leaves the entries between sectors exactly 0;
-    ``noise_channel`` and the gates ``id`` and ``not`` record the masks of
-    their Paulis.  Every other operation goes through ``_evolve_contracted``.
-    The identity's masks (``id``) return ``state`` itself, vector or matrix.
+    An operation whose builder recorded its structure is applied by it,
+    without reading its Kraus matrices:
+
+    - Masks.  When every A_i is a diagonal d_i times an X-string b_i
+      (non-zero only at (r, r xor b_i)), then
+      (A_i rho dagger(A_i))[r, c] = d_i[r] conj(d_i[c]) rho[r xor b_i, c xor b_i],
+      so the result is sum_b M_b * flip_b(rho): M_b = sum_{i: b_i = b}
+      d_i dagger(d_i) is a 2**k x 2**k mask broadcast over the targets' row
+      and column axes, and flip_b is ``np.flip`` of the row and column axes
+      of the targets flipped by b, a view.  ``measurement_channel`` records
+      the one mask M_0 = I, which leaves the entries between sectors exactly
+      0; ``noise_channel`` and the gates ``id`` and ``not`` record the masks
+      of their Paulis.  The identity's masks (``id``) return ``state``
+      itself, vector or matrix.
+    - A permutation.  ``cnot`` and ``toffoli`` are 0/1 matrices, so U psi is
+      ``psi[idx]`` and U rho dagger(U) is ``rho[np.ix_(idx, idx)]``, for the
+      register index ``idx`` of ``_register_index``: the same entries the
+      contraction sums with exact zeros, without the multiplies.
+
+    Every other operation is contracted into the target axes
+    (``_evolve_contracted``; ``_contract`` on a vector).
     """
     n = op.n_qubits
     if state.shape == (op.dim,):
@@ -250,6 +289,9 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
         raise ValueError("operation and state act on different qubit counts")
     if op._masks is _IDENTITY_MASKS:
         return state
+    if op._perm is not None:
+        idx = _register_index(op._perm, op.targets, n)
+        return state[idx] if state.ndim == 1 else state[np.ix_(idx, idx)]
     if state.ndim == 1:
         return _contract(op.kraus[0], op.targets, state.reshape((2,) * n)).reshape(state.shape)
     t = state.reshape((2,) * (2 * n))
@@ -264,11 +306,13 @@ def lift_unitary(gate: Gate, n_qubits: int, targets) -> QuantumOperation:
 
     Only the targets are checked here.  The completeness sum of the family
     {U} is dagger(U) U = I, which ``Gate`` proved once for its read-only
-    matrix.  A Pauli gate passes on its masks.
+    matrix.  A Pauli gate passes on its masks, a permutation gate its index
+    permutation.
     """
     op = QuantumOperation.__new__(QuantumOperation)
-    op._place((gate.matrix,), targets, n_qubits)
+    op._place((gate.matrix,), gate.arity, targets, n_qubits)
     op._masks = gate._masks
+    op._perm = gate._perm
     return op
 
 
@@ -280,23 +324,45 @@ def apply(op: QuantumOperation, rho: DensityOperator) -> DensityOperator:
     return DensityOperator._unchecked(evolve(op, rho.matrix))
 
 
+class _SectorProjectors(Sequence):
+    """The 2**m diagonal projectors |s><s| of a measurement on m qubits, as
+    a sequence: each 2**m x 2**m matrix is built only when it is read."""
+
+    def __init__(self, m: int):
+        self._dim = 2**m
+
+    def __len__(self) -> int:
+        return self._dim
+
+    def __getitem__(self, s: int) -> np.ndarray:
+        s = range(self._dim)[s]
+        p = np.zeros((self._dim, self._dim), dtype=complex)
+        p[s, s] = 1.0
+        p.setflags(write=False)
+        return p
+
+
 def measurement_channel(n_qubits: int, measured) -> QuantumOperation:
     """Projective dephasing of the listed qubits in the computational basis.
 
     One diagonal 2**m x 2**m Kraus projector per assignment of the m measured
     qubits; the channel zeroes coherences between distinct measured-basis
     sectors and leaves the diagonal untouched: its one mask is M_0 = I on
-    the measured qubits.  The list is checked as given, by the target rule of
-    a ``measure`` line, and then sorted.
+    the measured qubits, and ``evolve`` applies it in one pass over rho,
+    whatever m is.  The list is checked as given, by the target rule of a
+    ``measure`` line, and then sorted.
 
-    The family is 2**m projectors of 2**m x 2**m entries, 16 GiB at m = 10,
-    which is why ``simulate`` measures one qubit at a time.
+    The projectors sum to I exactly by construction, so the family is placed
+    the way ``lift_unitary`` places a gate, with no completeness sum, and
+    ``op.kraus`` builds each projector only when it is read: all 2**m of
+    them would take 16 GiB at m = 10.  The mask takes 4**m floats.
     """
     qs = tuple(measured)
     if not qs:
         raise ValueError("measured qubit set must be non-empty")
     check_targets(qs, n_qubits, what="measured qubit")
-    op = QuantumOperation([np.diag(row) for row in np.eye(2 ** len(qs))], sorted(qs), n_qubits)
+    op = QuantumOperation.__new__(QuantumOperation)
+    op._place(_SectorProjectors(len(qs)), len(qs), sorted(qs), n_qubits)
     op._masks = {0: np.eye(2 ** len(qs))}
     return op
 

@@ -256,8 +256,8 @@ def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> Densi
     its leading gate steps act on that vector (``_gate_prefix``).  At the
     first noise or measure step, or at the end, the vector becomes
     |psi><psi|.  Each remaining step is one ``apply``, its trace checked
-    after each (2**n work); a measure step is the single-qubit measurement
-    channel on each measured qubit in turn, the joint channel exactly.
+    after each (2**n work); a measure step is one joint measurement channel
+    on all the measured qubits, one mask pass over the matrix.
     Hermiticity and positivity are checked once, on the returned state, by
     ``states.check_density``: on the diagonal blocks of the measured sectors
     when the circuit ends in a measure step (their spectra make up the
@@ -283,8 +283,7 @@ def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> Densi
         elif isinstance(step, NoiseStep):
             rho = apply(noise_channel(step.kind, step.p, n, step.target), rho)
         else:
-            for q in measured_positions(ir):
-                rho = apply(measurement_channel(n, [q]), rho)
+            rho = apply(measurement_channel(n, measured_positions(ir)), rho)
         if abs(linalg.trace(rho.matrix) - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"step {i} ({step}) left a state that is not of unit trace")
     matrix = rho.matrix
@@ -299,11 +298,21 @@ def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> Densi
 PROB_FLOOR = 1e-15
 
 
+def _kept(probs: np.ndarray) -> np.ndarray:
+    """The indices of the basis probabilities ``probs`` above ``PROB_FLOOR``,
+    in index order."""
+    return np.flatnonzero(probs > PROB_FLOOR)
+
+
 def _by_label(n: int, probs: np.ndarray) -> dict[str, float]:
     """The 2**n basis probabilities ``probs`` by n-bit label, in index
     order, without the entries at or below ``PROB_FLOOR``."""
-    kept = np.flatnonzero(probs > PROB_FLOOR)
+    kept = _kept(probs)
     return {format(i, f"0{n}b"): p for i, p in zip(kept.tolist(), probs[kept].tolist())}
+
+
+def _diagonal(rho: DensityOperator) -> np.ndarray:
+    return np.real(np.diagonal(rho.matrix))
 
 
 def outcome_distribution(rho: DensityOperator) -> dict[str, float]:
@@ -312,7 +321,19 @@ def outcome_distribution(rho: DensityOperator) -> dict[str, float]:
     Zero and sub-``PROB_FLOOR`` entries are omitted; the remaining values
     sum to 1 within tolerance.
     """
-    return _by_label(rho.n_qubits, np.real(np.diagonal(rho.matrix)))
+    return _by_label(rho.n_qubits, _diagonal(rho))
+
+
+def _is_noisy(ir: CircuitIr) -> bool:
+    return any(isinstance(step, NoiseStep) for step in ir.steps)
+
+
+def _pure_probabilities(ir: CircuitIr) -> np.ndarray:
+    """The Born rule on the vector the gates of a noise-free circuit leave:
+    p(i) = |psi_i|**2 = ``(psi * conj(psi)).real``, the multiply that fills
+    the diagonal of |psi><psi|."""
+    psi, _ = _gate_prefix(ir)
+    return (psi * psi.conj()).real
 
 
 def output_distribution(ir: CircuitIr) -> dict[str, float]:
@@ -320,24 +341,37 @@ def output_distribution(ir: CircuitIr) -> dict[str, float]:
     ``outcome_distribution(simulate(ir))``, entry for entry and in its order.
 
     A circuit without a noise step is pure up to its measure step, and
-    measurement leaves the diagonal alone, so its distribution is the Born
-    rule on the vector the gates leave, p(i) = |psi_i|**2 =
-    ``(psi * conj(psi)).real``: the multiply that fills the diagonal of
-    |psi><psi|.  No matrix is formed, and no positivity check is needed, as
-    re**2 + im**2 is never negative.  A noisy circuit is simulated.
+    measurement leaves the diagonal alone, so its distribution is
+    ``_pure_probabilities``: no matrix is formed, and no positivity check
+    is needed, as re**2 + im**2 is never negative.  A noisy circuit is
+    simulated.
     """
-    if any(isinstance(step, NoiseStep) for step in ir.steps):
+    if _is_noisy(ir):
         return outcome_distribution(simulate(ir))
-    psi, _ = _gate_prefix(ir)
-    return _by_label(ir.n_qubits, (psi * psi.conj()).real)
+    return _by_label(ir.n_qubits, _pure_probabilities(ir))
 
 
 def _marginalize(dist: dict[str, float], positions) -> dict[str, float]:
+    """The marginal of a labelled distribution on ``positions``, label by
+    label: the definition ``_marginal`` is tested against."""
     out: dict[str, float] = {}
     for label, p in dist.items():
         key = "".join(label[q] for q in positions)
         out[key] = out.get(key, 0.0) + p
     return out
+
+
+def _marginal(n: int, probs: np.ndarray, positions) -> tuple[list[str], np.ndarray]:
+    """``_marginalize(_by_label(n, probs), positions)`` as its sorted labels
+    and their sums, taken on the vector: each kept entry's outcome index on
+    ``positions`` is read off its bits, and ``np.bincount`` adds the kept
+    entries into their outcomes in index order, as the dict does.  Only the
+    2**m outcomes that some kept entry reaches are labelled."""
+    kept, m = _kept(probs), len(positions)
+    outcome = sum(((kept >> (n - 1 - q)) & 1) << (m - 1 - j) for j, q in enumerate(positions))
+    sums = np.bincount(outcome, weights=probs[kept], minlength=2**m)
+    reached = np.flatnonzero(np.bincount(outcome, minlength=2**m))
+    return [format(i, f"0{m}b") for i in reached.tolist()], sums[reached]
 
 
 def measured_positions(ir: CircuitIr) -> tuple[int, ...]:
@@ -376,7 +410,8 @@ MAX_SHOTS = int(np.iinfo(np.int64).max)
 def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
     """Draw ``shots`` outcomes from the exact output distribution.
 
-    The distribution is computed once by ``output_distribution``, then all
+    The distribution is computed once, as ``output_distribution`` computes
+    it, and marginalised on the measured qubits by ``_marginal``; then all
     the shots are drawn at once as one multinomial over its outcomes: time
     and memory grow with the outcomes, not the shots.  Identical (ir, shots,
     seed) triples give identical histograms.
@@ -387,9 +422,8 @@ def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
         raise ValueError(f"shots must be <= {MAX_SHOTS}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    dist = _marginalize(output_distribution(ir), measured_positions(ir))
-    labels = sorted(dist)
-    probs = np.array([dist[l] for l in labels])
+    probs = _diagonal(simulate(ir)) if _is_noisy(ir) else _pure_probabilities(ir)
+    labels, probs = _marginal(ir.n_qubits, probs, measured_positions(ir))
     probs = probs / probs.sum()
     tallies = np.random.default_rng(seed).multinomial(shots, probs)
     counts = {labels[i]: int(c) for i, c in enumerate(tallies) if c > 0}

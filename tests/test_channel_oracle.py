@@ -8,7 +8,10 @@ partial and full measurement, from |0..0> (whose leading gates run on a
 state vector) or a random mixed state.  The operations whose builders record
 masks (noise, measurement and the gates ``id`` and ``not``) are also drawn on
 their own, and ``evolve`` is checked against both the contraction path and
-the reference on them.
+the reference on them.  The gathers of ``cnot`` and ``toffoli`` and the joint
+measurement must equal, with ``np.array_equal``, what they replace: the
+contraction of the gate's matrix, and one single-qubit measurement after
+another.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornlab.channels import (
+    _contract,
     _evolve_contracted,
     builtin_gate,
     evolve,
@@ -214,3 +218,60 @@ def test_identity_family_returns_rho_unchanged():
     rho = exactly_hermitian_density(4, 23)
     op = lift_unitary(builtin_gate("id"), 4, [3])
     np.testing.assert_array_equal(check_masked_evolve(op, [np.eye(16)], rho), rho)
+
+
+def contracted(op, state):
+    """``op`` applied by contracting its Kraus matrices, vector or matrix."""
+    n = op.n_qubits
+    if state.ndim == 1:
+        return _contract(op.kraus[0], op.targets, state.reshape((2,) * n)).reshape(state.shape)
+    return _evolve_contracted(op.kraus, op.targets, state.reshape((2,) * (2 * n))).reshape(state.shape)
+
+
+def gaussian_state(shape, seed):
+    """Complex Gaussian entries: the gather must match on any array."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@st.composite
+def permutation_gates(draw):
+    """``cnot`` or ``toffoli`` on drawn targets, in any order, of 2-8 qubits."""
+    n = draw(st.integers(2, 8))
+    name = draw(st.sampled_from(["cnot", "toffoli"] if n >= 3 else ["cnot"]))
+    targets = draw(st.permutations(range(n)))[: ARITY[name]]
+    return lift_unitary(builtin_gate(name), n, targets)
+
+
+@ORACLE
+@given(permutation_gates(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_the_gather_equals_the_contraction(op, vector, seed):
+    dim = 2**op.n_qubits
+    assert op._perm is not None and op._masks is None
+    state = gaussian_state((dim,) if vector else (dim, dim), seed)
+    assert np.array_equal(evolve(op, state), contracted(op, state))
+
+
+@pytest.mark.parametrize("name, targets", [("toffoli", (8, 3, 1)), ("cnot", (9, 0))])
+def test_the_gather_equals_the_contraction_on_ten_qubits(name, targets):
+    op = lift_unitary(builtin_gate(name), 10, targets)
+    rho = random_density(10, rng=41).matrix
+    psi = gaussian_state(2**10, 43)
+    for state in (psi, rho):
+        assert np.array_equal(evolve(op, state), contracted(op, state))
+
+
+@ORACLE
+@given(
+    st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(n)))),
+    st.integers(1, 7),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_joint_measurement_equals_one_qubit_after_another(n_order, m, seed):
+    n, order = n_order
+    qs = order[:m]
+    rho = gaussian_state((2**n, 2**n), seed)
+    chained = rho
+    for q in qs:
+        chained = evolve(measurement_channel(n, [q]), chained)
+    assert np.array_equal(evolve(measurement_channel(n, qs), rho), chained)

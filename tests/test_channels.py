@@ -182,10 +182,25 @@ class TestEvolve:
     def test_diagonal_times_x_string_families_take_the_mask_path(self, op, groups):
         assert list(op._masks) == groups
 
-    @pytest.mark.parametrize("name", ["h", "sqrtnot", "cnot", "toffoli"])
+    @pytest.mark.parametrize("name", ["h", "sqrtnot"])
     def test_other_gates_take_the_contraction_path(self, name):
+        op = lift_unitary(builtin_gate(name), 3, [1])
+        assert op._masks is None and op._perm is None
+
+    @pytest.mark.parametrize("name, perm", [("cnot", [0, 1, 3, 2]), ("toffoli", [0, 1, 2, 3, 4, 5, 7, 6])])
+    def test_permutation_gates_take_the_gather_path(self, name, perm):
         gate = builtin_gate(name)
-        assert lift_unitary(gate, 3, range(gate.arity))._masks is None
+        op = lift_unitary(gate, 3, range(gate.arity))
+        assert op._masks is None
+        assert op._perm is gate._perm
+        assert op._perm.tolist() == perm
+
+    def test_the_register_index_moves_the_target_bits(self):
+        # cnot 2 0 on 3 qubits: qubit 0 (the most significant bit) flips
+        # where qubit 2 (the least significant) is set.
+        op = lift_unitary(builtin_gate("cnot"), 3, [2, 0])
+        psi = np.arange(8, dtype=complex)
+        assert evolve(op, psi).tolist() == [0, 5, 2, 7, 4, 1, 6, 3]
 
     def test_operations_built_by_hand_are_contracted(self):
         # A Pauli string built by hand is contracted: only the builders
@@ -203,8 +218,10 @@ class TestEvolve:
             lambda: measurement_channel(3, [2, 0]),
             lambda: lift_unitary(GATES["not"], 3, [1]),
             lambda: lift_unitary(GATES["id"], 3, [1]),
+            lambda: lift_unitary(GATES["cnot"], 3, [2, 0]),
+            lambda: lift_unitary(GATES["toffoli"], 3, [1, 2, 0]),
         ],
-        ids=["noise_channel", "measurement_channel", "not", "id"],
+        ids=["noise_channel", "measurement_channel", "not", "id", "cnot", "toffoli"],
     )
     def test_the_mask_path_reads_no_kraus_matrix(self, build):
         class Unreadable:
@@ -320,6 +337,24 @@ class TestMeasurementChannel:
         out = apply(measurement_channel(2, {0}), rho)
         # qubit 1 coherence survives inside each measured sector
         assert abs(out.matrix[0, 1]) > 0.2
+
+    def test_projectors_are_built_when_read(self):
+        op = measurement_channel(3, [2, 0])
+        assert op.targets == (0, 2)
+        assert len(op.kraus) == 4
+        for s, p in enumerate(op.kraus):
+            assert np.array_equal(p, np.diag(np.eye(4)[s]).astype(complex))
+            assert not p.flags.writeable
+        assert np.array_equal(op.kraus[-1], op.kraus[3])
+        with pytest.raises(IndexError):
+            op.kraus[4]
+        total = sum(linalg.dagger(a) @ a for a in op.kraus)
+        assert np.array_equal(total, np.eye(4))
+
+    def test_measuring_every_qubit_keeps_exactly_the_diagonal(self):
+        rho = random_density(6, rng=83).matrix
+        out = evolve(measurement_channel(6, range(6)), rho)
+        assert np.array_equal(out, np.diag(np.diagonal(rho)))
 
     def test_bad_indices(self):
         with pytest.raises(ValueError, match="non-empty"):

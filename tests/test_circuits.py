@@ -33,7 +33,7 @@ from bornlab.circuits import (
     sample,
     simulate,
 )
-from bornlab.circuits import PROB_FLOOR, _by_label, _marginalize, _unit_vector
+from bornlab.circuits import PROB_FLOOR, _by_label, _marginal, _marginalize, _unit_vector
 from bornlab.qcl import And, Atom, Not, Or
 from bornlab.states import basis_state, pure_to_density, random_density
 
@@ -302,10 +302,12 @@ class TestSimulate:
 
     def test_noise_free_prefix_checks_the_norm_after_each_gate(self, monkeypatch):
         # A gate that breaks the norm is caught at its own step on the vector.
-        ir = parse_circuit("qubits 2\ngate h 0\ngate cnot 0 1\nmeasure all\n")
-        bad = GATES["cnot"].matrix * 1.1
-        monkeypatch.setattr(GATES["cnot"], "matrix", bad)
-        with pytest.raises(ValueError, match=r"step 2 \(.*cnot.*\) left a vector that is not of unit norm"):
+        # The fault is in ``h``, which is contracted from its matrix; ``cnot``
+        # is a gather and never reads its matrix.
+        ir = parse_circuit("qubits 2\ngate cnot 0 1\ngate h 0\nmeasure all\n")
+        bad = GATES["h"].matrix * 1.1
+        monkeypatch.setattr(GATES["h"], "matrix", bad)
+        with pytest.raises(ValueError, match=r"step 2 \(.*'h'.*\) left a vector that is not of unit norm"):
             simulate(ir)
 
     @pytest.mark.parametrize("measure", ["", "measure 0\n"])
@@ -418,15 +420,33 @@ class TestOutputDistribution:
         assert prefixes == [ir]
 
     def test_a_non_unit_gate_fails_with_the_message_of_simulate(self, monkeypatch):
-        ir = parse_circuit("qubits 2\ngate h 0\ngate cnot 0 1\nmeasure all\n")
-        monkeypatch.setattr(GATES["cnot"], "matrix", GATES["cnot"].matrix * 1.1)
-        message = r"^step 2 \(.*cnot.*\) left a vector that is not of unit norm$"
+        ir = parse_circuit("qubits 2\ngate cnot 0 1\ngate h 0\nmeasure all\n")
+        monkeypatch.setattr(GATES["h"], "matrix", GATES["h"].matrix * 1.1)
+        message = r"^step 2 \(.*'h'.*\) left a vector that is not of unit norm$"
         for run in (simulate, output_distribution):
             with pytest.raises(ValueError, match=message):
                 run(ir)
 
 
+def _diagonals_and_positions():
+    """2**n entries as ``_diagonals`` draws them, and 1-n distinct qubits in
+    any order."""
+    def with_positions(n):
+        return st.tuples(_diagonals(n), st.permutations(range(n)), st.integers(1, n))
+    return st.integers(1, 6).flatmap(with_positions).map(lambda t: (t[0], t[1][: t[2]]))
+
+
 class TestSample:
+    @settings(max_examples=200, deadline=None)
+    @given(_diagonals_and_positions())
+    def test_the_marginal_on_the_vector_is_the_marginal_of_the_labels(self, case):
+        probs, positions = case
+        n = probs.size.bit_length() - 1
+        want = _marginalize(_by_label(n, probs), positions)
+        labels, sums = _marginal(n, probs, positions)
+        assert labels == sorted(want)
+        assert dict(zip(labels, sums.tolist())) == want
+
     def test_deterministic_for_fixed_seed(self):
         ir = parse_circuit("qubits 1\ngate h 0\nmeasure all\n")
         assert sample(ir, 500, 42) == sample(ir, 500, 42)

@@ -171,3 +171,30 @@ def test_an_eleven_qubit_composite_is_rejected_before_it_is_built(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "qubit count must be in 1..10, got 11"
+
+
+MEASUREMENT_CHILD = f"""\
+import json, resource, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, ({CAP_BYTES}, resource.RLIM_INFINITY))
+from bornlab.channels import measurement_channel
+tracemalloc.start()
+start = time.perf_counter()
+op = measurement_channel(10, range(10))
+seconds = time.perf_counter() - start
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps({{"seconds": seconds, "peak": peak, "n_kraus": len(op.kraus)}}))
+"""
+
+
+def test_the_joint_measurement_of_ten_qubits_is_built_without_its_projectors():
+    # Its 1024 projectors of 1024 x 1024 complex entries would take 16 GiB;
+    # the operation keeps one 1024 x 1024 float mask (8 MiB) and builds a
+    # projector only when it is read.
+    done = subprocess.run(
+        [sys.executable, "-c", MEASUREMENT_CHILD], capture_output=True, text=True, env=ENV, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    built = json.loads(done.stdout)
+    assert built["n_kraus"] == 1024
+    assert built["peak"] < 20 * 2**20
+    assert built["seconds"] < 1.0
