@@ -2,17 +2,11 @@
 
 An operation keeps its Kraus matrices on their own 2**k space together with
 the k target qubits they act on in an n-qubit register, so no 2**n x 2**n
-Kraus matrix is built.  ``evolve`` applies an operation by the structure its
-builder recorded, and contracts the Kraus matrices into the target axes of
-rho only where none was recorded (``h``, ``sqrtnot``, families built by
-hand).  ``measurement_channel``, ``noise_channel`` and the Pauli gates ``id``
-and ``not`` know that their channel is sum over b of M_b * flip_b(rho),
-where M_b is a 2**k x 2**k mask broadcast over the targets' row and column
-axes and flip_b reverses those axes of the targets b flips.  Noise builds
-its masks from its weights and the exact diagonals of the Paulis, so a
-weight w enters the state as w itself.  The permutation gates ``cnot`` and
-``toffoli`` carry the index permutation of their exact 0/1 matrix, and act
-as a gather of the register's entries.
+Kraus matrix is built.  ``evolve`` applies it by one of three rules: a
+gather of the register's entries for a gate with a 0/1 matrix (``id``,
+``not``, ``cnot``, ``toffoli``), masks for the channels (noise and
+measurement), and contraction into the target axes for everything else
+(``h``, ``sqrtnot``, families built by hand).
 A gate is a unitary on its own 2**arity space, and ``lift_unitary`` places it
 on its targets.  For multi-target gates the earlier-listed targets are the
 controls and the last listed target is the negated qubit, so
@@ -58,45 +52,46 @@ CNOT = as_matrix(_controlled_not(1))
 TOFFOLI = as_matrix(_controlled_not(2))
 
 
-#: Each Pauli P with its flip pattern b and its diagonal d: P[r, r xor b] =
-#: d[r], every entry exact.
-_PAULIS = {
-    "I": (IDENTITY_1Q, 0, (1, 1)),
-    "X": (PAULI_X, 1, (1, 1)),
-    "Y": (PAULI_Y, 1, (-1j, 1j)),
-    "Z": (PAULI_Z, 0, (1, -1)),
-}
+#: The Paulis by name, as ``noise_channel`` weighs them.
+_PAULIS = {"I": IDENTITY_1Q, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+
+def _monomial(matrix: np.ndarray):
+    """The (src, d) of a matrix with one non-zero entry per row, d[i] at
+    column src[i], so that (A psi)[i] = d[i] psi[src[i]]; None for any other
+    matrix."""
+    rows, cols = np.nonzero(matrix)
+    if not np.array_equal(rows, np.arange(len(matrix))):
+        return None
+    return cols, matrix[rows, cols]
+
+
+#: The (src, d) of each Pauli, read once, here: P[r, r xor src[0]] = d[r].
+_PAULI_MONOMIALS = {name: _monomial(p) for name, p in _PAULIS.items()}
 
 
 def _pauli_masks(weighted) -> dict[int, np.ndarray]:
     """The masks {b: M_b} of rho -> sum of w P rho P over the (Pauli name, w)
-    pairs: M_b = sum of w outer(d, conj(d)) over the Paulis that flip b, in
-    the order listed.  Every outer product has entries +-1, so the masks are
-    exactly hermitian and a lone weight w enters them as w itself."""
+    pairs: M_b = sum of w outer(d, conj(d)) over the Paulis P[r, r xor b] =
+    d[r] that flip b (``_PAULI_MONOMIALS``), in the order listed.  Every
+    outer product has entries +-1, so the masks are exactly hermitian and a
+    lone weight w enters them as w itself."""
     masks: dict[int, np.ndarray] = {}
     for name, w in weighted:
-        _, b, d = _PAULIS[name]
-        d = np.array(d, dtype=complex)
+        src, d = _PAULI_MONOMIALS[name]
+        b = int(src[0])
         masks[b] = masks.get(b, 0) + w * np.outer(d, d.conj())
     return masks
 
 
-def _permutation(matrix: np.ndarray) -> np.ndarray:
-    """The index src of a matrix whose rows each hold one entry, exactly 1,
-    at column src[i] and exact zeros elsewhere: (U psi)[i] = psi[src[i]]."""
-    rows, cols = np.nonzero(matrix)
-    if not np.array_equal(rows, np.arange(len(matrix))) or np.any(matrix[rows, cols] != 1):
-        raise ValueError("not a 0/1 permutation matrix")
-    return cols
-
-
 class Gate:
-    """A named unitary acting on ``arity`` qubits.  The Pauli gates of
-    ``GATES`` also carry the masks ``evolve`` applies them by, and the
-    permutation gates the index permutation it gathers them by."""
+    """A named unitary acting on ``arity`` qubits.  Its rule is read off the
+    exact matrix once, here: a 0/1 matrix permutes the basis, (U psi)[i] =
+    psi[_perm[i]], and ``evolve`` gathers by it; the identity returns its
+    state.  Every other gate is contracted."""
 
-    _masks = None
     _perm = None
+    _identity = False
 
     def __init__(self, name: str, matrix):
         m = as_matrix(matrix)
@@ -105,13 +100,17 @@ class Gate:
         self.name = name
         self.matrix = m
         self.arity = linalg.n_qubits_of(m.shape[0])
+        src_d = _monomial(m)
+        if src_d is not None and np.all(src_d[1] == 1):
+            self._perm = src_d[0]
+            self._identity = bool(np.all(self._perm == np.arange(len(m))))
 
     def __repr__(self) -> str:
         return f"Gate({self.name!r}, arity={self.arity})"
 
 
 #: The gates of the circuit DSL, keyed by their DSL names; each matrix is
-#: checked for unitarity once, here.
+#: checked for unitarity, and its rule read, once, here.
 GATES = {
     "id": Gate("I", IDENTITY_1Q),
     "not": Gate("Not", PAULI_X),
@@ -120,14 +119,6 @@ GATES = {
     "cnot": Gate("CNot", CNOT),
     "toffoli": Gate("Toffoli", TOFFOLI),
 }
-#: The masks of the identity channel, which ``id`` records: ``evolve`` of an
-#: operation carrying this very object returns the state it was given, matrix
-#: or vector, without a pass over it.
-_IDENTITY_MASKS = _pauli_masks([("I", 1.0)])
-GATES["id"]._masks = _IDENTITY_MASKS
-GATES["not"]._masks = _pauli_masks([("X", 1.0)])
-GATES["cnot"]._perm = _permutation(CNOT)
-GATES["toffoli"]._perm = _permutation(TOFFOLI)
 
 #: The noise kinds of the circuit DSL.
 NOISE_KINDS = ("bitflip", "depolarizing")
@@ -163,11 +154,10 @@ class QuantumOperation:
     Kraus form.
     """
 
-    # The masks {b: M_b} or the gate's index permutation that ``evolve``
-    # applies in place of the Kraus matrices; set only by the builders that
-    # know their channel's structure.
+    # The rule ``evolve`` applies in place of the Kraus matrices, if any.
     _masks = None
     _perm = None
+    _identity = False
 
     def __init__(self, kraus, targets, n_qubits):
         ks = tuple(as_matrix(k) for k in kraus)
@@ -246,12 +236,11 @@ def _evolve_contracted(kraus, targets, t: np.ndarray) -> np.ndarray:
 def _register_index(perm: np.ndarray, targets, n: int) -> np.ndarray:
     """The index idx with (U psi)[r] = psi[idx[r]] for the 2**k permutation
     (U psi)[i] = psi[perm[i]] placed on ``targets`` of an n-qubit register:
-    r with the targets' bits s (slot m is targets[m]) replaced by perm[s]."""
-    r, k = np.arange(2**n), len(targets)
-    shifts = [(k - 1 - m, n - 1 - q) for m, q in enumerate(targets)]
-    local = sum(((r >> reg) & 1) << slot for slot, reg in shifts)
-    moved = local ^ perm[local]
-    return r ^ sum(((moved >> slot) & 1) << reg for slot, reg in shifts)
+    the register's own index as a (2,)*n tensor, its target axes gathered by
+    perm as one axis of 2**k (slot m is targets[m])."""
+    order = [*targets, *(q for q in range(n) if q not in targets)]
+    r = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(len(perm), -1)
+    return r[perm].reshape((2,) * n).transpose(np.argsort(order)).ravel()
 
 
 def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
@@ -259,27 +248,25 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     2**n x 2**n array.  A single-Kraus operation also takes a raw 2**n vector
     psi, and returns A psi.  The result is not checked.
 
-    An operation whose builder recorded its structure is applied by it,
-    without reading its Kraus matrices:
+    An operation is applied by one of three rules, the first two without
+    reading its Kraus matrices:
 
-    - Masks.  When every A_i is a diagonal d_i times an X-string b_i
-      (non-zero only at (r, r xor b_i)), then
+    - Gather.  A gate with a 0/1 matrix (``Gate``) permutes the basis, so
+      U psi is ``psi[idx]`` and U rho dagger(U) is ``rho[idx[:, None], idx]``
+      for the register index ``idx`` of ``_register_index``: the entries the
+      contraction sums with exact zeros, without the multiplies.  The
+      identity returns ``state`` itself, vector or matrix.
+    - Masks, for the channels.  When every A_i is a diagonal d_i times an
+      X-string b_i (non-zero only at (r, r xor b_i)), then
       (A_i rho dagger(A_i))[r, c] = d_i[r] conj(d_i[c]) rho[r xor b_i, c xor b_i],
       so the result is sum_b M_b * flip_b(rho): M_b = sum_{i: b_i = b}
-      d_i dagger(d_i) is a 2**k x 2**k mask broadcast over the targets' row
-      and column axes, and flip_b is ``np.flip`` of the row and column axes
-      of the targets flipped by b, a view.  ``measurement_channel`` records
-      the one mask M_0 = I, which leaves the entries between sectors exactly
-      0; ``noise_channel`` and the gates ``id`` and ``not`` record the masks
-      of their Paulis.  The identity's masks (``id``) return ``state``
-      itself, vector or matrix.
-    - A permutation.  ``cnot`` and ``toffoli`` are 0/1 matrices, so U psi is
-      ``psi[idx]`` and U rho dagger(U) is ``rho[np.ix_(idx, idx)]``, for the
-      register index ``idx`` of ``_register_index``: the same entries the
-      contraction sums with exact zeros, without the multiplies.
-
-    Every other operation is contracted into the target axes
-    (``_evolve_contracted``; ``_contract`` on a vector).
+      d_i dagger(d_i) is a 2**k x 2**k mask on the targets' row and column
+      axes, and flip_b is ``np.flip`` of those axes of the targets b flips.
+      ``measurement_channel`` records the one mask M_0 = I, which leaves the
+      entries between sectors exactly 0; ``noise_channel`` the masks of its
+      Paulis.
+    - Contraction.  Every other operation is contracted into the target axes
+      (``_evolve_contracted``; ``_contract`` on a vector).
     """
     n = op.n_qubits
     if state.shape == (op.dim,):
@@ -287,11 +274,11 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
             raise ValueError("only a single-Kraus operation maps a vector to a vector")
     elif state.shape != (op.dim, op.dim):
         raise ValueError("operation and state act on different qubit counts")
-    if op._masks is _IDENTITY_MASKS:
-        return state
     if op._perm is not None:
+        if op._identity:
+            return state
         idx = _register_index(op._perm, op.targets, n)
-        return state[idx] if state.ndim == 1 else state[np.ix_(idx, idx)]
+        return state[idx] if state.ndim == 1 else state[idx[:, None], idx]
     if state.ndim == 1:
         return _contract(op.kraus[0], op.targets, state.reshape((2,) * n)).reshape(state.shape)
     t = state.reshape((2,) * (2 * n))
@@ -306,13 +293,11 @@ def lift_unitary(gate: Gate, n_qubits: int, targets) -> QuantumOperation:
 
     Only the targets are checked here.  The completeness sum of the family
     {U} is dagger(U) U = I, which ``Gate`` proved once for its read-only
-    matrix.  A Pauli gate passes on its masks, a permutation gate its index
-    permutation.
+    matrix; the operation takes the gate's rule with it.
     """
     op = QuantumOperation.__new__(QuantumOperation)
     op._place((gate.matrix,), gate.arity, targets, n_qubits)
-    op._masks = gate._masks
-    op._perm = gate._perm
+    op._perm, op._identity = gate._perm, gate._identity
     return op
 
 
@@ -378,6 +363,6 @@ def noise_channel(kind: str, p: float, n_qubits: int, target: int) -> QuantumOpe
         q = p / 4.0
         weighted = [("I", 1.0 - 3.0 * q), ("X", q), ("Y", q), ("Z", q)]
     weighted = [(name, w) for name, w in weighted if w > 0.0]
-    op = QuantumOperation([np.sqrt(w) * _PAULIS[name][0] for name, w in weighted], [target], n_qubits)
+    op = QuantumOperation([np.sqrt(w) * _PAULIS[name] for name, w in weighted], [target], n_qubits)
     op._masks = _pauli_masks(weighted)
     return op

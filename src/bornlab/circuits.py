@@ -40,7 +40,7 @@ from .channels import measurement_channel, noise_channel
 from .linalg import STRUCTURAL_TOL
 from .psa import Context
 from .qcl import And, Atom, Formula, Not, Or
-from .states import MAX_QUBITS, DensityOperator, Projector, QuRegister, check_qubit_count
+from .states import DensityOperator, Projector, QuRegister, check_qubit_count
 from .states import TargetError, check_density, check_targets, pure_to_density
 
 
@@ -130,6 +130,11 @@ class CircuitIr:
         check_qubit_count(self.n_qubits)
         for previous, step in zip((None, *self.steps), self.steps):
             _check_step(self.n_qubits, step, previous)
+        last = self.steps[-1] if self.steps else None
+        if isinstance(last, MeasureStep) and last.targets is not None:
+            # A measured set is kept sorted, as ``measure`` text gives it, so
+            # one circuit has one IR and its labels read in register order.
+            object.__setattr__(self, "steps", (*self.steps[:-1], MeasureStep(tuple(sorted(last.targets)))))
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -198,8 +203,6 @@ def parse_circuit(text: str) -> CircuitIr:
             _check_step(n_qubits, step, steps[-1] if steps else None)
         except _StepError as exc:
             raise CircuitParseError(str(exc), lineno, toks[exc.token][1]) from None
-        if isinstance(step, MeasureStep) and step.targets is not None:
-            step = MeasureStep(tuple(sorted(step.targets)))
         steps.append(step)
     if n_qubits is None:
         raise CircuitParseError("empty circuit: expected 'qubits <n>'", 1, 1)
@@ -723,7 +726,8 @@ def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
         end
 
     Returns the state and a list of (name, Context); ``tol`` is the
-    tolerance of the context checks.
+    tolerance of the context checks.  Context names are distinct, and every
+    context acts on the state's qubit count.
     """
     contexts: list[tuple[str, Context]] = []
     current: tuple[str, list] | None = None  # the open context block
@@ -735,6 +739,8 @@ def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
                 raise ValueError("previous context not closed with 'end'")
             if len(args) != 1:
                 raise ValueError("usage: context <name>")
+            if any(name == args[0] for name, _ in contexts):
+                raise ValueError(f"duplicate context {args[0]!r}")
             current = (args[0], [])
         elif kw in ("vector", "projector"):
             if current is None:
@@ -763,6 +769,12 @@ def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
         raise ValueError(f"context {current[0]!r} not closed with 'end'")
     if not contexts:
         raise ValueError("no contexts declared")
+    for name, context in contexts:
+        if context.n_qubits != state.n_qubits:
+            raise ValueError(
+                f"context {name!r} and the state act on different qubit counts"
+                f" ({context.n_qubits} and {state.n_qubits})"
+            )
     return state, contexts
 
 

@@ -153,7 +153,11 @@ def pauli_basis(n_qubits: int) -> np.ndarray:
     return basis
 
 
-def reconstruct_density(samples, n_qubits: int, residual_tol: float = 1e-8) -> DensityOperator:
+#: The largest residual |Tr(rho P_i) - v_i| ``reconstruct_density`` accepts.
+RESIDUAL_TOL = 1e-8
+
+
+def reconstruct_density(samples, n_qubits: int) -> DensityOperator:
     """Recover the generating density operator from intensity samples.
 
     ``samples`` is a sequence of (Projector, intensity) pairs whose projector
@@ -181,7 +185,7 @@ def reconstruct_density(samples, n_qubits: int, residual_tol: float = 1e-8) -> D
     trace_row = np.real(np.trace(basis, axis1=1, axis2=2))
     x, *_ = np.linalg.lstsq(np.vstack([a, trace_row]), np.append(v, 1.0), rcond=None)
     residual = float(np.max(np.abs(a @ x - v)))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise ValueError(f"intensity samples are inconsistent (residual {residual:.3g})")
     return DensityOperator(np.tensordot(x, basis, axes=1))
 

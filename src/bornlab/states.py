@@ -143,8 +143,8 @@ class DensityOperator:
         """trace(rho^2): 1 for pure states, 1/dim for the maximally mixed one."""
         return float(np.real(linalg.trace(self.matrix @ self.matrix)))
 
-    def is_pure(self, tol: float = STRUCTURAL_TOL) -> bool:
-        return abs(self.purity() - 1.0) <= tol
+    def is_pure(self) -> bool:
+        return abs(self.purity() - 1.0) <= STRUCTURAL_TOL
 
     def __repr__(self) -> str:
         return f"DensityOperator(n_qubits={self.n_qubits}, purity={self.purity():.6f})"
@@ -207,22 +207,17 @@ def mix(states) -> DensityOperator:
     return DensityOperator(acc)
 
 
-def born_expectation(
-    rho: DensityOperator, p: Projector, tol: float = STRUCTURAL_TOL
-) -> float:
-    """The value Re trace(rho @ P), clamped to [0, 1].
-
-    A result outside [-tol, 1 + tol] signals a broken invariant upstream and
-    raises instead of being clamped.
-    """
+def born_expectation(rho: DensityOperator, p: Projector) -> float:
+    """The value Re trace(rho @ P), clamped to [0, 1] by ``clamp_probability``."""
     if rho.n_qubits != p.n_qubits:
         raise ValueError("state and projector act on different qubit counts")
-    return clamp_probability(float(np.real(linalg.trace(linalg.matmul(rho.matrix, p.matrix)))), tol)
+    return clamp_probability(float(np.real(linalg.trace(linalg.matmul(rho.matrix, p.matrix)))))
 
 
-def clamp_probability(v: float, tol: float = STRUCTURAL_TOL) -> float:
-    """``v`` clamped to [0, 1]; a value outside [-tol, 1 + tol] raises."""
-    if v < -tol or v > 1.0 + tol:
+def clamp_probability(v: float) -> float:
+    """``v`` clamped to [0, 1].  A value outside [-STRUCTURAL_TOL, 1 +
+    STRUCTURAL_TOL] signals a broken invariant upstream and raises instead."""
+    if v < -STRUCTURAL_TOL or v > 1.0 + STRUCTURAL_TOL:
         raise ValueError(f"expectation {v!r} outside [0, 1]: invariant broken upstream")
     return min(max(v, 0.0), 1.0)
 

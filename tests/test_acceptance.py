@@ -7,7 +7,6 @@ desk-scale budget.
 """
 
 import numpy as np
-import pytest
 
 from bornlab import linalg
 from bornlab.circuits import (

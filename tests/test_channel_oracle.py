@@ -5,11 +5,11 @@ The reference embeds every Kraus matrix into the full register with
 uses nothing from ``bornlab.channels``.  Circuits are generated by
 hypothesis: every DSL gate with its targets in any order, both noise kinds,
 partial and full measurement, from |0..0> (whose leading gates run on a
-state vector) or a random mixed state.  The operations whose builders record
-masks (noise, measurement and the gates ``id`` and ``not``) are also drawn on
-their own, and ``evolve`` is checked against both the contraction path and
-the reference on them.  The gathers of ``cnot`` and ``toffoli`` and the joint
-measurement must equal, with ``np.array_equal``, what they replace: the
+state vector) or a random mixed state.  The channels whose builders record
+masks (noise and measurement) are also drawn on their own, and ``evolve`` is
+checked against both the contraction path and the reference on them.  The
+gathers of the 0/1 gates ``id``, ``not``, ``cnot`` and ``toffoli`` and the
+joint measurement must equal, with ``np.array_equal``, what they replace: the
 contraction of the gate's matrix, and one single-qubit measurement after
 another.
 """
@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornlab.channels import (
+    Gate,
     _contract,
     _evolve_contracted,
     builtin_gate,
@@ -182,14 +183,10 @@ def check_masked_evolve(op, kraus, rho):
 
 @st.composite
 def mask_operations(draw):
-    """A noise channel, a measurement or an ``id``/``not`` gate on drawn
-    targets of a 1-6 qubit register, with its dense reference family."""
+    """A noise channel or a measurement on drawn targets of a 1-6 qubit
+    register, with its dense reference family."""
     n = draw(st.integers(1, 6))
-    choice = draw(st.sampled_from(["gate", "noise", "measure"]))
-    if choice == "gate":
-        name, target = draw(st.sampled_from(["id", "not"])), draw(st.integers(0, n - 1))
-        return lift_unitary(builtin_gate(name), n, [target]), [embed(GATES[name], n, [target])]
-    if choice == "noise":
+    if draw(st.booleans()):
         kind = draw(st.sampled_from(sorted(PAULI_WEIGHTS)))
         step = NoiseStep(kind, draw(st.floats(0, 1)), draw(st.integers(0, n - 1)))
         return noise_channel(step.kind, step.p, n, step.target), step_kraus(n, step)
@@ -217,7 +214,7 @@ def test_noise_at_the_ends_of_its_range(kind, p, groups):
 def test_identity_family_returns_rho_unchanged():
     rho = exactly_hermitian_density(4, 23)
     op = lift_unitary(builtin_gate("id"), 4, [3])
-    np.testing.assert_array_equal(check_masked_evolve(op, [np.eye(16)], rho), rho)
+    assert evolve(op, rho) is rho
 
 
 def contracted(op, state):
@@ -236,9 +233,10 @@ def gaussian_state(shape, seed):
 
 @st.composite
 def permutation_gates(draw):
-    """``cnot`` or ``toffoli`` on drawn targets, in any order, of 2-8 qubits."""
-    n = draw(st.integers(2, 8))
-    name = draw(st.sampled_from(["cnot", "toffoli"] if n >= 3 else ["cnot"]))
+    """A 0/1 gate on drawn targets, in any order, of 1-8 qubits: ``id`` and
+    ``not`` from 1 qubit up, ``cnot`` from 2, ``toffoli`` from 3."""
+    n = draw(st.integers(1, 8))
+    name = draw(st.sampled_from([g for g in ("id", "not", "cnot", "toffoli") if ARITY[g] <= n]))
     targets = draw(st.permutations(range(n)))[: ARITY[name]]
     return lift_unitary(builtin_gate(name), n, targets)
 
@@ -252,13 +250,31 @@ def test_the_gather_equals_the_contraction(op, vector, seed):
     assert np.array_equal(evolve(op, state), contracted(op, state))
 
 
-@pytest.mark.parametrize("name, targets", [("toffoli", (8, 3, 1)), ("cnot", (9, 0))])
+@pytest.mark.parametrize("name, targets", [("toffoli", (8, 3, 1)), ("cnot", (9, 0)), ("not", (4,))])
 def test_the_gather_equals_the_contraction_on_ten_qubits(name, targets):
     op = lift_unitary(builtin_gate(name), 10, targets)
     rho = random_density(10, rng=41).matrix
     psi = gaussian_state(2**10, 43)
     for state in (psi, rho):
         assert np.array_equal(evolve(op, state), contracted(op, state))
+
+
+@pytest.mark.parametrize("n, targets", [(2, (0, 1)), (3, (2, 0)), (5, (1, 4))])
+def test_a_user_permutation_gate_is_gathered(n, targets):
+    # Any gate with a 0/1 matrix takes the gather, not only the DSL's.
+    op = lift_unitary(Gate("swap", np.eye(4)[[0, 2, 1, 3]]), n, targets)
+    assert op._perm.tolist() == [0, 2, 1, 3] and not op._identity
+    for state in (gaussian_state(2**n, n), gaussian_state((2**n, 2**n), n + 1)):
+        assert np.array_equal(evolve(op, state), contracted(op, state))
+
+
+def test_a_non_permutation_monomial_gate_is_contracted():
+    # One non-zero per row but not 0/1: the phase gate S multiplies, so it
+    # cannot be a gather.
+    op = lift_unitary(Gate("s", np.diag([1, 1j])), 2, [1])
+    assert op._perm is None and op._masks is None
+    rho = gaussian_state((4, 4), 47)
+    assert np.array_equal(evolve(op, rho), contracted(op, rho))
 
 
 @ORACLE

@@ -174,8 +174,6 @@ class TestEvolve:
             (measurement_channel(3, [0, 2]), [0]),
             (noise_channel("bitflip", 0.1, 3, 1), [0, 1]),
             (noise_channel("depolarizing", 0.1, 3, 1), [0, 1]),
-            (lift_unitary(builtin_gate("not"), 3, [2]), [1]),
-            (lift_unitary(builtin_gate("id"), 3, [0]), [0]),
         ],
         ids=repr,
     )
@@ -187,13 +185,17 @@ class TestEvolve:
         op = lift_unitary(builtin_gate(name), 3, [1])
         assert op._masks is None and op._perm is None
 
-    @pytest.mark.parametrize("name, perm", [("cnot", [0, 1, 3, 2]), ("toffoli", [0, 1, 2, 3, 4, 5, 7, 6])])
+    @pytest.mark.parametrize(
+        "name, perm",
+        [("cnot", [0, 1, 3, 2]), ("toffoli", [0, 1, 2, 3, 4, 5, 7, 6]), ("not", [1, 0]), ("id", [0, 1])],
+    )
     def test_permutation_gates_take_the_gather_path(self, name, perm):
         gate = builtin_gate(name)
         op = lift_unitary(gate, 3, range(gate.arity))
         assert op._masks is None
         assert op._perm is gate._perm
         assert op._perm.tolist() == perm
+        assert op._identity is (name == "id")
 
     def test_the_register_index_moves_the_target_bits(self):
         # cnot 2 0 on 3 qubits: qubit 0 (the most significant bit) flips

@@ -118,6 +118,16 @@ class TestPrettyPrintRoundTrip:
         ir = parse_circuit(text)
         assert parse_circuit(pretty_print(ir)) == ir
 
+    def test_an_ir_measuring_out_of_order_round_trips(self):
+        ir = CircuitIr(3, (GateStep("h", (0,)), MeasureStep((2, 0))))
+        assert ir.steps[-1] == MeasureStep((0, 2))
+        assert parse_circuit(pretty_print(ir)) == ir
+
+    def test_measure_errors_point_at_the_token_as_written(self):
+        # The measured set is sorted only after the step checks.
+        with pytest.raises(CircuitParseError, match=r"^line 2, column 13: repeated measured qubit 2$"):
+            parse_circuit("qubits 3\nmeasure 2 0 2\n")
+
     def test_ir_validation_on_manual_construction(self):
         with pytest.raises(ValueError, match="final step"):
             CircuitIr(2, (MeasureStep(None), GateStep("h", (0,))))
@@ -231,7 +241,7 @@ class TestSimulate:
     def test_noiseless_circuits_preserve_purity(self):
         ir = parse_circuit("qubits 2\ngate h 0\ngate cnot 0 1\ngate sqrtnot 1\n")
         rho = simulate(ir)
-        assert rho.is_pure(1e-10)
+        assert rho.is_pure()
 
     def test_custom_input_state(self):
         ir = parse_circuit("qubits 1\ngate not 0\n")
@@ -461,6 +471,14 @@ class TestSample:
         h = sample(ir, 1024, 7)
         assert max(h.counts, key=h.counts.get) == "000"
         assert len(h.counts) >= 2
+
+    def test_an_ir_labels_its_outcomes_as_its_text_does(self):
+        # Labels read the measured qubits in register order, however the IR
+        # listed them: qubit 0 is in superposition, qubit 2 stays 0.
+        ir = CircuitIr(3, (GateStep("h", (0,)), MeasureStep((2, 0))))
+        text = sample(parse_circuit("qubits 3\ngate h 0\nmeasure 2 0\n"), 1000, 5)
+        assert sample(ir, 1000, 5) == text
+        assert set(text.counts) == {"00", "10"}
 
     def test_subset_measurement_marginalizes(self):
         ir = parse_circuit("qubits 2\ngate not 1\nmeasure 1\n")

@@ -342,6 +342,23 @@ class TestPsaTable:
         err = capsys.readouterr().err
         assert "broken" in err and "identity" in err
 
+    def test_a_repeated_context_name_is_rejected_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "twice.psa"
+        path.write_text(ZERO_STATE_PSA + "context hadamard\nvector 1 0\nvector 0 1\nend\n", encoding="utf-8")
+        assert main(["psa-table", str(path)]) == 1
+        assert capsys.readouterr().err == "error: line 10: duplicate context 'hadamard'\n"
+
+    def test_a_context_on_another_qubit_count_is_rejected_by_name(self, tmp_path, capsys):
+        path = tmp_path / "sizes.psa"
+        path.write_text(
+            "state pure 1 0 0 0\ncontext fine\nvector 1 0 0 0\nprojector 0 0 0 0  0 1 0 0  0 0 1 0  0 0 0 1\nend\n"
+            "context small\nvector 1 0\nvector 0 1\nend\n",
+            encoding="utf-8",
+        )
+        assert main(["psa-table", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: context 'small' and the state act on different qubit counts (1 and 2)\n"
+
     def test_csv_format(self, tmp_path, capsys):
         path = tmp_path / "zero.psa"
         path.write_text(ZERO_STATE_PSA, encoding="utf-8")

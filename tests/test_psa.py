@@ -468,6 +468,44 @@ class TestOrthogonalityProperties:
             join_projectors(parts)
 
 
+@st.composite
+def shared_projector_contexts(draw):
+    """A random state of any rank in dimension 2-16, a shared projector of
+    random rank, and two completions of it into contexts: its complement cut
+    into random groups of the columns of two independent random bases (in
+    dimension 2 the completion is unique).  Each context builds its own copy
+    of the shared projector and puts it at a random position, returned."""
+    n = draw(st.integers(1, 4))
+    dim = 2**n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(dim, rng)
+    rank = draw(st.integers(1, dim - 1))
+    shared, rest = u[:, :rank], u[:, rank:]
+    contexts, positions = [], []
+    for _ in range(2):
+        basis = rest @ random_unitary(dim - rank, rng)
+        size = dim - rank
+        cuts = draw(st.lists(st.integers(1, size - 1), unique=True, max_size=size - 1)) if size > 1 else []
+        bounds = [0, *sorted(cuts), size]
+        parts = [_projector(basis[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        positions.append(draw(st.integers(0, len(parts))))
+        parts.insert(positions[-1], _projector(shared))
+        contexts.append(Context(parts))
+    rho = random_density(n, rng=rng, rank=draw(st.integers(1, dim)))
+    return rho, contexts, positions
+
+
+class TestSharedProjectorProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(shared_projector_contexts())
+    def test_a_shared_projector_gets_one_value_in_both_contexts(self, case):
+        rho, (c1, c2), (at1, at2) = case
+        psa = Psa(rho)
+        table = global_valuation(psa, [c1, c2])
+        assert table[(0, at1)] == table[(1, at2)]
+        assert check_noncontextuality(psa, c1, c2)
+
+
 # Cabello, Estebaranz and Garcia-Alcaine's 18 vectors in C^4 (Phys. Lett. A
 # 212, 183, 1996): 9 orthogonal bases, each vector in exactly two of them.
 # A 0/1 valuation would give each basis exactly one 1, so the 9 bases would
