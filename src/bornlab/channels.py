@@ -109,15 +109,14 @@ class Gate:
         return f"Gate({self.name!r}, arity={self.arity})"
 
 
-#: The gates of the circuit DSL, keyed by their DSL names; each matrix is
+#: The gates of the circuit DSL, keyed by their names; each matrix is
 #: checked for unitarity, and its rule read, once, here.
 GATES = {
-    "id": Gate("I", IDENTITY_1Q),
-    "not": Gate("Not", PAULI_X),
-    "h": Gate("H", HADAMARD),
-    "sqrtnot": Gate("SqrtNot", SQRT_NOT),
-    "cnot": Gate("CNot", CNOT),
-    "toffoli": Gate("Toffoli", TOFFOLI),
+    gate.name: gate
+    for gate in (
+        Gate("id", IDENTITY_1Q), Gate("not", PAULI_X), Gate("h", HADAMARD),
+        Gate("sqrtnot", SQRT_NOT), Gate("cnot", CNOT), Gate("toffoli", TOFFOLI),
+    )
 }
 
 #: The noise kinds of the circuit DSL.
@@ -125,9 +124,9 @@ NOISE_KINDS = ("bitflip", "depolarizing")
 
 
 def builtin_gate(name: str) -> Gate:
-    """The gate of ``GATES`` called ``name``, in any letter case."""
+    """The gate of ``GATES`` called exactly ``name``: the one lookup by name."""
     try:
-        return GATES[name.lower()]
+        return GATES[name]
     except KeyError:
         raise ValueError(f"unknown gate {name!r}") from None
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .channels import apply, evolve, lift_unitary
-from .channels import GATES, check_noise_kind, check_noise_probability
+from .channels import builtin_gate, check_noise_kind, check_noise_probability
 from .channels import measurement_channel, noise_channel
 from .linalg import STRUCTURAL_TOL
 from .psa import Context
@@ -92,9 +92,10 @@ def _check_step(n_qubits: int, step: Step, previous: Step | None) -> None:
     if isinstance(previous, MeasureStep):
         raise _StepError("measure must be the final step: no statements allowed after 'measure'", 0)
     if isinstance(step, GateStep):
-        gate = GATES.get(step.name)
-        if gate is None:
-            raise _StepError(f"unknown gate {step.name!r}", 1)
+        try:
+            gate = builtin_gate(step.name)
+        except ValueError as exc:
+            raise _StepError(str(exc), 1) from None
         if len(step.targets) != gate.arity:
             raise _StepError(
                 f"gate {step.name!r} expects {gate.arity} targets, got {len(step.targets)}", 1
@@ -246,7 +247,7 @@ def _gate_prefix(ir: CircuitIr) -> tuple[np.ndarray, int]:
     for i, step in enumerate(ir.steps):
         if not isinstance(step, GateStep):
             return psi, i
-        psi = evolve(lift_unitary(GATES[step.name], n, step.targets), psi)
+        psi = evolve(lift_unitary(builtin_gate(step.name), n, step.targets), psi)
         if abs(np.vdot(psi, psi).real - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"step {i + 1} ({step}) left a vector that is not of unit norm")
     return psi, len(ir.steps)
@@ -282,7 +283,7 @@ def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> Densi
         raise ValueError(f"input state has {rho.n_qubits} qubits, circuit has {n}")
     for i, step in steps:
         if isinstance(step, GateStep):
-            rho = apply(lift_unitary(GATES[step.name], n, step.targets), rho)
+            rho = apply(lift_unitary(builtin_gate(step.name), n, step.targets), rho)
         elif isinstance(step, NoiseStep):
             rho = apply(noise_channel(step.kind, step.p, n, step.target), rho)
         else:
@@ -354,22 +355,13 @@ def output_distribution(ir: CircuitIr) -> dict[str, float]:
     return _by_label(ir.n_qubits, _pure_probabilities(ir))
 
 
-def _marginalize(dist: dict[str, float], positions) -> dict[str, float]:
-    """The marginal of a labelled distribution on ``positions``, label by
-    label: the definition ``_marginal`` is tested against."""
-    out: dict[str, float] = {}
-    for label, p in dist.items():
-        key = "".join(label[q] for q in positions)
-        out[key] = out.get(key, 0.0) + p
-    return out
-
-
 def _marginal(n: int, probs: np.ndarray, positions) -> tuple[list[str], np.ndarray]:
-    """``_marginalize(_by_label(n, probs), positions)`` as its sorted labels
-    and their sums, taken on the vector: each kept entry's outcome index on
-    ``positions`` is read off its bits, and ``np.bincount`` adds the kept
-    entries into their outcomes in index order, as the dict does.  Only the
-    2**m outcomes that some kept entry reaches are labelled."""
+    """The marginal of ``_by_label(n, probs)`` on ``positions``, as its
+    sorted labels and their sums, taken on the vector: each kept entry's
+    outcome index on ``positions`` is read off its bits, and ``np.bincount``
+    adds the kept entries into their outcomes in index order, as a sum over
+    the labels does.  Only the 2**m outcomes that some kept entry reaches
+    are labelled."""
     kept, m = _kept(probs), len(positions)
     outcome = sum(((kept >> (n - 1 - q)) & 1) << (m - 1 - j) for j, q in enumerate(positions))
     sums = np.bincount(outcome, weights=probs[kept], minlength=2**m)
@@ -661,7 +653,9 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
                     raise ValueError("duplicate formula line")
                 if not body.startswith("=") or not expr:
                     raise ValueError("usage: formula = <expression>")
-                ast = parse_formula(expr, line=lineno, col_offset=raw.find(expr) + 1)
+                # The expression starts at the first non-blank after the statement's '='.
+                column = len(raw) - len(raw[raw.index("=") + 1 :].lstrip()) + 1
+                ast = parse_formula(expr, line=lineno, col_offset=column)
             else:
                 raise ValueError(f"unknown statement {kw!r}")
         except FormulaParseError:

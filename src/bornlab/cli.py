@@ -33,7 +33,7 @@ from .circuits import (
     parse_psa_file,
     sample,
 )
-from .linalg import STRUCTURAL_TOL
+from .linalg import STRUCTURAL_TOL, check_tol
 from .psa import Psa, chsh_preset, chsh_value, intensity
 from .qcl import eval_formula
 
@@ -102,6 +102,7 @@ def cmd_eval(args) -> str:
 
 
 def cmd_psa_table(args) -> str:
+    check_tol(args.tol)
     state, contexts = parse_psa_file(*_read_input(args), tol=args.tol)
     psa = Psa(state)
     rows = [
@@ -117,6 +118,7 @@ def cmd_psa_table(args) -> str:
 
 
 def cmd_chsh(args) -> str:
+    check_tol(args.tol)
     if args.input in CHSH_PRESETS:
         rho, a, ap, b, bp = chsh_preset(args.input)
     else:

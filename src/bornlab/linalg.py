@@ -94,6 +94,7 @@ def partial_trace(a: np.ndarray, n_qubits: int, traced_indices) -> np.ndarray:
 
 
 def check_tol(tol: float) -> None:
+    """The rule of every tolerance a caller sets, ``--tol`` among them."""
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
 
@@ -179,11 +180,11 @@ def sector_blocks(a: np.ndarray, n_qubits: int, measured) -> np.ndarray:
     return blocks
 
 
-def is_projector(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    """True iff ``a`` is hermitian and idempotent within ``tol``."""
-    return is_hermitian(a, tol) and max_abs(matmul(a, a) - a) <= tol
+def is_projector(a: np.ndarray) -> bool:
+    """True iff ``a`` is hermitian and idempotent within ``STRUCTURAL_TOL``."""
+    return is_hermitian(a) and max_abs(matmul(a, a) - a) <= STRUCTURAL_TOL
 
 
-def is_unitary(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    """True iff dagger(a) @ a is the identity within ``tol``."""
-    return max_abs(matmul(dagger(a), a) - np.eye(a.shape[0])) <= tol
+def is_unitary(a: np.ndarray) -> bool:
+    """True iff dagger(a) @ a is the identity within ``STRUCTURAL_TOL``."""
+    return max_abs(matmul(dagger(a), a) - np.eye(a.shape[0])) <= STRUCTURAL_TOL

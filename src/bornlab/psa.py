@@ -66,16 +66,16 @@ def _check_orthogonal(ps, tol: float) -> None:
                 raise ValueError(f"projectors {i} and {j} are not orthogonal")
 
 
-def join_projectors(ps, tol: float = STRUCTURAL_TOL) -> Projector:
+def join_projectors(ps) -> Projector:
     """Projector onto the span of a pairwise-orthogonal family.
 
     For orthogonal projectors the join is simply the sum, which is itself a
-    projector; non-orthogonal inputs are rejected.
+    projector; inputs not orthogonal within ``STRUCTURAL_TOL`` are rejected.
     """
     ps = list(ps)
     if not ps:
         raise ValueError("join of an empty family")
-    _check_orthogonal(ps, tol)
+    _check_orthogonal(ps, STRUCTURAL_TOL)
     dim = ps[0].dim
     total = np.zeros((dim, dim), dtype=complex)
     for p in ps:
@@ -83,12 +83,12 @@ def join_projectors(ps, tol: float = STRUCTURAL_TOL) -> Projector:
     return Projector(total)
 
 
-def check_additivity(psa: Psa, ps, tol: float = STRUCTURAL_TOL) -> bool:
-    """True iff the intensity of the join equals the sum of intensities."""
+def check_additivity(psa: Psa, ps) -> bool:
+    """True iff the join's intensity is the sum of intensities, within ``STRUCTURAL_TOL``."""
     ps = list(ps)
-    joined = join_projectors(ps, tol=tol)
+    joined = join_projectors(ps)
     total = sum(intensity(psa, p) for p in ps)
-    return abs(intensity(psa, joined) - total) <= tol
+    return abs(intensity(psa, joined) - total) <= STRUCTURAL_TOL
 
 
 class Context:
@@ -126,18 +126,14 @@ def global_valuation(psa: Psa, contexts) -> dict[tuple[int, int], float]:
     return table
 
 
-def check_noncontextuality(
-    psa: Psa, c1: Context, c2: Context, tol: float = STRUCTURAL_TOL
-) -> bool:
-    """True iff projectors shared by both contexts get equal intensities.
-
-    Two projectors count as shared when they agree within ``tol`` in
-    max-norm; contexts with no shared projector pass vacuously.
-    """
+def check_noncontextuality(psa: Psa, c1: Context, c2: Context) -> bool:
+    """True iff projectors shared by both contexts (equal within
+    ``STRUCTURAL_TOL`` in max-norm) get intensities equal within it too;
+    contexts with no shared projector pass vacuously."""
     for p in c1.projectors:
         for q in c2.projectors:
-            if linalg.max_abs(p.matrix - q.matrix) <= tol:
-                if abs(intensity(psa, p) - intensity(psa, q)) > tol:
+            if linalg.max_abs(p.matrix - q.matrix) <= STRUCTURAL_TOL:
+                if abs(intensity(psa, p) - intensity(psa, q)) > STRUCTURAL_TOL:
                     return False
     return True
 

@@ -86,7 +86,8 @@ class Or:
 
 @dataclass(frozen=True)
 class GateApp:
-    """Extension point: apply a named single-qubit gate to the truth qubit.
+    """Extension point: apply a single-qubit gate to the truth qubit, named
+    exactly as in a circuit (``builtin_gate``).
 
     Genuinely quantum gates (h, sqrtnot) carry no truth-functional law, so
     they have no surface syntax; they are available to programmatic formula

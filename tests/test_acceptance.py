@@ -123,7 +123,7 @@ def test_criterion_06_valuation_axioms():
         psa = Psa(random_density(n, rng=rng))
         ok = ok and abs(intensity(psa, Projector(np.eye(dim))) - 1.0) <= 1e-10
         parts = random_orthogonal_projectors(dim, rng, int(rng.integers(2, min(dim, 4) + 1)))
-        ok = ok and check_additivity(psa, parts, tol=1e-10)
+        ok = ok and check_additivity(psa, parts)
     assert report(6, ok, "unit valuation of I and additivity on 100 random valuations")
 
 

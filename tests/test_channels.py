@@ -53,55 +53,58 @@ def channels_equal(op1, op2, states, tol=1e-12):
 
 class TestBuiltinGates:
     def test_sqrt_not_squares_to_not(self):
-        s = builtin_gate("SqrtNot").matrix
-        assert linalg.max_abs(s @ s - builtin_gate("Not").matrix) <= 1e-12
+        s = builtin_gate("sqrtnot").matrix
+        assert linalg.max_abs(s @ s - builtin_gate("not").matrix) <= 1e-12
 
     def test_hadamard_squares_to_identity(self):
-        h = builtin_gate("H").matrix
+        h = builtin_gate("h").matrix
         assert linalg.max_abs(h @ h - np.eye(2)) <= 1e-12
 
     def test_toffoli_flips_the_last_bit_when_controls_are_set(self):
-        t = builtin_gate("Toffoli").matrix
+        t = builtin_gate("toffoli").matrix
         out = t @ basis_state(3, "110").amplitudes
         np.testing.assert_array_equal(out, basis_state(3, "111").amplitudes)
 
     def test_cnot_is_the_standard_permutation(self):
         np.testing.assert_array_equal(
-            builtin_gate("CNot").matrix,
+            builtin_gate("cnot").matrix,
             np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0.0]]),
         )
 
     def test_dsl_aliases_resolve(self):
-        assert builtin_gate("not").name == "Not"
+        assert all(builtin_gate(name).name == name for name in GATES)
         assert builtin_gate("h").arity == 1
         assert builtin_gate("toffoli").arity == 3
 
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown gate"):
-            builtin_gate("phase")
+    @pytest.mark.parametrize("name", ["phase", "H", "Not", "CNOT"])
+    def test_unknown_name(self, name):
+        with pytest.raises(ValueError, match=f"^unknown gate '{name}'$"):
+            builtin_gate(name)
 
 
 class TestLiftUnitary:
     def test_not_on_single_qubit(self):
-        op = lift_unitary(builtin_gate("Not"), 1, [0])
+        op = lift_unitary(builtin_gate("not"), 1, [0])
         out = apply(op, pure_to_density(basis_state(1, 0)))
         np.testing.assert_allclose(out.matrix, np.diag([0, 1.0]), atol=1e-15)
 
     def test_double_hadamard_is_identity(self):
-        op = lift_unitary(builtin_gate("H"), 3, [1])
+        op = lift_unitary(builtin_gate("h"), 3, [1])
         rho = pure_to_density(basis_state(3, 0))
         out = apply(op, apply(op, rho))
         assert linalg.max_abs(out.matrix - rho.matrix) <= 1e-12
 
     def test_lifted_kraus_element_is_unitary(self):
-        for gate, targets in [("H", [2]), ("CNot", [2, 0]), ("Toffoli", [1, 3, 0])]:
+        for gate, targets in [("h", [2]), ("cnot", [2, 0]), ("toffoli", [1, 3, 0])]:
             op = lift_unitary(builtin_gate(gate), 4, targets)
             assert len(op.kraus) == 1
-            assert linalg.is_unitary(op.kraus[0], 1e-12)
+            u = op.kraus[0]
+            assert linalg.is_unitary(u)
+            assert linalg.max_abs(linalg.dagger(u) @ u - np.eye(len(u))) <= 1e-12
 
     def test_cnot_respects_target_order(self):
         # control on qubit 1, negated qubit 0: |01> -> |11>
-        op = lift_unitary(builtin_gate("CNot"), 2, [1, 0])
+        op = lift_unitary(builtin_gate("cnot"), 2, [1, 0])
         out = apply(op, pure_to_density(basis_state(2, "01")))
         np.testing.assert_allclose(
             out.matrix, pure_to_density(basis_state(2, "11")).matrix, atol=1e-15
@@ -109,11 +112,11 @@ class TestLiftUnitary:
 
     def test_bad_targets(self):
         with pytest.raises(ValueError, match="arity"):
-            lift_unitary(builtin_gate("CNot"), 2, [0])
+            lift_unitary(builtin_gate("cnot"), 2, [0])
         with pytest.raises(ValueError, match="repeated target 0"):
-            lift_unitary(builtin_gate("CNot"), 2, [0, 0])
+            lift_unitary(builtin_gate("cnot"), 2, [0, 0])
         with pytest.raises(ValueError, match="out of range"):
-            lift_unitary(builtin_gate("Not"), 1, [1])
+            lift_unitary(builtin_gate("not"), 1, [1])
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, np.float64(1.0), np.bool_(True)], ids=repr)
     @pytest.mark.parametrize(
@@ -145,9 +148,9 @@ class TestLiftUnitary:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(QuantumOperation, "__init__", counting_init)
-        op = lift_unitary(builtin_gate("Toffoli"), 4, [1, 3, 0])
+        op = lift_unitary(builtin_gate("toffoli"), 4, [1, 3, 0])
         assert built == [] and op.targets == (1, 3, 0) and op.n_qubits == 4
-        assert op.kraus[0] is builtin_gate("Toffoli").matrix
+        assert op.kraus[0] is builtin_gate("toffoli").matrix
         noise_channel("bitflip", 0.1, 4, 2)
         assert len(built) == 1
 
@@ -156,7 +159,7 @@ class TestEvolve:
     def test_vector_form_is_the_gate_times_the_vector(self):
         rng = np.random.default_rng(29)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        op = lift_unitary(builtin_gate("SqrtNot"), 3, [1])
+        op = lift_unitary(builtin_gate("sqrtnot"), 3, [1])
         out = evolve(op, psi)
         want = np.kron(np.eye(2), np.kron(op.kraus[0], np.eye(2))) @ psi
         np.testing.assert_allclose(out, want, atol=1e-15)
@@ -273,7 +276,7 @@ class TestEvolve:
 
 class TestApply:
     def test_hadamard_on_ket0(self):
-        op = lift_unitary(builtin_gate("H"), 1, [0])
+        op = lift_unitary(builtin_gate("h"), 1, [0])
         out = apply(op, pure_to_density(basis_state(1, 0)))
         np.testing.assert_allclose(out.matrix, np.full((2, 2), 0.5), atol=1e-12)
 
@@ -292,7 +295,7 @@ class TestApply:
     def test_unitary_lift_preserves_purity(self):
         rng = np.random.default_rng(71)
         rho = random_density(2, rng=rng, rank=2)
-        op = lift_unitary(builtin_gate("SqrtNot"), 2, [1])
+        op = lift_unitary(builtin_gate("sqrtnot"), 2, [1])
         assert abs(apply(op, rho).purity() - rho.purity()) <= 1e-10
 
     def test_dimension_mismatch(self):

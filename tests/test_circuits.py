@@ -33,11 +33,21 @@ from bornlab.circuits import (
     sample,
     simulate,
 )
-from bornlab.circuits import PROB_FLOOR, _by_label, _marginal, _marginalize, _unit_vector
+from bornlab.circuits import PROB_FLOOR, _by_label, _marginal, _unit_vector
 from bornlab.qcl import And, Atom, Not, Or
 from bornlab.states import basis_state, pure_to_density, random_density
 
 from conftest import THREE_QUBIT_DEMO, counting_is_psd
+
+
+def _marginalize(dist: dict[str, float], positions) -> dict[str, float]:
+    """The marginal of a labelled distribution on ``positions``, label by
+    label: the definition ``_marginal`` is tested against."""
+    out: dict[str, float] = {}
+    for label, p in dist.items():
+        key = "".join(label[q] for q in positions)
+        out[key] = out.get(key, 0.0) + p
+    return out
 
 
 class TestParseCircuit:
@@ -319,6 +329,19 @@ class TestSimulate:
         monkeypatch.setattr(GATES["h"], "matrix", bad)
         with pytest.raises(ValueError, match=r"step 2 \(.*'h'.*\) left a vector that is not of unit norm"):
             simulate(ir)
+
+    def test_steps_on_the_matrix_check_the_trace_after_each(self, monkeypatch):
+        # After a noise step the circuit runs on the matrix; a gate that
+        # breaks the trace is caught at its own step there.
+        ir = parse_circuit("qubits 2\nnoise bitflip 0.1 1\ngate h 0\nmeasure all\n")
+        monkeypatch.setattr(GATES["h"], "matrix", GATES["h"].matrix * 1.1)
+        with pytest.raises(ValueError, match=r"^step 2 \(.*'h'.*\) left a state that is not of unit trace$"):
+            simulate(ir)
+
+    def test_an_empty_measured_set_is_rejected_by_the_ir(self):
+        # Circuit text cannot spell it: a bare ``measure`` is a usage error.
+        with pytest.raises(ValueError, match="^measure step needs at least one qubit$"):
+            CircuitIr(1, (MeasureStep(()),))
 
     @pytest.mark.parametrize("measure", ["", "measure 0\n"])
     @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, formats, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +433,100 @@ class TestChsh:
         assert "missing observables" in capsys.readouterr().err
 
 
+# Every diagnostic a user can meet in an input file or the --noise flag, as
+# ``main`` prints it: (command, input text, more flags, stderr).  A formula
+# file or valuation state may name ``bad.qc``, a circuit with an unknown gate.
+CSTATE = "state pure 1 0 0 0\n"
+DIAGNOSTICS = {
+    "gate-usage": ("run", "qubits 1\ngate\n", [], "line 2, column 1: usage: gate <name> <target>..."),
+    "noise-usage": (
+        "run", "qubits 1\nnoise bitflip 0.1\n", [],
+        "line 2, column 1: usage: noise <bitflip|depolarizing> <p> <target>",
+    ),
+    "measure-usage": ("run", "qubits 1\nmeasure\n", [], "line 2, column 1: usage: measure all | measure <i>..."),
+    "gate-name": ("run", "qubits 1\ngate H 0\n", [], "line 2, column 6: unknown gate 'H'"),
+    "circuit-statement": ("run", "qubits 1\n  reset 0\n", [], "line 2, column 3: unknown statement 'reset'"),
+    "noise-flag": ("run", "qubits 1\n", ["--noise", "bitflip:x"], "bad noise probability 'x'"),
+    "complex-literal": ("psa-table", "state pure 1 x\n", [], "line 1: bad complex literal 'x'"),
+    "square-matrix": ("psa-table", "state matrix 1 0 0\n", [], "line 1: 3 entries do not form a square matrix"),
+    "in-circuit": (
+        "psa-table", "state circuit bad.qc\n", [],
+        "line 1: in circuit '{dir}/bad.qc': line 2, column 6: unknown gate 'wat'",
+    ),
+    "literal-shape": (
+        "eval", "atom a = (1, 0, 0, 0\nformula = a\n", [],
+        "line 1, column 1: literal must look like (c0_re, c0_im, c1_re, c1_im)",
+    ),
+    "literal-number": (
+        "eval", "atom a = (1, 0, x, 0)\nformula = a\n", [],
+        "line 1, column 1: bad number in literal '(1, 0, x, 0)'",
+    ),
+    "atom-usage": (
+        "eval", "atom a\nformula = a\n", [],
+        "line 1, column 1: usage: atom <name> = <literal or circuit path>",
+    ),
+    "atom-name": ("eval", "atom 1a = (1, 0, 0, 0)\nformula = a\n", [], "line 1, column 1: bad atom name '1a'"),
+    "atom-circuit": (
+        "eval", "atom a = bad.qc\nformula = a\n", [],
+        "line 1, column 1: in circuit '{dir}/bad.qc': line 2, column 6: unknown gate 'wat'",
+    ),
+    "formula-duplicate": (
+        "eval", "atom a = (1, 0, 0, 0)\nformula = a\nformula = a\n", [],
+        "line 3, column 1: duplicate formula line",
+    ),
+    "formula-usage": (
+        "eval", "atom a = (1, 0, 0, 0)\nformula a\n", [], "line 2, column 1: usage: formula = <expression>"
+    ),
+    "formula-statement": ("eval", "let a = 1\n", [], "line 1, column 1: unknown statement 'let'"),
+    # The expression's column counts from the first non-blank after the statement's '='.
+    "formula-stray-equals": (
+        "eval", "atom a = (1, 0, 0, 0)\nformula = a =\n", [], "line 2, column 13: unexpected character '='"
+    ),
+    "formula-only-equals": (
+        "eval", "atom a = (1, 0, 0, 0)\nformula = =\n", [], "line 2, column 11: unexpected character '='"
+    ),
+    "state-circuit-usage": ("psa-table", "state circuit a.qc b.qc\n", [], "line 1: usage: state circuit <path>"),
+    "state-kind": ("psa-table", "state mixed 1 0\n", [], "line 1: unknown state kind 'mixed'"),
+    "state-duplicate": ("psa-table", "state pure 1 0\nstate pure 1 0\n", [], "line 2: duplicate state declaration"),
+    "state-usage": ("psa-table", "state pure\n", [], "line 1: usage: state <circuit|pure|matrix> ..."),
+    "state-missing": ("psa-table", "context c\nvector 1 0\nvector 0 1\nend\n", [], "missing 'state' declaration"),
+    "context-open": (
+        "psa-table", "state pure 1 0\ncontext c\ncontext d\n", [],
+        "line 3: previous context not closed with 'end'",
+    ),
+    "context-usage": ("psa-table", "state pure 1 0\ncontext\n", [], "line 2: usage: context <name>"),
+    "vector-outside": ("psa-table", "state pure 1 0\nvector 1 0\n", [], "line 2: 'vector' outside a context block"),
+    "end-outside": ("psa-table", "state pure 1 0\nend\n", [], "line 2: 'end' without a context block"),
+    "psa-statement": ("psa-table", "state pure 1 0\nfoo 1\n", [], "line 2: unknown statement 'foo'"),
+    "context-unclosed": (
+        "psa-table", "state pure 1 0\ncontext c\nvector 1 0\n", [], "context 'c' not closed with 'end'"
+    ),
+    "no-contexts": ("psa-table", "state pure 1 0\n", [], "no contexts declared"),
+    "chsh-statement": ("chsh", CSTATE + "foo\n", [], "line 2: unknown statement 'foo'"),
+    "observable-usage": (
+        "chsh", CSTATE + "observable a\n", [], "line 2: usage: observable <a|ap|b|bp> <4 entries>"
+    ),
+    "observable-name": (
+        "chsh", CSTATE + "observable c 1 0 0 -1\n", [], "line 2: observable name must be a, ap, b, or bp"
+    ),
+    "observable-duplicate": (
+        "chsh", CSTATE + "observable a 1 0 0 -1\nobservable a 1 0 0 -1\n", [],
+        "line 3: duplicate observable 'a'",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, text, flags, message", DIAGNOSTICS.values(), ids=DIAGNOSTICS)
+def test_every_diagnostic_reads_exactly(command, text, flags, message, tmp_path, capsys):
+    (tmp_path / "bad.qc").write_text("qubits 1\ngate wat 0\n", encoding="utf-8")
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.format(dir=tmp_path) + "\n"
+
+
 class TestTolFlag:
     """--tol is accepted only where a tolerance is read."""
 
@@ -470,13 +568,29 @@ class TestTolFlag:
             assert main([*argv, "--tol", tol]) == 1
             assert "tol must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("psa-table", "state pure 1 0\n"),  # no context
+            ("psa-table", "state pure 1 0\nfoo\ncontext c\nvector 1 0\nvector 0 1\nend\n"),
+            ("chsh", "state pure 1 0 0 0\nfoo\n"),
+            ("chsh", None),  # no file at all
+        ],
+        ids=["psa-no-context", "psa-earlier-error", "chsh-earlier-error", "missing-file"],
+    )
+    def test_checked_before_the_input_is_read(self, command, text, tol, tmp_path, capsys):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        assert main([command, str(path), "--tol", tol]) == 1
+        assert capsys.readouterr().err == "error: tol must be positive and finite\n"
+
 
 class TestDemoFiles:
     """The demo inputs shipped in demos/ stay working."""
 
     def test_demo_directory(self, capsys):
-        from pathlib import Path
-
         demos = Path(__file__).resolve().parents[1] / "demos"
         assert main(["run", str(demos / "three_qubit_demo.qc")]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "000 1.000000"
@@ -492,8 +606,6 @@ class TestDemoFiles:
     def test_sample_records_match_their_goldens(self, demo, noise, capsys):
         # Committed outputs at 1024 shots and seed 7: a change to the sampler
         # that moves any count shows here.
-        from pathlib import Path
-
         tests = Path(__file__).resolve().parent
         argv = ["sample", str(tests.parent / "demos" / f"{demo}.qc"), "--shots", "1024", "--seed", "7"]
         argv += ["--format", "record"] + (["--noise", noise] if noise else [])
@@ -501,3 +613,35 @@ class TestDemoFiles:
         tag = noise.split(":")[0] if noise else "ideal"
         golden = tests / "golden" / "sample" / f"{demo}_{tag}.json"
         assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+class TestModuleEntryPoint:
+    """``python -m bornlab.cli`` exits with the status ``main`` returns."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def run(self, *argv):
+        path = os.pathsep.join([str(self.ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        return subprocess.run(
+            [sys.executable, "-m", "bornlab.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            cwd=self.ROOT,
+            timeout=60,
+        )
+
+    def test_a_demo_run_exits_0_with_its_distribution(self, capsys):
+        done = self.run("run", "demos/three_qubit_demo.qc")
+        assert main(["run", str(self.ROOT / "demos" / "three_qubit_demo.qc")]) == 0
+        assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_a_missing_input_exits_1_with_one_error_line(self, tmp_path):
+        done = self.run("run", str(tmp_path / "nope.qc"))
+        assert done.returncode == 1 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+    def test_an_unknown_flag_exits_2(self):
+        done = self.run("run", "demos/three_qubit_demo.qc", "--bogus")
+        assert done.returncode == 2 and done.stdout == ""
+        assert "unrecognized arguments: --bogus" in done.stderr

@@ -1,6 +1,8 @@
-"""No module of the package or of the tests imports a name it never reads.
+"""No module of the package or of the tests imports a name it never reads,
+and the package reads every private name it defines at module level.
 
-``bornlab/__init__.py`` is left out: its imports are the package's exports.
+``bornlab/__init__.py`` is left out of the import check: its imports are the
+package's exports.
 """
 
 import ast
@@ -39,3 +41,43 @@ def test_every_import_is_read(path):
 def test_the_guard_sees_an_unused_import():
     source = "import json\nimport numpy as np\nfrom .linalg import STRUCTURAL_TOL, trace\nnp.eye(trace)\n"
     assert unused_imports(source) == ["line 1: json", "line 3: STRUCTURAL_TOL"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level names with a leading underscore (dunders aside) that
+    the modules ``{module: source}`` define and none of them reads, each as
+    ``module.name``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private = [name for name in names if name.startswith("_") and not name.startswith("__")]
+            unread += [f"{module}.{name}" for name in private if name not in read]
+    return unread
+
+
+def test_every_private_name_is_read_in_the_package():
+    package = sorted((ROOT / "src" / "bornlab").glob("*.py"))
+    assert unread_private_names({p.stem: p.read_text(encoding="utf-8") for p in package}) == []
+
+
+def test_the_guard_sees_an_unread_private_name():
+    sources = {
+        "a": "_KEPT = 1\n_DROPPED = 2\n\ndef _helper():\n    return _KEPT\n\n__all__ = []\n",
+        "b": "from . import a\n\nclass _Shown:\n    _slot = None\n\nprint(a._helper(), _Shown)\n",
+    }
+    assert unread_private_names(sources) == ["a._DROPPED"]

@@ -175,10 +175,12 @@ class TestPredicates:
             is_psd(np.array([[0, 1], [0, 0.0]]), 1e-10)
 
     def test_projector(self):
-        assert is_projector(I2, 1e-12)
-        assert not is_projector(H, 1e-12)
         plus = np.full((2, 2), 0.5, dtype=complex)
-        assert is_projector(plus, 1e-12)
+        for p in (I2, plus):
+            assert is_projector(p)
+            assert linalg.max_abs(p - dagger(p)) <= 1e-12
+            assert linalg.max_abs(p @ p - p) <= 1e-12
+        assert not is_projector(H)
 
     def test_projectors_are_psd_with_binary_spectrum(self):
         rng = np.random.default_rng(23)
@@ -190,9 +192,10 @@ class TestPredicates:
             assert np.all((np.abs(eigs) <= 1e-10) | (np.abs(eigs - 1) <= 1e-10))
 
     def test_unitary(self):
-        assert is_unitary(H, 1e-12)
-        assert is_unitary(SQRT_NOT, 1e-12)
-        assert not is_unitary(KET0, 1e-12)
+        for u in (H, SQRT_NOT):
+            assert is_unitary(u)
+            assert linalg.max_abs(dagger(u) @ u - I2) <= 1e-12
+        assert not is_unitary(KET0)
 
 
 TOLS = st.sampled_from([linalg.STRUCTURAL_TOL, 1e-8, 1e-6])

@@ -222,6 +222,12 @@ class TestEvalFormula:
         with pytest.raises(ValueError, match="single-qubit"):
             eval_formula(GateApp("cnot", Atom("a")), {"a": FALSE})
 
+    def test_gate_application_takes_the_circuit_names_only(self):
+        # One lookup for formula trees and circuit lines: ``gate H 0`` is
+        # rejected, and so is ``H`` here.
+        with pytest.raises(ValueError, match="^unknown gate 'H'$"):
+            eval_formula(GateApp("H", Atom("a")), {"a": FALSE})
+
 
 # --- properties of the evaluator ---------------------------------------------
 
