@@ -56,7 +56,6 @@ from .qcl import (
     qcl_not,
     qcl_or,
     truth_probability,
-    truth_projectors,
 )
 from .states import (
     DensityOperator,

@@ -19,13 +19,13 @@ histogram.
 Formula files for the logic layer bind names to literal qubits or circuit
 files in an ``atom`` preamble, and a single ``formula`` line gives the
 expression, with precedence ! > & > |.  Valuation (psa) and CHSH files share
-one ``state`` line and one line loop.  Every state, vector and matrix read
-from a file spans at most ``MAX_QUBITS`` qubits.
+one ``state`` line.  All four formats share one statement loop,
+``_statements``, and every error in a file's text names its line.  Every
+state, vector and matrix read from a file spans at most ``MAX_QUBITS`` qubits.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -45,12 +45,23 @@ from .states import TargetError, check_density, check_targets, pure_to_density
 
 
 class _LocatedError(ValueError):
-    """An error in input text, with its line and column."""
+    """An error in input text, with its line, and its column where the
+    format has columns (circuits and formulas)."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int, column: int | None = None):
+        where = f"line {line}" if column is None else f"line {line}, column {column}"
+        super().__init__(f"{where}: {message}")
         self.line = line
         self.column = column
+
+
+def _statements(text: str):
+    """The statements of an input file: (line number, the text before the
+    line's ``#``) for each line that is not blank once its comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if line and not line.isspace():
+            yield lineno, line
 
 
 class CircuitParseError(_LocatedError):
@@ -183,10 +194,8 @@ def parse_circuit(text: str) -> CircuitIr:
     """Parse circuit text into its IR; errors carry line and column."""
     n_qubits: int | None = None
     steps: list[Step] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _line_tokens(raw.split("#", 1)[0])
-        if not toks:
-            continue
+    for lineno, line in _statements(text):
+        toks = _line_tokens(line)
         if n_qubits is None:
             kw, col = toks[0]
             if kw != "qubits":
@@ -425,23 +434,6 @@ def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
     return Histogram(shots=shots, counts=counts, seed=seed)
 
 
-def histogram_table(h: Histogram) -> str:
-    lines = [f"shots {h.shots}", f"seed {h.seed}"]
-    lines += [f"{label} {h.counts[label]}" for label in sorted(h.counts)]
-    return "\n".join(lines) + "\n"
-
-
-def histogram_csv(h: Histogram) -> str:
-    lines = [f"# shots={h.shots} seed={h.seed}", "outcome,count"]
-    lines += [f"{label},{h.counts[label]}" for label in sorted(h.counts)]
-    return "\n".join(lines) + "\n"
-
-
-def histogram_record(h: Histogram) -> str:
-    payload = {"shots": h.shots, "seed": h.seed, "counts": dict(sorted(h.counts.items()))}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 # --- formula text -----------------------------------------------------------
 
 
@@ -625,18 +617,18 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
         atom b = some_circuit.qc                   # output state of the circuit
         formula = a & !b
 
-    Literal qubits are normalized; circuit paths resolve relative to
-    ``base_dir``.  Returns the formula tree and the atom bindings.
+    A statement's keyword ends at its first blank or ``=``, so
+    ``formula=a`` reads as ``formula = a``.  Literal qubits are normalized;
+    circuit paths resolve relative to ``base_dir``.  Returns the formula
+    tree and the atom bindings.
     """
     base = Path(base_dir)
     bindings: dict[str, DensityOperator] = {}
     ast: Formula | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kw = line.split(None, 1)[0]
-        body = line[len(kw):].strip()
+    for lineno, line in _statements(text):
+        word = line.split(None, 1)[0]
+        kw = word.partition("=")[0] or word
+        body = line.strip()[len(kw):].strip()
         try:
             if kw == "atom":
                 name, eq, value = (part.strip() for part in body.partition("="))
@@ -654,7 +646,7 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
                 if not body.startswith("=") or not expr:
                     raise ValueError("usage: formula = <expression>")
                 # The expression starts at the first non-blank after the statement's '='.
-                column = len(raw) - len(raw[raw.index("=") + 1 :].lstrip()) + 1
+                column = len(line) - len(line[line.index("=") + 1 :].lstrip()) + 1
                 ast = parse_formula(expr, line=lineno, col_offset=column)
             else:
                 raise ValueError(f"unknown statement {kw!r}")
@@ -683,17 +675,15 @@ def _read_state(kind: str, tokens, base_dir: Path) -> DensityOperator:
 
 
 def _read_statements(text: str, base_dir, statement) -> DensityOperator:
-    """The line loop of valuation and CHSH files.
+    """The statements of valuation and CHSH files, split at blanks.
 
-    Comments and blank lines are skipped, the one ``state`` line is read here
-    and every other statement goes to ``statement(keyword, args)``; an error
-    on a line is prefixed with its number.  Returns the state.
+    The one ``state`` line is read here and every other statement goes to
+    ``statement(keyword, args)``; an error on a line is located at its
+    number.  Returns the state.
     """
     state: DensityOperator | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()
-        if not toks:
-            continue
+    for lineno, line in _statements(text):
+        toks = line.split()
         try:
             if toks[0] != "state":
                 statement(toks[0], toks[1:])
@@ -704,7 +694,7 @@ def _read_statements(text: str, base_dir, statement) -> DensityOperator:
             else:
                 state = _read_state(toks[1], toks[2:], Path(base_dir))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+            raise _LocatedError(str(exc), lineno) from exc
     if state is None:
         raise ValueError("missing 'state' declaration")
     return state

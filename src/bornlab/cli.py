@@ -23,9 +23,6 @@ from pathlib import Path
 
 from .circuits import (
     inject_noise,
-    histogram_csv,
-    histogram_record,
-    histogram_table,
     output_distribution,
     parse_chsh_file,
     parse_circuit,
@@ -34,7 +31,7 @@ from .circuits import (
     sample,
 )
 from .linalg import STRUCTURAL_TOL, check_tol
-from .psa import Psa, chsh_preset, chsh_value, intensity
+from .psa import Psa, chsh_preset, chsh_value, global_valuation
 from .qcl import eval_formula
 
 FORMATS = ("table", "csv", "record")
@@ -93,7 +90,13 @@ def cmd_run(args) -> str:
 
 def cmd_sample(args) -> str:
     h = sample(_read_circuit(args), args.shots, args.seed)
-    return {"table": histogram_table, "csv": histogram_csv, "record": histogram_record}[args.fmt](h)
+    labels = sorted(h.counts)
+    if args.fmt == "table":
+        return f"shots {h.shots}\nseed {h.seed}\n" + "".join(f"{l} {h.counts[l]}\n" for l in labels)
+    if args.fmt == "csv":
+        head = f"# shots={h.shots} seed={h.seed}\noutcome,count\n"
+        return head + "".join(f"{l},{h.counts[l]}\n" for l in labels)
+    return _json_dump({"shots": h.shots, "seed": h.seed, "counts": h.counts})
 
 
 def cmd_eval(args) -> str:
@@ -104,12 +107,8 @@ def cmd_eval(args) -> str:
 def cmd_psa_table(args) -> str:
     check_tol(args.tol)
     state, contexts = parse_psa_file(*_read_input(args), tol=args.tol)
-    psa = Psa(state)
-    rows = [
-        (name, f"P{pi}", intensity(psa, p))
-        for name, context in contexts
-        for pi, p in enumerate(context.projectors)
-    ]
+    table = global_valuation(Psa(state), [context for _, context in contexts])
+    rows = [(contexts[ci][0], f"P{pi}", v) for (ci, pi), v in table.items()]
     if args.fmt == "table":
         return "".join(f"{c} {l} {v:.6f}\n" for c, l, v in rows)
     if args.fmt == "csv":

@@ -41,9 +41,6 @@ class Psa:
         self.rho = rho
         self.n_qubits = rho.n_qubits
 
-    def intensity(self, p: Projector) -> float:
-        return intensity(self, p)
-
     def __repr__(self) -> str:
         return f"Psa(n_qubits={self.n_qubits})"
 

@@ -50,14 +50,10 @@ class TruthProjectors:
         self.p1 = Projector(np.diag(last_bit.astype(complex)))
 
 
-def truth_projectors(n_qubits: int) -> TruthProjectors:
-    return TruthProjectors(n_qubits)
-
-
 def truth_probability(rho: DensityOperator) -> float:
     """Probability that the information stored by ``rho`` is true: its
     diagonal weight where the last bit is 1, summed as complex numbers the way
-    ``born_expectation(rho, truth_projectors(n).p1)`` sums its trace."""
+    ``born_expectation(rho, TruthProjectors(n).p1)`` sums its trace."""
     last_bit = np.arange(rho.dim) & 1
     return clamp_probability(float(np.real(np.sum(np.diagonal(rho.matrix) * last_bit))))
 

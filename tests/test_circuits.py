@@ -19,9 +19,6 @@ from bornlab.circuits import (
     Histogram,
     MeasureStep,
     NoiseStep,
-    histogram_csv,
-    histogram_record,
-    histogram_table,
     inject_noise,
     measured_positions,
     outcome_distribution,
@@ -560,7 +557,7 @@ class TestSampleProperties:
         for label in h.counts:
             assert label in dist
             assert all(label[i] == "0" for i in idle)
-        assert histogram_record(sample(ir, shots, seed)) == histogram_record(h)
+        assert sample(ir, shots, seed) == h
         n = 10**6
         counts = sample(ir, n, seed).counts
         for label, p in dist.items():
@@ -569,23 +566,6 @@ class TestSampleProperties:
             # halves of 0.5000000000000001), which makes p (1 - p) a tiny negative.
             bound = 6.0 * math.sqrt(max(n * p * (1.0 - p), 0.0)) + 6.0
             assert abs(counts.get(label, 0) - n * p) <= bound, (label, p)
-
-
-class TestHistogramSerialization:
-    def setup_method(self):
-        self.h = Histogram(shots=4, counts={"10": 1, "00": 3}, seed=9)
-
-    def test_table(self):
-        assert histogram_table(self.h) == "shots 4\nseed 9\n00 3\n10 1\n"
-
-    def test_csv(self):
-        assert histogram_csv(self.h) == "# shots=4 seed=9\noutcome,count\n00,3\n10,1\n"
-
-    def test_record_round_trips_through_json(self):
-        import json
-
-        payload = json.loads(histogram_record(self.h))
-        assert payload == {"shots": 4, "seed": 9, "counts": {"00": 3, "10": 1}}
 
 
 class TestInjectNoise:

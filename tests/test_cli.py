@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 
 from bornlab import circuits, linalg, states
-from bornlab.cli import build_parser, main
+from bornlab.circuits import parse_chsh_file, parse_circuit, parse_formula_file, parse_psa_file
+from bornlab.cli import FORMATS, build_parser, main
 
 from conftest import THREE_QUBIT_DEMO
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 HADAMARD = "qubits 1\ngate h 0\nmeasure all\n"
 
 ZERO_STATE_PSA = """\
@@ -134,6 +137,27 @@ class TestSample:
         assert "seed must be >= 0" in capsys.readouterr().err
 
 
+class TestHistogramSerialization:
+    """The exact bytes of each histogram format, on a circuit whose counts
+    no seed can move: ``not 0`` on two qubits gives {"10": 4} at 4 shots."""
+
+    def sample(self, fmt, tmp_path, capsys):
+        path = tmp_path / "not.qc"
+        path.write_text("qubits 2\ngate not 0\n", encoding="utf-8")
+        assert main(["sample", str(path), "--shots", "4", "--seed", "9", "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    def test_table(self, tmp_path, capsys):
+        assert self.sample("table", tmp_path, capsys) == "shots 4\nseed 9\n10 4\n"
+
+    def test_csv(self, tmp_path, capsys):
+        assert self.sample("csv", tmp_path, capsys) == "# shots=4 seed=9\noutcome,count\n10,4\n"
+
+    def test_record(self, tmp_path, capsys):
+        want = '{\n  "counts": {\n    "10": 4\n  },\n  "seed": 9,\n  "shots": 4\n}\n'
+        assert self.sample("record", tmp_path, capsys) == want
+
+
 # Ten qubits, measured in full: q0 = q4 = q9 and q6 are fair coins, the rest 0.
 TEN_QUBITS_MEASURED = """\
 qubits 10
@@ -251,6 +275,18 @@ class TestEval:
         path.write_text(f"atom a = {literal}\nformula = a\n", encoding="utf-8")
         assert main(["eval", str(path)]) == 1
         assert capsys.readouterr().err == f"error: line 1, column 1: {message}\n"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_keyword_may_touch_its_equals_sign(self, fmt, tmp_path, capsys):
+        outputs = []
+        for text in ("atom a = (0.6, 0, 0.8, 0)\nformula = a\n", "atom a=(0.6, 0, 0.8, 0)\nformula=a\n"):
+            path = tmp_path / "f.qf"
+            path.write_text(text, encoding="utf-8")
+            assert main(["eval", str(path), "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        if fmt == "table":
+            assert outputs[1] == "0.640000\n"
 
     def test_unbound_atom(self, tmp_path, capsys):
         path = tmp_path / "f.qf"
@@ -485,6 +521,15 @@ DIAGNOSTICS = {
     "formula-only-equals": (
         "eval", "atom a = (1, 0, 0, 0)\nformula = =\n", [], "line 2, column 11: unexpected character '='"
     ),
+    # A formula file's keyword ends at its first blank or '='.
+    "formula-double-equals": (
+        "eval", "atom a = (1, 0, 0, 0)\nformula==a\n", [], "line 2, column 9: unexpected character '='"
+    ),
+    "keyword-equals": ("eval", "x=1\n", [], "line 1, column 1: unknown statement 'x'"),
+    "leading-equals": ("eval", "=a\n", [], "line 1, column 1: unknown statement '=a'"),
+    "atom-equals": (
+        "eval", "atom=a\nformula = a\n", [], "line 1, column 1: usage: atom <name> = <literal or circuit path>"
+    ),
     "state-circuit-usage": ("psa-table", "state circuit a.qc b.qc\n", [], "line 1: usage: state circuit <path>"),
     "state-kind": ("psa-table", "state mixed 1 0\n", [], "line 1: unknown state kind 'mixed'"),
     "state-duplicate": ("psa-table", "state pure 1 0\nstate pure 1 0\n", [], "line 2: duplicate state declaration"),
@@ -516,15 +561,39 @@ DIAGNOSTICS = {
 }
 
 
-@pytest.mark.parametrize("command, text, flags, message", DIAGNOSTICS.values(), ids=DIAGNOSTICS)
-def test_every_diagnostic_reads_exactly(command, text, flags, message, tmp_path, capsys):
+@pytest.fixture
+def input_dir(tmp_path):
+    """A directory that holds ``bad.qc``, the circuit some diagnostics name."""
     (tmp_path / "bad.qc").write_text("qubits 1\ngate wat 0\n", encoding="utf-8")
-    path = tmp_path / "input"
+    return tmp_path
+
+
+@pytest.mark.parametrize("command, text, flags, message", DIAGNOSTICS.values(), ids=DIAGNOSTICS)
+def test_every_diagnostic_reads_exactly(command, text, flags, message, input_dir, capsys):
+    path = input_dir / "input"
     path.write_text(text, encoding="utf-8")
     assert main([command, str(path), *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: " + message.format(dir=tmp_path) + "\n"
+    assert captured.err == "error: " + message.format(dir=input_dir) + "\n"
+
+
+# The library reader of each command's input file, given its text and directory.
+READERS = {
+    "run": lambda text, base_dir: parse_circuit(text),
+    "eval": parse_formula_file,
+    "psa-table": parse_psa_file,
+    "chsh": parse_chsh_file,
+}
+LOCATED = {key: entry for key, entry in DIAGNOSTICS.items() if re.match(r"line \d+", entry[3])}
+
+
+@pytest.mark.parametrize("command, text, flags, message", LOCATED.values(), ids=LOCATED)
+def test_every_located_error_carries_its_line(command, text, flags, message, input_dir):
+    with pytest.raises(ValueError) as exc:
+        READERS[command](text, input_dir)
+    assert str(exc.value) == message.format(dir=input_dir)
+    assert exc.value.line == int(re.match(r"line (\d+)", message).group(1))
 
 
 class TestTolFlag:
@@ -587,19 +656,51 @@ class TestTolFlag:
         assert capsys.readouterr().err == "error: tol must be positive and finite\n"
 
 
+# The command that reads each kind of demo file, by extension.
+DEMO_COMMANDS = {".qc": "run", ".qf": "eval", ".psa": "psa-table"}
+# What each demo prints in the table format, where it is pinned.
+DEMO_TABLES = {
+    "three_qubit_demo.qc": "000 1.000000\n",
+    "hadamard.qc": "0 0.500000\n1 0.500000\n",
+    "and_of_halves.qf": "0.250000\n",
+    "excluded_middle.qf": "0.750000\n",
+    "zero_state.psa": (
+        "computational P0 1.000000\ncomputational P1 0.000000\nhadamard P0 0.500000\nhadamard P1 0.500000\n"
+    ),
+}
+
+
 class TestDemoFiles:
     """The demo inputs shipped in demos/ stay working."""
 
-    def test_demo_directory(self, capsys):
-        demos = Path(__file__).resolve().parents[1] / "demos"
-        assert main(["run", str(demos / "three_qubit_demo.qc")]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == "000 1.000000"
-        assert main(["eval", str(demos / "and_of_halves.qf")]) == 0
-        assert capsys.readouterr().out == "0.250000\n"
-        assert main(["eval", str(demos / "excluded_middle.qf")]) == 0
-        assert capsys.readouterr().out == "0.750000\n"
-        assert main(["psa-table", str(demos / "zero_state.psa")]) == 0
-        assert "hadamard P0 0.500000" in capsys.readouterr().out
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("demo", sorted(DEMOS.iterdir()), ids=lambda path: path.name)
+    def test_every_demo_runs(self, demo, fmt, capsys):
+        assert main([DEMO_COMMANDS[demo.suffix], str(demo), "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out
+        if fmt == "table" and demo.name in DEMO_TABLES:
+            assert out == DEMO_TABLES[demo.name]
+
+    def test_kochen_specker_rays_keep_one_intensity_across_contexts(self, capsys):
+        path = DEMOS / "kochen_specker.psa"
+        assert main(["psa-table", str(path), "--format", "record"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        rays = {}  # (context, projector label) -> the ray's text in the file
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.startswith("context "):
+                context, count = line.split()[1], 0
+            elif line.startswith("vector "):
+                rays[context, f"P{count}"], count = line.split(None, 1)[1], count + 1
+        by_ray, by_context = {}, {}
+        for row in rows:
+            by_ray.setdefault(rays[row["context"], row["projector"]], []).append(row["intensity"])
+            by_context.setdefault(row["context"], []).append(row["intensity"])
+        assert len(by_ray) == 18 and all(len(values) == 2 for values in by_ray.values())
+        assert all(a == b for a, b in by_ray.values())  # bit for bit
+        assert len(by_context) == 9
+        assert all(len(values) == 4 and abs(sum(values) - 1.0) <= 1e-9 for values in by_context.values())
+        assert sorted({round(a, 12) for a, _ in by_ray.values()}) == [0.0, 0.25, 0.5, 1.0]
 
     @pytest.mark.parametrize("demo", ["hadamard", "three_qubit_demo"])
     @pytest.mark.parametrize("noise", [None, "bitflip:0.05", "depolarizing:0.1"])

@@ -70,7 +70,7 @@ class TestIntensity:
 
     def test_plus_state_against_ket0(self):
         psa = Psa(pure_to_density(qubit(INV_SQRT2, INV_SQRT2)))
-        assert abs(psa.intensity(projector_onto(basis_state(1, 0))) - 0.5) <= 1e-12
+        assert abs(intensity(psa, projector_onto(basis_state(1, 0))) - 0.5) <= 1e-12
 
     def test_monotone_under_projector_order(self):
         # P <= Q (QP = P) implies intensity(P) <= intensity(Q)

@@ -17,13 +17,13 @@ from bornlab.qcl import (
     GateApp,
     Not,
     Or,
+    TruthProjectors,
     eval_formula,
     eval_formula_state,
     qcl_and,
     qcl_not,
     qcl_or,
     truth_probability,
-    truth_projectors,
 )
 from bornlab.states import (
     DensityOperator,
@@ -52,7 +52,7 @@ def diag_truth_probability(rho):
 class TestTruthProjectors:
     def test_structure_is_exact(self):
         for n in (1, 2, 3):
-            tp = truth_projectors(n)
+            tp = TruthProjectors(n)
             dim = 2**n
             np.testing.assert_array_equal(
                 tp.p1.matrix, np.diag([(i & 1) + 0j for i in range(dim)])
@@ -61,7 +61,7 @@ class TestTruthProjectors:
             np.testing.assert_array_equal(tp.p0.matrix @ tp.p1.matrix, np.zeros((dim, dim)))
 
     def test_last_qubit_convention(self):
-        tp = truth_projectors(2)
+        tp = TruthProjectors(2)
         # |10> has last qubit 0: false
         assert tp.p0.matrix[2, 2] == 1.0
         # |01> has last qubit 1: true
@@ -98,7 +98,7 @@ class TestTruthProbability:
         rng = np.random.default_rng(103)
         for n in range(1, 8):
             for rho in (random_density(n, rng=rng), pure_to_density(random_pure(n, rng))):
-                expected = born_expectation(rho, truth_projectors(n).p1)
+                expected = born_expectation(rho, TruthProjectors(n).p1)
                 assert abs(truth_probability(rho) - expected) <= 1e-15
 
 
