@@ -119,8 +119,12 @@ GATES = {
     )
 }
 
-#: The noise kinds of the circuit DSL.
-NOISE_KINDS = ("bitflip", "depolarizing")
+#: The noise kinds of the circuit DSL, keyed by their names: each maps the
+#: probability p to the (Pauli name, weight) pairs of rho -> sum of w P rho P.
+NOISE_KINDS = {
+    "bitflip": lambda p: [("I", 1.0 - p), ("X", p)],
+    "depolarizing": lambda p: [("I", 1.0 - 3.0 * (p / 4.0)), ("X", p / 4.0), ("Y", p / 4.0), ("Z", p / 4.0)],
+}
 
 
 def builtin_gate(name: str) -> Gate:
@@ -353,15 +357,11 @@ def measurement_channel(n_qubits: int, measured) -> QuantumOperation:
 
 def noise_channel(kind: str, p: float, n_qubits: int, target: int) -> QuantumOperation:
     """Single-qubit noise of a kind of ``NOISE_KINDS`` on ``target``: Kraus
-    matrices sqrt(w) P, and masks built from the weights w themselves."""
+    matrices sqrt(w) P over the kind's (Pauli name, weight) pairs at ``p``,
+    and masks built from the weights w themselves."""
     check_noise_kind(kind)
     check_noise_probability(p)
-    if kind == "bitflip":
-        weighted = [("I", 1.0 - p), ("X", p)]
-    else:
-        q = p / 4.0
-        weighted = [("I", 1.0 - 3.0 * q), ("X", q), ("Y", q), ("Z", q)]
-    weighted = [(name, w) for name, w in weighted if w > 0.0]
+    weighted = [(name, w) for name, w in NOISE_KINDS[kind](p) if w > 0.0]
     op = QuantumOperation([np.sqrt(w) * _PAULIS[name] for name, w in weighted], [target], n_qubits)
     op._masks = _pauli_masks(weighted)
     return op

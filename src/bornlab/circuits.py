@@ -83,7 +83,11 @@ class NoiseStep:
 
 @dataclass(frozen=True)
 class MeasureStep:
-    targets: tuple[int, ...] | None = None  # None means all qubits
+    """The qubits a circuit's final step measures.  In an IR they are listed,
+    sorted; ``MeasureStep()`` (``None``) is accepted as constructor input
+    for every qubit, and ``CircuitIr`` lists them."""
+
+    targets: tuple[int, ...] | None = None
 
 
 Step = GateStep | NoiseStep | MeasureStep
@@ -120,8 +124,6 @@ def _check_step(n_qubits: int, step: Step, previous: Step | None) -> None:
                 raise _StepError(str(exc), token) from None
         targets, first, what = (step.target,), 3, "target"
     elif isinstance(step, MeasureStep):
-        if step.targets is None:
-            return
         if not step.targets:
             raise _StepError("measure step needs at least one qubit", 0)
         targets, first, what = step.targets, 1, "measured qubit"
@@ -140,13 +142,16 @@ class CircuitIr:
 
     def __post_init__(self):
         check_qubit_count(self.n_qubits)
-        for previous, step in zip((None, *self.steps), self.steps):
+        # One circuit has one IR: a measure step lists its qubits, every one
+        # for ``MeasureStep(None)``, and the final one keeps them sorted so
+        # that its labels read in register order.
+        every, none = MeasureStep(tuple(range(self.n_qubits))), MeasureStep(None)
+        steps = tuple(every if step == none else step for step in self.steps)
+        for previous, step in zip((None, *steps), steps):
             _check_step(self.n_qubits, step, previous)
-        last = self.steps[-1] if self.steps else None
-        if isinstance(last, MeasureStep) and last.targets is not None:
-            # A measured set is kept sorted, as ``measure`` text gives it, so
-            # one circuit has one IR and its labels read in register order.
-            object.__setattr__(self, "steps", (*self.steps[:-1], MeasureStep(tuple(sorted(last.targets)))))
+        if steps and isinstance(steps[-1], MeasureStep):
+            steps = (*steps[:-1], MeasureStep(tuple(sorted(steps[-1].targets))))
+        object.__setattr__(self, "steps", steps)
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -164,8 +169,9 @@ def _number(convert, what: str, token: tuple[str, int], lineno: int):
         raise CircuitParseError(f"expected {what}, got {tok!r}", lineno, col) from None
 
 
-def _parse_step(toks: list[tuple[str, int]], lineno: int) -> Step:
-    """The step a statement spells; only its syntax is checked here."""
+def _parse_step(toks: list[tuple[str, int]], lineno: int, n_qubits: int) -> Step:
+    """The step a statement spells on ``n_qubits``; only its syntax is checked
+    here."""
     (kw, col), args = toks[0], toks[1:]
 
     def index(token):
@@ -183,7 +189,7 @@ def _parse_step(toks: list[tuple[str, int]], lineno: int) -> Step:
         if not args:
             raise CircuitParseError("usage: measure all | measure <i>...", lineno, col)
         if len(args) == 1 and args[0][0] == "all":
-            return MeasureStep(None)
+            return MeasureStep(tuple(range(n_qubits)))
         return MeasureStep(tuple(map(index, args)))
     if kw == "qubits":
         raise CircuitParseError("duplicate 'qubits' declaration", lineno, col)
@@ -208,7 +214,7 @@ def parse_circuit(text: str) -> CircuitIr:
             except ValueError as exc:
                 raise CircuitParseError(str(exc), lineno, toks[1][1]) from None
             continue
-        step = _parse_step(toks, lineno)
+        step = _parse_step(toks, lineno, n_qubits)
         try:
             _check_step(n_qubits, step, steps[-1] if steps else None)
         except _StepError as exc:
@@ -227,11 +233,10 @@ def pretty_print(ir: CircuitIr) -> str:
             lines.append("gate " + step.name + " " + " ".join(map(str, step.targets)))
         elif isinstance(step, NoiseStep):
             lines.append(f"noise {step.kind} {step.p!r} {step.target}")
-        elif isinstance(step, MeasureStep):
-            if step.targets is None:
-                lines.append("measure all")
-            else:
-                lines.append("measure " + " ".join(map(str, step.targets)))
+        elif step.targets == tuple(range(ir.n_qubits)):
+            lines.append("measure all")
+        else:
+            lines.append("measure " + " ".join(map(str, step.targets)))
     return "\n".join(lines) + "\n"
 
 
@@ -262,15 +267,15 @@ def _gate_prefix(ir: CircuitIr) -> tuple[np.ndarray, int]:
     return psi, len(ir.steps)
 
 
-def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> DensityOperator:
-    """Fold the circuit's steps over the input state (default |0..0><0..0|).
+def simulate(ir: CircuitIr) -> DensityOperator:
+    """Fold the circuit's steps over |0..0><0..0|.
 
-    Without ``input_state`` the circuit starts from the vector |0..0>, and
-    its leading gate steps act on that vector (``_gate_prefix``).  At the
-    first noise or measure step, or at the end, the vector becomes
-    |psi><psi|.  Each remaining step is one ``apply``, its trace checked
-    after each (2**n work); a measure step is one joint measurement channel
-    on all the measured qubits, one mask pass over the matrix.
+    The circuit starts from the vector |0..0>, and its leading gate steps act
+    on that vector (``_gate_prefix``).  At the first noise or measure step,
+    or at the end, the vector becomes |psi><psi|.  Each remaining step is
+    one ``apply``, its trace checked after each (2**n work); a measure step
+    is one joint measurement channel on all the measured qubits, one mask
+    pass over the matrix.
     Hermiticity and positivity are checked once, on the returned state, by
     ``states.check_density``: on the diagonal blocks of the measured sectors
     when the circuit ends in a measure step (their spectra make up the
@@ -281,16 +286,9 @@ def simulate(ir: CircuitIr, input_state: DensityOperator | None = None) -> Densi
     state, entry for entry.
     """
     n = ir.n_qubits
-    steps = list(enumerate(ir.steps, start=1))
-    if input_state is None:
-        psi, done = _gate_prefix(ir)
-        steps = steps[done:]
-        rho = DensityOperator._unchecked(np.outer(psi, psi.conj()))
-    else:
-        rho = input_state
-    if rho.n_qubits != n:
-        raise ValueError(f"input state has {rho.n_qubits} qubits, circuit has {n}")
-    for i, step in steps:
+    psi, done = _gate_prefix(ir)
+    rho = DensityOperator._unchecked(np.outer(psi, psi.conj()))
+    for i, step in enumerate(ir.steps[done:], start=done + 1):
         if isinstance(step, GateStep):
             rho = apply(lift_unitary(builtin_gate(step.name), n, step.targets), rho)
         elif isinstance(step, NoiseStep):
@@ -379,11 +377,10 @@ def _marginal(n: int, probs: np.ndarray, positions) -> tuple[list[str], np.ndarr
 
 
 def measured_positions(ir: CircuitIr) -> tuple[int, ...]:
-    """Qubits reported by sampling: the measure step's set, or all qubits."""
+    """Qubits reported by sampling: the final measure step's list, or all
+    qubits when the circuit has none."""
     if ir.steps and isinstance(ir.steps[-1], MeasureStep):
-        m = ir.steps[-1]
-        if m.targets is not None:
-            return m.targets
+        return ir.steps[-1].targets
     return tuple(range(ir.n_qubits))
 
 
@@ -762,9 +759,6 @@ def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
     return state, contexts
 
 
-_OBSERVABLE_NAMES = {"a": "a", "ap": "ap", "a'": "ap", "b": "b", "bp": "bp", "b'": "bp"}
-
-
 def parse_chsh_file(text: str, base_dir="."):
     """Parse a CHSH input: one ``state`` line and the four observables,
 
@@ -779,8 +773,8 @@ def parse_chsh_file(text: str, base_dir="."):
             raise ValueError(f"unknown statement {kw!r}")
         if len(args) < 2:
             raise ValueError("usage: observable <a|ap|b|bp> <4 entries>")
-        key = _OBSERVABLE_NAMES.get(args[0])
-        if key is None:
+        key = args[0]
+        if key not in ("a", "ap", "b", "bp"):
             raise ValueError("observable name must be a, ap, b, or bp")
         if key in observables:
             raise ValueError(f"duplicate observable {key!r}")

@@ -31,11 +31,10 @@ from .circuits import (
     sample,
 )
 from .linalg import STRUCTURAL_TOL, check_tol
-from .psa import Psa, chsh_preset, chsh_value, global_valuation
+from .psa import CHSH_PRESETS, Psa, chsh_preset, chsh_value, global_valuation
 from .qcl import eval_formula
 
 FORMATS = ("table", "csv", "record")
-CHSH_PRESETS = ("singlet-optimal", "product")
 
 
 def _parse_noise_flag(spec: str) -> tuple[str, float]:

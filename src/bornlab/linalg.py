@@ -45,21 +45,9 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (adjoint); of each matrix of a stack ``(k, d, d)``."""
     return a.conj().swapaxes(-1, -2)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor takes the higher-significance bits."""
-    return np.kron(a, b)
 
 
 def trace(a: np.ndarray) -> complex:
@@ -182,9 +170,9 @@ def sector_blocks(a: np.ndarray, n_qubits: int, measured) -> np.ndarray:
 
 def is_projector(a: np.ndarray) -> bool:
     """True iff ``a`` is hermitian and idempotent within ``STRUCTURAL_TOL``."""
-    return is_hermitian(a) and max_abs(matmul(a, a) - a) <= STRUCTURAL_TOL
+    return is_hermitian(a) and max_abs(a @ a - a) <= STRUCTURAL_TOL
 
 
 def is_unitary(a: np.ndarray) -> bool:
     """True iff dagger(a) @ a is the identity within ``STRUCTURAL_TOL``."""
-    return max_abs(matmul(dagger(a), a) - np.eye(a.shape[0])) <= STRUCTURAL_TOL
+    return max_abs(dagger(a) @ a - np.eye(a.shape[0])) <= STRUCTURAL_TOL

@@ -229,20 +229,25 @@ def singlet_state() -> DensityOperator:
     return pure_to_density(QuRegister(v))
 
 
-def chsh_preset(name: str):
-    """Named (state, a, a', b, b') bundles.
+#: The CHSH presets by name, each to its state: the singlet, where the
+#: settings of ``chsh_preset`` attain the quantum maximum S = 2*sqrt(2), and
+#: the separable |00><00|, which cannot exceed |S| = 2.
+CHSH_PRESETS = {
+    "singlet-optimal": singlet_state(),
+    "product": pure_to_density(basis_state(2, 0)),
+}
 
-    ``singlet-optimal`` pairs the singlet with settings that attain the
-    quantum maximum S = 2*sqrt(2); ``product`` keeps the same settings on
-    the separable state |00><00|, which cannot exceed |S| = 2.
-    """
+
+def chsh_preset(name: str):
+    """The (state, a, a', b, b') bundle of a preset of ``CHSH_PRESETS``: its
+    state, and the same four settings for every preset."""
+    try:
+        rho = CHSH_PRESETS[name]
+    except KeyError:
+        raise ValueError(f"unknown CHSH preset {name!r}") from None
     s2 = np.sqrt(2.0)
     a = np.asarray(PAULI_Z)
     a_prime = np.asarray(PAULI_X)
     b = -(np.asarray(PAULI_Z) + np.asarray(PAULI_X)) / s2
     b_prime = (np.asarray(PAULI_X) - np.asarray(PAULI_Z)) / s2
-    if name == "singlet-optimal":
-        return singlet_state(), a, a_prime, b, b_prime
-    if name == "product":
-        return pure_to_density(basis_state(2, 0)), a, a_prime, b, b_prime
-    raise ValueError(f"unknown CHSH preset {name!r}")
+    return rho, a, a_prime, b, b_prime

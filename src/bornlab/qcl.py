@@ -116,7 +116,7 @@ def qcl_and(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
     The result spans n + m + 1 qubits, at most ``MAX_QUBITS``."""
     n, m = rho.n_qubits, sigma.n_qubits
     check_qubit_count(n + m + 1)
-    joint = DensityOperator._unchecked(linalg.tensor(linalg.tensor(rho.matrix, sigma.matrix), _KET0))
+    joint = DensityOperator._unchecked(np.kron(np.kron(rho.matrix, sigma.matrix), _KET0))
     return apply(lift_unitary(builtin_gate("toffoli"), n + m + 1, [n - 1, n + m - 1, n + m]), joint)
 
 

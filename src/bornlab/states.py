@@ -211,7 +211,7 @@ def born_expectation(rho: DensityOperator, p: Projector) -> float:
     """The value Re trace(rho @ P), clamped to [0, 1] by ``clamp_probability``."""
     if rho.n_qubits != p.n_qubits:
         raise ValueError("state and projector act on different qubit counts")
-    return clamp_probability(float(np.real(linalg.trace(linalg.matmul(rho.matrix, p.matrix)))))
+    return clamp_probability(float(np.real(linalg.trace(rho.matrix @ p.matrix))))
 
 
 def clamp_probability(v: float) -> float:

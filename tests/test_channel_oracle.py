@@ -4,14 +4,15 @@ The reference embeds every Kraus matrix into the full register with
 ``np.kron`` and a basis permutation, and applies it as a dense product; it
 uses nothing from ``bornlab.channels``.  Circuits are generated by
 hypothesis: every DSL gate with its targets in any order, both noise kinds,
-partial and full measurement, from |0..0> (whose leading gates run on a
-state vector) or a random mixed state.  The channels whose builders record
-masks (noise and measurement) are also drawn on their own, and ``evolve`` is
-checked against both the contraction path and the reference on them.  The
-gathers of the 0/1 gates ``id``, ``not``, ``cnot`` and ``toffoli`` and the
-joint measurement must equal, with ``np.array_equal``, what they replace: the
-contraction of the gate's matrix, and one single-qubit measurement after
-another.
+partial and full measurement, run by ``simulate`` from |0..0> (whose leading
+gates run on a state vector), or from a random mixed state by ``apply`` of
+the operations ``simulate`` builds for the steps.  The channels whose
+builders record masks (noise and measurement) are also drawn on their own,
+and ``evolve`` is checked against both the contraction path and the
+reference on them.  The gathers of the 0/1 gates ``id``, ``not``, ``cnot``
+and ``toffoli`` and the joint measurement must equal, with
+``np.array_equal``, what they replace: the contraction of the gate's matrix,
+and one single-qubit measurement after another.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from bornlab.channels import (
     Gate,
     _contract,
     _evolve_contracted,
+    apply,
     builtin_gate,
     evolve,
     lift_unitary,
@@ -75,12 +77,27 @@ def step_kraus(n, step):
     if isinstance(step, NoiseStep):
         weighted = PAULI_WEIGHTS[step.kind](step.p)
         return [np.sqrt(w) * embed(m, n, [step.target]) for w, m in weighted if w > 0]
-    return measurement_kraus(n, step.targets if step.targets is not None else range(n))
+    return measurement_kraus(n, step.targets)
 
 
 def reference_simulate(ir, rho):
     for step in ir.steps:
         rho = sum(k @ rho @ k.conj().T for k in step_kraus(ir.n_qubits, step))
+    return rho
+
+
+def apply_steps(ir, rho):
+    """``apply`` of the operation ``simulate`` builds for each of the IR's
+    steps, folded over the state ``rho``."""
+    n = ir.n_qubits
+    for step in ir.steps:
+        if isinstance(step, GateStep):
+            op = lift_unitary(builtin_gate(step.name), n, step.targets)
+        elif isinstance(step, NoiseStep):
+            op = noise_channel(step.kind, step.p, n, step.target)
+        else:
+            op = measurement_channel(n, step.targets)
+        rho = apply(op, rho)
     return rho
 
 
@@ -152,12 +169,13 @@ HANDOFF = CircuitIr(
 def test_simulate_matches_dense_reference(ir, seed):
     dim = 2**ir.n_qubits
     if seed is None:
-        state, rho0 = None, np.zeros((dim, dim))
+        rho0 = np.zeros((dim, dim))
         rho0[0, 0] = 1
+        got = simulate(ir).matrix
     else:
         state = random_density(ir.n_qubits, rng=seed)
         rho0 = state.matrix
-    got = simulate(ir, state).matrix
+        got = apply_steps(ir, state).matrix
     assert np.max(np.abs(got - reference_simulate(ir, rho0))) <= 1e-12
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bornlab import linalg
 from bornlab.channels import (
     GATES,
+    NOISE_KINDS,
     PAULI_Y,
     PAULI_Z,
     QuantumOperation,
@@ -421,3 +422,10 @@ class TestNoiseChannel:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="noise kind"):
             noise_channel("amplitude_damping", 0.1, 1, 0)
+
+    def test_every_kind_weighs_its_paulis_as_a_distribution(self):
+        for kind, weights in NOISE_KINDS.items():
+            for p in (0.0, 0.25, 0.5, 1.0):
+                ws = [w for _, w in weights(p)]
+                assert all(w >= 0.0 for w in ws), (kind, p)
+                assert sum(ws) == 1.0, (kind, p)

@@ -53,11 +53,19 @@ class TestParseCircuit:
         assert ir.n_qubits == 3
         assert len(ir.steps) == 6
         assert ir.steps[0] == GateStep("not", (0,))
-        assert ir.steps[-1] == MeasureStep(None)
+        assert ir.steps[-1] == MeasureStep((0, 1, 2))
 
     def test_empty_gate_list_is_valid(self):
         ir = parse_circuit("qubits 1\nmeasure all\n")
-        assert ir.steps == (MeasureStep(None),)
+        assert ir.steps == (MeasureStep((0,)),)
+
+    def test_measure_all_is_the_list_of_every_qubit(self):
+        every = parse_circuit("qubits 3\ngate h 0\nmeasure all\n")
+        listed = parse_circuit("qubits 3\ngate h 0\nmeasure 2 0 1\n")
+        assert every == listed
+        assert every.steps[-1] == MeasureStep((0, 1, 2))
+        assert pretty_print(every).endswith("\nmeasure all\n")
+        assert pretty_print(listed).endswith("\nmeasure all\n")
 
     def test_comments_and_blank_lines(self):
         ir = parse_circuit("# header\nqubits 2\n\ngate h 0  # trailing\n")
@@ -135,6 +143,11 @@ class TestPrettyPrintRoundTrip:
         with pytest.raises(CircuitParseError, match=r"^line 2, column 13: repeated measured qubit 2$"):
             parse_circuit("qubits 3\nmeasure 2 0 2\n")
 
+    def test_an_ir_lists_the_qubits_of_measure_step_none(self):
+        ir = CircuitIr(2, (GateStep("h", (0,)), MeasureStep()))
+        assert ir == CircuitIr(2, (GateStep("h", (0,)), MeasureStep((1, 0))))
+        assert ir.steps[-1] == MeasureStep((0, 1))
+
     def test_ir_validation_on_manual_construction(self):
         with pytest.raises(ValueError, match="final step"):
             CircuitIr(2, (MeasureStep(None), GateStep("h", (0,))))
@@ -153,7 +166,7 @@ def circuit_irs(draw, max_qubits=6, noise=True):
             name = draw(st.sampled_from(names))
             steps.append(GateStep(name, tuple(order[: GATES[name].arity])))
         else:
-            kind = draw(st.sampled_from(NOISE_KINDS))
+            kind = draw(st.sampled_from(sorted(NOISE_KINDS)))
             steps.append(NoiseStep(kind, draw(st.floats(0.0, 1.0)), order[0]))
     if draw(st.booleans()):
         measured = draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1))
@@ -249,18 +262,6 @@ class TestSimulate:
         ir = parse_circuit("qubits 2\ngate h 0\ngate cnot 0 1\ngate sqrtnot 1\n")
         rho = simulate(ir)
         assert rho.is_pure()
-
-    def test_custom_input_state(self):
-        ir = parse_circuit("qubits 1\ngate not 0\n")
-        out = simulate(ir, input_state=pure_to_density(basis_state(1, 1)))
-        np.testing.assert_allclose(
-            out.matrix, pure_to_density(basis_state(1, 0)).matrix, atol=1e-15
-        )
-
-    def test_input_dimension_mismatch(self):
-        ir = parse_circuit("qubits 2\n")
-        with pytest.raises(ValueError, match="qubits"):
-            simulate(ir, input_state=random_density(1, rng=3))
 
     def test_disjoint_gate_steps_commute(self):
         a = simulate(parse_circuit("qubits 2\ngate not 0\ngate h 1\n"))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornlab import circuits, linalg, states
+from bornlab import circuits, linalg, psa, states
 from bornlab.circuits import parse_chsh_file, parse_circuit, parse_formula_file, parse_psa_file
 from bornlab.cli import FORMATS, build_parser, main
 
@@ -459,6 +459,16 @@ class TestChsh:
         assert main(["chsh", str(path)]) == 1
         assert "eigenvalues" in capsys.readouterr().err
 
+    def test_every_preset_runs_and_is_named_in_the_help(self, capsys):
+        for name in psa.CHSH_PRESETS:
+            assert main(["chsh", name, "--format", "record"]) == 0
+            assert json.loads(capsys.readouterr().out) == {"S": psa.chsh_value(*psa.chsh_preset(name))}
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        # argparse may wrap the help line after the hyphen of a name.
+        text = " ".join(capsys.readouterr().out.split()).replace("- ", "-")
+        assert f"chsh evaluate S for an input file or preset ({', '.join(psa.CHSH_PRESETS)})" in text
+
     def test_missing_observable(self, tmp_path, capsys):
         path = tmp_path / "short.chsh"
         path.write_text(
@@ -553,6 +563,9 @@ DIAGNOSTICS = {
     ),
     "observable-name": (
         "chsh", CSTATE + "observable c 1 0 0 -1\n", [], "line 2: observable name must be a, ap, b, or bp"
+    ),
+    "observable-alias": (
+        "chsh", CSTATE + "observable a' 0 1 1 0\n", [], "line 2: observable name must be a, ap, b, or bp"
     ),
     "observable-duplicate": (
         "chsh", CSTATE + "observable a 1 0 0 -1\nobservable a 1 0 0 -1\n", [],
@@ -670,6 +683,21 @@ DEMO_TABLES = {
 }
 
 
+# Committed record outputs of every command on the demos and the CHSH presets:
+# a change that moves any byte of them shows here.
+RECORD_GOLDENS = {
+    **{
+        f"run/{demo}_{noise.partition(':')[0] or 'ideal'}": ["run", str(DEMOS / f"{demo}.qc")]
+        + (["--noise", noise] if noise else [])
+        for demo in ("hadamard", "three_qubit_demo")
+        for noise in ("", "bitflip:0.05", "depolarizing:0.1")
+    },
+    **{f"eval/{demo}": ["eval", str(DEMOS / f"{demo}.qf")] for demo in ("and_of_halves", "excluded_middle")},
+    **{f"psa-table/{demo}": ["psa-table", str(DEMOS / f"{demo}.psa")] for demo in ("kochen_specker", "zero_state")},
+    **{f"chsh/{preset}": ["chsh", preset] for preset in ("singlet-optimal", "product")},
+}
+
+
 class TestDemoFiles:
     """The demo inputs shipped in demos/ stay working."""
 
@@ -714,6 +742,12 @@ class TestDemoFiles:
         tag = noise.split(":")[0] if noise else "ideal"
         golden = tests / "golden" / "sample" / f"{demo}_{tag}.json"
         assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("golden, argv", RECORD_GOLDENS.items(), ids=RECORD_GOLDENS)
+    def test_records_match_their_goldens(self, golden, argv, capsys):
+        assert main([*argv, "--format", "record"]) == 0
+        path = Path(__file__).resolve().parent / "golden" / f"{golden}.json"
+        assert capsys.readouterr().out.encode() == path.read_bytes()
 
 
 class TestModuleEntryPoint:

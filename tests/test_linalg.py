@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import linalg
-from bornlab.channels import evolve, measurement_channel
+from bornlab.channels import HADAMARD, PAULI_X, SQRT_NOT, evolve, measurement_channel
 from bornlab.linalg import (
     as_matrix,
     dagger,
@@ -14,10 +14,8 @@ from bornlab.linalg import (
     is_projector,
     is_psd,
     is_unitary,
-    matmul,
     partial_trace,
     sector_blocks,
-    tensor,
     trace,
 )
 from bornlab.states import random_density
@@ -25,11 +23,7 @@ from bornlab.states import random_density
 from conftest import random_complex_matrix, random_unitary
 
 I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-SQRT_NOT = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
-KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 class TestAsMatrix:
@@ -49,17 +43,13 @@ class TestAsMatrix:
 
 class TestMatmul:
     def test_identity(self):
-        np.testing.assert_array_equal(matmul(I2, X), X)
+        np.testing.assert_array_equal(I2 @ PAULI_X, PAULI_X)
 
     def test_negation_is_involutive(self):
-        np.testing.assert_array_equal(matmul(X, X), I2)
+        np.testing.assert_array_equal(PAULI_X @ PAULI_X, I2)
 
     def test_hadamard_squares_to_identity(self):
-        assert linalg.max_abs(matmul(H, H) - I2) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(I2, np.eye(4))
+        assert linalg.max_abs(HADAMARD @ HADAMARD - I2) <= 1e-12
 
 
 class TestDagger:
@@ -71,40 +61,12 @@ class TestDagger:
         np.testing.assert_array_equal(dagger(a), np.array([[0, 0], [-1j, 0]]))
 
     def test_sqrt_not_is_unitary_by_product(self):
-        assert linalg.max_abs(matmul(dagger(SQRT_NOT), SQRT_NOT) - I2) <= 1e-12
+        assert linalg.max_abs(dagger(SQRT_NOT) @ SQRT_NOT - I2) <= 1e-12
 
     def test_involution_is_exact(self):
         rng = np.random.default_rng(11)
         a = random_complex_matrix(8, rng)
         np.testing.assert_array_equal(dagger(dagger(a)), a)
-
-
-class TestTensor:
-    def test_identity(self):
-        np.testing.assert_array_equal(tensor(I2, I2), np.eye(4))
-
-    def test_basis_projectors(self):
-        # |0><0| (x) |1><1| lands on label 01 = index 1 under the
-        # left-is-high-bit convention.
-        np.testing.assert_array_equal(tensor(KET0, KET1), np.diag([0, 1, 0, 0.0]))
-
-    def test_trace_is_multiplicative(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = random_complex_matrix(2, rng)
-            b = random_complex_matrix(2, rng)
-            assert abs(trace(tensor(a, b)) - trace(a) * trace(b)) <= 1e-12
-
-    def test_associative_on_gate_matrices(self):
-        for a, b, c in [(H, X, KET0), (SQRT_NOT, H, X), (KET1, H, H)]:
-            np.testing.assert_array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-
-    def test_associative_on_random_matrices(self):
-        rng = np.random.default_rng(5)
-        a, b, c = (random_complex_matrix(2, rng) for _ in range(3))
-        np.testing.assert_allclose(
-            tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-13
-        )
 
 
 class TestTrace:
@@ -119,7 +81,14 @@ class TestTrace:
         for dim in (4, 8):
             a = random_complex_matrix(dim, rng)
             b = random_complex_matrix(dim, rng)
-            assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) <= 1e-12
+            assert abs(trace(a @ b) - trace(b @ a)) <= 1e-12
+
+    def test_trace_is_multiplicative(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            a = random_complex_matrix(2, rng)
+            b = random_complex_matrix(2, rng)
+            assert abs(trace(np.kron(a, b)) - trace(a) * trace(b)) <= 1e-12
 
 
 class TestPartialTrace:
@@ -129,8 +98,8 @@ class TestPartialTrace:
 
         rho = random_density(1, rng=rng).matrix
         sigma = random_density(1, rng=rng).matrix
-        np.testing.assert_allclose(partial_trace(tensor(rho, sigma), 2, {1}), rho, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(tensor(rho, sigma), 2, {0}), sigma, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(np.kron(rho, sigma), 2, {1}), rho, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(np.kron(rho, sigma), 2, {0}), sigma, atol=1e-12)
 
     def test_bell_state_reduces_to_maximally_mixed(self):
         v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -157,7 +126,7 @@ class TestPartialTrace:
 
 class TestPredicates:
     def test_hermitian(self):
-        assert is_hermitian(H, 1e-12)
+        assert is_hermitian(HADAMARD, 1e-12)
         assert not is_hermitian(np.array([[0, 1], [0, 0.0]]), 1e-12)
         assert not is_hermitian(SQRT_NOT, 1e-12)
 
@@ -180,7 +149,7 @@ class TestPredicates:
             assert is_projector(p)
             assert linalg.max_abs(p - dagger(p)) <= 1e-12
             assert linalg.max_abs(p @ p - p) <= 1e-12
-        assert not is_projector(H)
+        assert not is_projector(HADAMARD)
 
     def test_projectors_are_psd_with_binary_spectrum(self):
         rng = np.random.default_rng(23)
@@ -192,7 +161,7 @@ class TestPredicates:
             assert np.all((np.abs(eigs) <= 1e-10) | (np.abs(eigs - 1) <= 1e-10))
 
     def test_unitary(self):
-        for u in (H, SQRT_NOT):
+        for u in (HADAMARD, SQRT_NOT):
             assert is_unitary(u)
             assert linalg.max_abs(dagger(u) @ u - I2) <= 1e-12
         assert not is_unitary(KET0)

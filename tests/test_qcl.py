@@ -237,14 +237,14 @@ MAX_COMPOSITE_QUBITS = 8  # uncapped trees reach 20+ qubits
 
 def reference_state(ast, bindings):
     """The composite built step by step, independently of ``qcl``: each
-    connective spelled out with ``linalg.tensor``, ``lift_unitary`` and ``apply``."""
+    connective spelled out with ``np.kron``, ``lift_unitary`` and ``apply``."""
 
     def on_truth_qubit(gate, rho):
         return apply(lift_unitary(builtin_gate(gate), rho.n_qubits, [rho.n_qubits - 1]), rho)
 
     def conjunction(rho, sigma):
         n, m = rho.n_qubits, sigma.n_qubits
-        joint = DensityOperator(linalg.tensor(linalg.tensor(rho.matrix, sigma.matrix), KET0))
+        joint = DensityOperator(np.kron(np.kron(rho.matrix, sigma.matrix), KET0))
         return apply(lift_unitary(builtin_gate("toffoli"), n + m + 1, [n - 1, n + m - 1, n + m]), joint)
 
     match ast:
