@@ -12,10 +12,9 @@ from .channels import (
 )
 from .circuits import (
     CircuitIr,
-    CircuitParseError,
-    FormulaParseError,
     GateStep,
     Histogram,
+    InputError,
     MeasureStep,
     NoiseStep,
     inject_noise,
@@ -32,7 +31,6 @@ from .circuits import (
 )
 from .psa import (
     Context,
-    Psa,
     check_additivity,
     check_noncontextuality,
     chsh_preset,

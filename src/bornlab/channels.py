@@ -141,6 +141,8 @@ def check_noise_kind(kind: str) -> None:
 
 
 def check_noise_probability(p: float) -> None:
+    if isinstance(p, bool):
+        raise ValueError(f"noise probability {p} is not a number")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability {p} out of [0, 1]")
 

@@ -20,8 +20,9 @@ Formula files for the logic layer bind names to literal qubits or circuit
 files in an ``atom`` preamble, and a single ``formula`` line gives the
 expression, with precedence ! > & > |.  Valuation (psa) and CHSH files share
 one ``state`` line.  All four formats share one statement loop,
-``_statements``, and every error in a file's text names its line.  Every
-state, vector and matrix read from a file spans at most ``MAX_QUBITS`` qubits.
+``_statements``, and every fault in a file's text raises ``InputError``.
+Every state, vector and matrix read from a file spans at most ``MAX_QUBITS``
+qubits.
 """
 
 from __future__ import annotations
@@ -41,16 +42,17 @@ from .linalg import STRUCTURAL_TOL
 from .psa import Context
 from .qcl import And, Atom, Formula, Not, Or
 from .states import DensityOperator, Projector, QuRegister, check_qubit_count
-from .states import TargetError, check_density, check_targets, pure_to_density
+from .states import TargetError, check_density, check_targets, is_integer, pure_to_density
 
 
-class _LocatedError(ValueError):
-    """An error in input text, with its line, and its column where the
-    format has columns (circuits and formulas)."""
+class InputError(ValueError):
+    """A fault in an input file's text, raised by every reader: ``line`` is the
+    statement's line, ``column`` its column in circuits and formulas, and a
+    fault of the whole file has neither."""
 
-    def __init__(self, message: str, line: int, column: int | None = None):
-        where = f"line {line}" if column is None else f"line {line}, column {column}"
-        super().__init__(f"{where}: {message}")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        where = "" if line is None else f"line {line}: " if column is None else f"line {line}, column {column}: "
+        super().__init__(where + message)
         self.line = line
         self.column = column
 
@@ -62,10 +64,6 @@ def _statements(text: str):
         line = raw.split("#", 1)[0]
         if line and not line.isspace():
             yield lineno, line
-
-
-class CircuitParseError(_LocatedError):
-    """Syntax or validation error in circuit text, with line and column."""
 
 
 @dataclass(frozen=True)
@@ -144,11 +142,13 @@ class CircuitIr:
         check_qubit_count(self.n_qubits)
         # One circuit has one IR: a measure step lists its qubits, every one
         # for ``MeasureStep(None)``, and the final one keeps them sorted so
-        # that its labels read in register order.
+        # that its labels read in register order; a noise probability is a
+        # Python float, which ``pretty_print`` writes as a number.
         every, none = MeasureStep(tuple(range(self.n_qubits))), MeasureStep(None)
         steps = tuple(every if step == none else step for step in self.steps)
         for previous, step in zip((None, *steps), steps):
             _check_step(self.n_qubits, step, previous)
+        steps = tuple(NoiseStep(s.kind, float(s.p), s.target) if isinstance(s, NoiseStep) else s for s in steps)
         if steps and isinstance(steps[-1], MeasureStep):
             steps = (*steps[:-1], MeasureStep(tuple(sorted(steps[-1].targets))))
         object.__setattr__(self, "steps", steps)
@@ -166,7 +166,7 @@ def _number(convert, what: str, token: tuple[str, int], lineno: int):
     try:
         return convert(tok)
     except ValueError:
-        raise CircuitParseError(f"expected {what}, got {tok!r}", lineno, col) from None
+        raise InputError(f"expected {what}, got {tok!r}", lineno, col) from None
 
 
 def _parse_step(toks: list[tuple[str, int]], lineno: int, n_qubits: int) -> Step:
@@ -179,25 +179,25 @@ def _parse_step(toks: list[tuple[str, int]], lineno: int, n_qubits: int) -> Step
 
     if kw == "gate":
         if not args:
-            raise CircuitParseError("usage: gate <name> <target>...", lineno, col)
+            raise InputError("usage: gate <name> <target>...", lineno, col)
         return GateStep(args[0][0], tuple(map(index, args[1:])))
     if kw == "noise":
         if len(args) != 3:
-            raise CircuitParseError("usage: noise <bitflip|depolarizing> <p> <target>", lineno, col)
+            raise InputError("usage: noise <bitflip|depolarizing> <p> <target>", lineno, col)
         return NoiseStep(args[0][0], _number(float, "a probability", args[1], lineno), index(args[2]))
     if kw == "measure":
         if not args:
-            raise CircuitParseError("usage: measure all | measure <i>...", lineno, col)
+            raise InputError("usage: measure all | measure <i>...", lineno, col)
         if len(args) == 1 and args[0][0] == "all":
             return MeasureStep(tuple(range(n_qubits)))
         return MeasureStep(tuple(map(index, args)))
     if kw == "qubits":
-        raise CircuitParseError("duplicate 'qubits' declaration", lineno, col)
-    raise CircuitParseError(f"unknown statement {kw!r}", lineno, col)
+        raise InputError("duplicate 'qubits' declaration", lineno, col)
+    raise InputError(f"unknown statement {kw!r}", lineno, col)
 
 
 def parse_circuit(text: str) -> CircuitIr:
-    """Parse circuit text into its IR; errors carry line and column."""
+    """Parse circuit text into its IR; a fault raises ``InputError``."""
     n_qubits: int | None = None
     steps: list[Step] = []
     for lineno, line in _statements(text):
@@ -205,23 +205,23 @@ def parse_circuit(text: str) -> CircuitIr:
         if n_qubits is None:
             kw, col = toks[0]
             if kw != "qubits":
-                raise CircuitParseError("expected 'qubits <n>' as the first statement", lineno, col)
+                raise InputError("expected 'qubits <n>' as the first statement", lineno, col)
             if len(toks) != 2:
-                raise CircuitParseError("usage: qubits <n>", lineno, col)
+                raise InputError("usage: qubits <n>", lineno, col)
             n_qubits = _number(int, "an integer", toks[1], lineno)
             try:
                 check_qubit_count(n_qubits)
             except ValueError as exc:
-                raise CircuitParseError(str(exc), lineno, toks[1][1]) from None
+                raise InputError(str(exc), lineno, toks[1][1]) from None
             continue
         step = _parse_step(toks, lineno, n_qubits)
         try:
             _check_step(n_qubits, step, steps[-1] if steps else None)
         except _StepError as exc:
-            raise CircuitParseError(str(exc), lineno, toks[exc.token][1]) from None
+            raise InputError(str(exc), lineno, toks[exc.token][1]) from None
         steps.append(step)
     if n_qubits is None:
-        raise CircuitParseError("empty circuit: expected 'qubits <n>'", 1, 1)
+        raise InputError("empty circuit: expected 'qubits <n>'", 1, 1)
     return CircuitIr(n_qubits, tuple(steps))
 
 
@@ -417,6 +417,9 @@ def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
     and memory grow with the outcomes, not the shots.  Identical (ir, shots,
     seed) triples give identical histograms.
     """
+    for what, value in (("shots", shots), ("seed", seed)):
+        if not is_integer(value):
+            raise ValueError(f"{what} {value} is not an integer")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if shots > MAX_SHOTS:
@@ -432,10 +435,6 @@ def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
 
 
 # --- formula text -----------------------------------------------------------
-
-
-class FormulaParseError(_LocatedError):
-    """Syntax error in formula text, with line and column."""
 
 
 def _tokenize_formula(text: str, line: int, col_offset: int) -> list[tuple[str, str, int]]:
@@ -456,7 +455,7 @@ def _tokenize_formula(text: str, line: int, col_offset: int) -> list[tuple[str, 
             tokens.append(("ident", text[i:j], col))
             i = j
         else:
-            raise FormulaParseError(f"unexpected character {c!r}", line, col)
+            raise InputError(f"unexpected character {c!r}", line, col)
     return tokens
 
 
@@ -482,12 +481,12 @@ class _FormulaParser:
         node, _ = self.parse_or(0)
         tok = self.peek()
         if tok is not None:
-            raise FormulaParseError(f"unexpected token {tok[1]!r}", self.line, tok[2])
+            raise InputError(f"unexpected token {tok[1]!r}", self.line, tok[2])
         return node
 
     def check_depth(self, depth: int, col: int) -> int:
         if depth > MAX_FORMULA_DEPTH:
-            raise FormulaParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", self.line, col)
+            raise InputError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", self.line, col)
         return depth
 
     def parse_chain(self, op: str, node_type, operand, nesting: int):
@@ -507,13 +506,13 @@ class _FormulaParser:
     def parse_unary(self, nesting: int):
         tok = self.peek()
         if tok is None:
-            raise FormulaParseError("unexpected end of formula", self.line, self.end_col)
+            raise InputError("unexpected end of formula", self.line, self.end_col)
         kind, text, col = tok
         self.pos += 1
         if kind == "ident":
             return Atom(text), 0
         if kind not in ("!", "("):
-            raise FormulaParseError(f"unexpected token {text!r}", self.line, col)
+            raise InputError(f"unexpected token {text!r}", self.line, col)
         self.check_depth(nesting + 1, col)
         if kind == "!":
             child, depth = self.parse_unary(nesting + 1)
@@ -521,7 +520,7 @@ class _FormulaParser:
         node, depth = self.parse_or(nesting + 1)
         closing = self.peek()
         if closing is None or closing[0] != ")":
-            raise FormulaParseError("expected ')'", self.line, self.end_col if closing is None else closing[2])
+            raise InputError("expected ')'", self.line, self.end_col if closing is None else closing[2])
         self.pos += 1
         return node, self.check_depth(depth + 1, col)
 
@@ -583,7 +582,7 @@ def _circuit_state(value: str, base_dir: Path) -> DensityOperator:
         raise ValueError(f"cannot read circuit {str(path)!r}: {exc}") from exc
     try:
         return simulate(parse_circuit(text))
-    except CircuitParseError as exc:
+    except InputError as exc:
         raise ValueError(f"in circuit {str(path)!r}: {exc}") from exc
 
 
@@ -616,12 +615,13 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
 
     A statement's keyword ends at its first blank or ``=``, so
     ``formula=a`` reads as ``formula = a``.  Literal qubits are normalized;
-    circuit paths resolve relative to ``base_dir``.  Returns the formula
-    tree and the atom bindings.
+    circuit paths resolve relative to ``base_dir``.  A fault raises
+    ``InputError``, an unbound atom at its column.  Returns the formula tree
+    and the atom bindings.
     """
     base = Path(base_dir)
     bindings: dict[str, DensityOperator] = {}
-    ast: Formula | None = None
+    formula = None  # the formula line's tree, expression, line and column
     for lineno, line in _statements(text):
         word = line.split(None, 1)[0]
         kw = word.partition("=")[0] or word
@@ -638,21 +638,25 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
                 bindings[name] = _atom_literal(value) if value.startswith("(") else _circuit_state(value, base)
             elif kw == "formula":
                 expr = body[1:].strip()
-                if ast is not None:
+                if formula is not None:
                     raise ValueError("duplicate formula line")
                 if not body.startswith("=") or not expr:
                     raise ValueError("usage: formula = <expression>")
                 # The expression starts at the first non-blank after the statement's '='.
                 column = len(line) - len(line[line.index("=") + 1 :].lstrip()) + 1
-                ast = parse_formula(expr, line=lineno, col_offset=column)
+                formula = (parse_formula(expr, line=lineno, col_offset=column), expr, lineno, column)
             else:
                 raise ValueError(f"unknown statement {kw!r}")
-        except FormulaParseError:
+        except InputError:
             raise
         except ValueError as exc:  # every other error on the line is located at its start
-            raise FormulaParseError(str(exc), lineno, 1) from exc
-    if ast is None:
-        raise FormulaParseError("missing 'formula =' line", len(text.splitlines()) or 1, 1)
+            raise InputError(str(exc), lineno, 1) from exc
+    if formula is None:
+        raise InputError("missing 'formula =' line", len(text.splitlines()) or 1, 1)
+    ast, expr, lineno, column = formula
+    for kind, name, col in _tokenize_formula(expr, lineno, column):
+        if kind == "ident" and name not in bindings:
+            raise InputError(f"unbound atom {name!r}", lineno, col)
     return ast, bindings
 
 
@@ -675,15 +679,15 @@ def _read_statements(text: str, base_dir, statement) -> DensityOperator:
     """The statements of valuation and CHSH files, split at blanks.
 
     The one ``state`` line is read here and every other statement goes to
-    ``statement(keyword, args)``; an error on a line is located at its
-    number.  Returns the state.
+    ``statement(line number, keyword, args)``; a ``ValueError`` on a line
+    becomes an ``InputError`` at its number.  Returns the state.
     """
     state: DensityOperator | None = None
     for lineno, line in _statements(text):
         toks = line.split()
         try:
             if toks[0] != "state":
-                statement(toks[0], toks[1:])
+                statement(lineno, toks[0], toks[1:])
             elif state is not None:
                 raise ValueError("duplicate state declaration")
             elif len(toks) < 3:
@@ -691,9 +695,9 @@ def _read_statements(text: str, base_dir, statement) -> DensityOperator:
             else:
                 state = _read_state(toks[1], toks[2:], Path(base_dir))
         except ValueError as exc:
-            raise _LocatedError(str(exc), lineno) from exc
+            raise InputError(str(exc), lineno) from exc
     if state is None:
-        raise ValueError("missing 'state' declaration")
+        raise InputError("missing 'state' declaration")
     return state
 
 
@@ -708,20 +712,23 @@ def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
 
     Returns the state and a list of (name, Context); ``tol`` is the
     tolerance of the context checks.  Context names are distinct, and every
-    context acts on the state's qubit count.
+    context acts on the state's qubit count.  A fault raises ``InputError``,
+    one of a whole context block at its ``context`` line.
     """
     contexts: list[tuple[str, Context]] = []
+    opened: dict[str, int] = {}  # each context's name, to the line that opens it
     current: tuple[str, list] | None = None  # the open context block
 
-    def statement(kw: str, args) -> None:
+    def statement(lineno: int, kw: str, args) -> None:
         nonlocal current
         if kw == "context":
             if current is not None:
                 raise ValueError("previous context not closed with 'end'")
             if len(args) != 1:
                 raise ValueError("usage: context <name>")
-            if any(name == args[0] for name, _ in contexts):
+            if args[0] in opened:
                 raise ValueError(f"duplicate context {args[0]!r}")
+            opened[args[0]] = lineno
             current = (args[0], [])
         elif kw in ("vector", "projector"):
             if current is None:
@@ -747,14 +754,15 @@ def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
 
     state = _read_statements(text, base_dir, statement)
     if current is not None:
-        raise ValueError(f"context {current[0]!r} not closed with 'end'")
+        raise InputError(f"context {current[0]!r} not closed with 'end'", opened[current[0]])
     if not contexts:
-        raise ValueError("no contexts declared")
+        raise InputError("no contexts declared")
     for name, context in contexts:
         if context.n_qubits != state.n_qubits:
-            raise ValueError(
+            raise InputError(
                 f"context {name!r} and the state act on different qubit counts"
-                f" ({context.n_qubits} and {state.n_qubits})"
+                f" ({context.n_qubits} and {state.n_qubits})",
+                opened[name],
             )
     return state, contexts
 
@@ -764,11 +772,11 @@ def parse_chsh_file(text: str, base_dir="."):
 
         observable <a|ap|b|bp> <c...>      # 2x2 matrix, row-major
 
-    Returns (state, a, a', b, b').
+    Returns (state, a, a', b, b'); every fault raises ``InputError``.
     """
     observables: dict[str, np.ndarray] = {}
 
-    def statement(kw: str, args) -> None:
+    def statement(lineno: int, kw: str, args) -> None:
         if kw != "observable":
             raise ValueError(f"unknown statement {kw!r}")
         if len(args) < 2:
@@ -783,5 +791,5 @@ def parse_chsh_file(text: str, base_dir="."):
     state = _read_statements(text, base_dir, statement)
     missing = [k for k in ("a", "ap", "b", "bp") if k not in observables]
     if missing:
-        raise ValueError(f"missing observables: {', '.join(missing)}")
+        raise InputError(f"missing observables: {', '.join(missing)}")
     return state, observables["a"], observables["ap"], observables["b"], observables["bp"]

@@ -31,7 +31,7 @@ from .circuits import (
     sample,
 )
 from .linalg import STRUCTURAL_TOL, check_tol
-from .psa import CHSH_PRESETS, Psa, chsh_preset, chsh_value, global_valuation
+from .psa import CHSH_PRESETS, chsh_preset, chsh_value, global_valuation
 from .qcl import eval_formula
 
 FORMATS = ("table", "csv", "record")
@@ -106,7 +106,7 @@ def cmd_eval(args) -> str:
 def cmd_psa_table(args) -> str:
     check_tol(args.tol)
     state, contexts = parse_psa_file(*_read_input(args), tol=args.tol)
-    table = global_valuation(Psa(state), [context for _, context in contexts])
+    table = global_valuation(state, [context for _, context in contexts])
     rows = [(contexts[ci][0], f"P{pi}", v) for (ci, pi), v in table.items()]
     if args.fmt == "table":
         return "".join(f"{c} {l} {v:.6f}\n" for c, l, v in rows)

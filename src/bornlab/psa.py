@@ -4,7 +4,10 @@ A density operator generates an additive [0, 1] valuation on the set of
 projectors: the intensity of a projector P is Tr(rho P).  The valuation
 assigns 1 to the identity, is additive over pairwise-orthogonal families,
 and is non-contextual by construction: a projector's intensity does not
-depend on which decomposition of the identity it is considered through.
+depend on which decomposition of the identity it is considered through,
+so the valuation functions take the state itself.  Finite dimension makes
+countable additivity coincide with the finite additivity checked here (no
+orthogonal family has more than ``dim`` nonzero members).
 
 The same machinery supports the inverse direction (reconstructing the
 generating density operator from intensities over an informationally
@@ -29,25 +32,9 @@ from .states import (
 )
 
 
-class Psa:
-    """A potential state of affairs: the valuation generated by ``rho``.
-
-    Finite dimension makes countable additivity coincide with the finite
-    additivity checked here (no orthogonal family has more than ``dim``
-    nonzero members).
-    """
-
-    def __init__(self, rho: DensityOperator):
-        self.rho = rho
-        self.n_qubits = rho.n_qubits
-
-    def __repr__(self) -> str:
-        return f"Psa(n_qubits={self.n_qubits})"
-
-
-def intensity(psa: Psa, p: Projector) -> float:
-    """The potentia Tr(rho P) assigned to the projector P."""
-    return born_expectation(psa.rho, p)
+def intensity(rho: DensityOperator, p: Projector) -> float:
+    """The potentia Tr(rho P) the state ``rho`` assigns to the projector P."""
+    return born_expectation(rho, p)
 
 
 def _check_orthogonal(ps, tol: float) -> None:
@@ -80,12 +67,13 @@ def join_projectors(ps) -> Projector:
     return Projector(total)
 
 
-def check_additivity(psa: Psa, ps) -> bool:
-    """True iff the join's intensity is the sum of intensities, within ``STRUCTURAL_TOL``."""
+def check_additivity(rho: DensityOperator, ps) -> bool:
+    """True iff ``rho`` gives the join the sum of the intensities it gives
+    the members, within ``STRUCTURAL_TOL``."""
     ps = list(ps)
     joined = join_projectors(ps)
-    total = sum(intensity(psa, p) for p in ps)
-    return abs(intensity(psa, joined) - total) <= STRUCTURAL_TOL
+    total = sum(intensity(rho, p) for p in ps)
+    return abs(intensity(rho, joined) - total) <= STRUCTURAL_TOL
 
 
 class Context:
@@ -107,32 +95,33 @@ class Context:
         return len(self.projectors)
 
 
-def global_valuation(psa: Psa, contexts) -> dict[tuple[int, int], float]:
-    """Intensity table over several contexts.
+def global_valuation(rho: DensityOperator, contexts) -> dict[tuple[int, int], float]:
+    """The intensity ``rho`` gives each projector of several contexts.
 
     Returns {(context index, projector index): intensity}; within each
     context the row sums to 1 because the projectors resolve the identity.
     """
     contexts = list(contexts)
-    if any(c.n_qubits != psa.n_qubits for c in contexts):
+    if any(c.n_qubits != rho.n_qubits for c in contexts):
         raise ValueError("contexts must act on the valuation's qubit count")
     table: dict[tuple[int, int], float] = {}
     for ci, context in enumerate(contexts):
         for pi, p in enumerate(context.projectors):
-            table[(ci, pi)] = intensity(psa, p)
+            table[(ci, pi)] = intensity(rho, p)
     return table
 
 
-def check_noncontextuality(psa: Psa, c1: Context, c2: Context) -> bool:
-    """True iff projectors shared by both contexts (equal within
-    ``STRUCTURAL_TOL`` in max-norm) get intensities equal within it too;
-    contexts with no shared projector pass vacuously."""
-    for p in c1.projectors:
-        for q in c2.projectors:
-            if linalg.max_abs(p.matrix - q.matrix) <= STRUCTURAL_TOL:
-                if abs(intensity(psa, p) - intensity(psa, q)) > STRUCTURAL_TOL:
-                    return False
-    return True
+def check_noncontextuality(rho: DensityOperator, c1: Context, c2: Context) -> bool:
+    """True iff ``global_valuation`` gives projectors shared by both contexts
+    (equal within ``STRUCTURAL_TOL`` in max-norm) intensities equal within it
+    too; contexts with no shared projector pass vacuously."""
+    table = global_valuation(rho, (c1, c2))
+    return all(
+        abs(table[(0, i)] - table[(1, j)]) <= STRUCTURAL_TOL
+        for i, p in enumerate(c1.projectors)
+        for j, q in enumerate(c2.projectors)
+        if linalg.max_abs(p.matrix - q.matrix) <= STRUCTURAL_TOL
+    )
 
 
 def pauli_basis(n_qubits: int) -> np.ndarray:

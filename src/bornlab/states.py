@@ -35,6 +35,11 @@ class TargetError(ValueError):
         self.index = index
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; ``bool`` is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_targets(targets, n_qubits: int, what: str = "target") -> None:
     """The target rule for the sequence of qubits a gate, noise or measure step
     acts on: each entry an integer (``bool`` is not one) in 0..n_qubits-1 and
@@ -42,7 +47,7 @@ def check_targets(targets, n_qubits: int, what: str = "target") -> None:
     entries in the repeat message.  The circuit DSL and the channel builders
     both check here."""
     for i, t in enumerate(targets):
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        if not is_integer(t):
             raise TargetError(f"qubit index {t} is not an integer", i)
         if not 0 <= t < n_qubits:
             raise TargetError(f"qubit index {t} out of range for {n_qubits} qubits", i)
@@ -93,6 +98,8 @@ def basis_state(n_qubits: int, index) -> QuRegister:
         if len(index) != n_qubits or any(c not in "01" for c in index):
             raise ValueError(f"bad basis label {index!r} for {n_qubits} qubits")
         index = int(index, 2)
+    elif not is_integer(index):
+        raise ValueError(f"basis index {index} is not an integer")
     dim = 2**n_qubits
     if not 0 <= index < dim:
         raise IndexError(f"basis index {index} out of range for {n_qubits} qubits")

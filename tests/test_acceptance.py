@@ -18,7 +18,6 @@ from bornlab.circuits import (
 )
 from bornlab.psa import (
     Context,
-    Psa,
     check_additivity,
     chsh_preset,
     chsh_value,
@@ -120,10 +119,10 @@ def test_criterion_06_valuation_axioms():
     for _ in range(100):
         n = int(rng.integers(1, 5))  # dims 2..16
         dim = 2**n
-        psa = Psa(random_density(n, rng=rng))
-        ok = ok and abs(intensity(psa, Projector(np.eye(dim))) - 1.0) <= 1e-10
+        rho = random_density(n, rng=rng)
+        ok = ok and abs(intensity(rho, Projector(np.eye(dim))) - 1.0) <= 1e-10
         parts = random_orthogonal_projectors(dim, rng, int(rng.integers(2, min(dim, 4) + 1)))
-        ok = ok and check_additivity(psa, parts)
+        ok = ok and check_additivity(rho, parts)
     assert report(6, ok, "unit valuation of I and additivity on 100 random valuations")
 
 
@@ -141,9 +140,9 @@ def test_criterion_07_noncontextuality():
             [shared]
             + [Projector(np.outer(mixed[:, i], mixed[:, i].conj())) for i in range(2)]
         )
-        psa = Psa(random_density(2, rng=rng))
-        i1 = intensity(psa, c1.projectors[0])
-        i2 = intensity(psa, c2.projectors[0])
+        rho = random_density(2, rng=rng)
+        i1 = intensity(rho, c1.projectors[0])
+        i2 = intensity(rho, c2.projectors[0])
         if abs(i1 - i2) <= 1e-12:
             agree += 1
     ok = agree == 100
@@ -165,8 +164,7 @@ def test_criterion_08_reconstruction_round_trip():
     for i in range(50):
         n, family = (1, one_qubit) if i % 2 == 0 else (2, two_qubit)
         rho = random_density(n, rng=rng)
-        psa = Psa(rho)
-        samples = [(p, intensity(psa, p)) for p in family]
+        samples = [(p, intensity(rho, p)) for p in family]
         recovered = reconstruct_density(samples, n)
         worst = max(worst, linalg.max_abs(recovered.matrix - rho.matrix))
     ok = worst <= 1e-8

@@ -13,10 +13,9 @@ from bornlab.channels import GATES, NOISE_KINDS
 from bornlab.circuits import (
     MAX_FORMULA_DEPTH,
     CircuitIr,
-    CircuitParseError,
-    FormulaParseError,
     GateStep,
     Histogram,
+    InputError,
     MeasureStep,
     NoiseStep,
     inject_noise,
@@ -72,33 +71,33 @@ class TestParseCircuit:
         assert ir.steps == (GateStep("h", (0,)),)
 
     def test_repeated_target_is_rejected(self):
-        with pytest.raises(CircuitParseError, match="repeated target"):
+        with pytest.raises(InputError, match="repeated target"):
             parse_circuit("qubits 2\ngate cnot 0 0\n")
 
     def test_unknown_gate(self):
-        with pytest.raises(CircuitParseError, match="unknown gate"):
+        with pytest.raises(InputError, match="unknown gate"):
             parse_circuit("qubits 1\ngate phase 0\n")
 
     def test_arity_mismatch(self):
-        with pytest.raises(CircuitParseError, match="expects 2 targets"):
+        with pytest.raises(InputError, match="expects 2 targets"):
             parse_circuit("qubits 2\ngate cnot 0\n")
 
     def test_index_out_of_range(self):
-        with pytest.raises(CircuitParseError, match="out of range"):
+        with pytest.raises(InputError, match="out of range"):
             parse_circuit("qubits 1\ngate not 1\n")
 
     def test_measure_must_be_last(self):
-        with pytest.raises(CircuitParseError, match="after 'measure'"):
+        with pytest.raises(InputError, match="after 'measure'"):
             parse_circuit("qubits 1\nmeasure all\ngate h 0\n")
 
     def test_missing_header(self):
-        with pytest.raises(CircuitParseError, match="qubits"):
+        with pytest.raises(InputError, match="qubits"):
             parse_circuit("gate h 0\n")
 
     def test_errors_carry_line_and_column(self):
         try:
             parse_circuit("qubits 2\ngate h 0\ngate zz 1\n")
-        except CircuitParseError as err:
+        except InputError as err:
             assert err.line == 3
             assert err.column == 6
         else:
@@ -109,13 +108,13 @@ class TestParseCircuit:
         assert ir.steps == (NoiseStep("depolarizing", 0.25, 1),)
 
     def test_noise_probability_range(self):
-        with pytest.raises(CircuitParseError, match="out of"):
+        with pytest.raises(InputError, match="out of"):
             parse_circuit("qubits 1\nnoise bitflip 1.5 0\n")
 
     def test_measure_subset_is_sorted_and_distinct(self):
         ir = parse_circuit("qubits 3\nmeasure 2 0\n")
         assert ir.steps == (MeasureStep((0, 2)),)
-        with pytest.raises(CircuitParseError, match="repeated measured"):
+        with pytest.raises(InputError, match="repeated measured"):
             parse_circuit("qubits 3\nmeasure 1 1\n")
 
 
@@ -138,9 +137,21 @@ class TestPrettyPrintRoundTrip:
         assert ir.steps[-1] == MeasureStep((0, 2))
         assert parse_circuit(pretty_print(ir)) == ir
 
+    @pytest.mark.parametrize("p", [np.float64(0.1), np.float32(0.1), 0, 1], ids=repr)
+    def test_a_noise_probability_of_any_number_type_round_trips(self, p):
+        ir = inject_noise(parse_circuit("qubits 1\ngate h 0\n"), "bitflip", p)
+        assert type(ir.steps[1].p) is float
+        assert parse_circuit(pretty_print(ir)) == ir
+
+    def test_a_bool_noise_probability_is_rejected(self):
+        with pytest.raises(ValueError, match="^noise probability True is not a number$"):
+            CircuitIr(1, (NoiseStep("bitflip", True, 0),))
+        with pytest.raises(ValueError, match="^noise probability False is not a number$"):
+            inject_noise(parse_circuit("qubits 1\ngate h 0\n"), "bitflip", False)
+
     def test_measure_errors_point_at_the_token_as_written(self):
         # The measured set is sorted only after the step checks.
-        with pytest.raises(CircuitParseError, match=r"^line 2, column 13: repeated measured qubit 2$"):
+        with pytest.raises(InputError, match=r"^line 2, column 13: repeated measured qubit 2$"):
             parse_circuit("qubits 3\nmeasure 2 0 2\n")
 
     def test_an_ir_lists_the_qubits_of_measure_step_none(self):
@@ -200,7 +211,7 @@ class TestParseProperties:
     def test_any_text_raises_only_circuit_parse_errors(self, text):
         try:
             parse_circuit(text)
-        except CircuitParseError:
+        except InputError:
             pass
 
 
@@ -528,6 +539,22 @@ class TestSample:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             sample(ir, 1, -1)
 
+    @pytest.mark.parametrize(
+        "shots, seed, message",
+        [
+            (2.5, 0, "shots 2.5 is not an integer"),
+            (True, 0, "shots True is not an integer"),
+            (5, 1.5, "seed 1.5 is not an integer"),
+            (5, False, "seed False is not an integer"),
+        ],
+    )
+    def test_shots_and_seed_must_be_integers(self, shots, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample(parse_circuit("qubits 1\n"), shots, seed)
+
+    def test_numpy_integer_shots_and_seed_are_accepted(self):
+        assert sample(parse_circuit("qubits 1\n"), np.int64(3), np.uint32(1)).counts == {"0": 3}
+
     def test_empirical_frequency_tracks_the_distribution(self):
         ir = parse_circuit("qubits 1\ngate h 0\nmeasure all\n")
         h = sample(ir, 100_000, 2026)
@@ -600,18 +627,18 @@ class TestParseFormula:
         assert parse_formula("a & b & c") == And(And(Atom("a"), Atom("b")), Atom("c"))
 
     def test_error_positions(self):
-        with pytest.raises(FormulaParseError, match="column 5"):
+        with pytest.raises(InputError, match="column 5"):
             parse_formula("a & $b")
-        with pytest.raises(FormulaParseError, match="unexpected end"):
+        with pytest.raises(InputError, match="unexpected end"):
             parse_formula("a &")
-        with pytest.raises(FormulaParseError, match="expected '\\)'"):
+        with pytest.raises(InputError, match="expected '\\)'"):
             parse_formula("(a | b")
 
     @pytest.mark.parametrize(
         "text", ["(" * 3000 + "a" + ")" * 3000, "!" * 3000 + "a"], ids=["parentheses", "negations"]
     )
     def test_deep_nesting_is_a_parse_error_at_the_first_token_too_deep(self, text):
-        with pytest.raises(FormulaParseError, match=f"column {MAX_FORMULA_DEPTH + 1}: formula nested deeper"):
+        with pytest.raises(InputError, match=f"column {MAX_FORMULA_DEPTH + 1}: formula nested deeper"):
             parse_formula(text)
 
     def test_depth_counts_each_link_of_a_chain(self):
@@ -619,9 +646,9 @@ class TestParseFormula:
         assert isinstance(parse_formula("!" * MAX_FORMULA_DEPTH + "a"), Not)
         assert isinstance(parse_formula("!" * (MAX_FORMULA_DEPTH - 1) + "(a)"), Not)
         assert isinstance(parse_formula(chain), And)
-        with pytest.raises(FormulaParseError, match="nested deeper"):
+        with pytest.raises(InputError, match="nested deeper"):
             parse_formula(chain + " | b")
-        with pytest.raises(FormulaParseError, match="nested deeper"):
+        with pytest.raises(InputError, match="nested deeper"):
             parse_formula("b | !" + chain)
 
 
@@ -636,7 +663,7 @@ class TestParseFormulaProperties:
     def test_any_text_raises_only_formula_parse_errors(self, text):
         try:
             parse_formula(text)
-        except FormulaParseError:
+        except InputError:
             pass
 
 
@@ -674,16 +701,28 @@ class TestParseFormulaFile:
             v = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** rng.uniform(-100, 100)
             assert np.array_equal(_unit_vector(v), v / np.linalg.norm(v))
 
+    def test_a_formula_line_may_come_before_its_atoms(self):
+        ast, bindings = parse_formula_file("formula = a & !b\natom a = (0, 0, 1, 0)\natom b = (1, 0, 0, 0)\n")
+        assert ast == And(Atom("a"), Not(Atom("b")))
+        from bornlab.qcl import eval_formula
+
+        assert eval_formula(ast, bindings) == 1.0
+
+    def test_the_first_unbound_atom_is_reported_at_its_column(self):
+        with pytest.raises(InputError, match=r"^line 1, column 11: unbound atom 'c'$") as exc:
+            parse_formula_file("formula = c | b & a\natom a = (1, 0, 0, 0)\n")
+        assert (exc.value.line, exc.value.column) == (1, 11)
+
     def test_missing_formula_line(self):
-        with pytest.raises(FormulaParseError, match="missing 'formula"):
+        with pytest.raises(InputError, match="missing 'formula"):
             parse_formula_file("atom a = (1, 0, 0, 0)\n")
 
     def test_duplicate_atom(self):
-        with pytest.raises(FormulaParseError, match="duplicate atom"):
+        with pytest.raises(InputError, match="duplicate atom"):
             parse_formula_file("atom a = (1,0,0,0)\natom a = (0,0,1,0)\nformula = a\n")
 
     def test_bad_literal(self):
-        with pytest.raises(FormulaParseError, match="4 numbers"):
+        with pytest.raises(InputError, match="4 numbers"):
             parse_formula_file("atom a = (1, 0)\nformula = a\n")
 
     def test_missing_circuit_file(self, tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bornlab import circuits, linalg, psa, states
-from bornlab.circuits import parse_chsh_file, parse_circuit, parse_formula_file, parse_psa_file
+from bornlab.circuits import InputError, parse_chsh_file, parse_circuit, parse_formula_file, parse_psa_file
 from bornlab.cli import FORMATS, build_parser, main
 
 from conftest import THREE_QUBIT_DEMO
@@ -397,7 +397,7 @@ class TestPsaTable:
         )
         assert main(["psa-table", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: context 'small' and the state act on different qubit counts (1 and 2)\n"
+        assert err == "error: line 6: context 'small' and the state act on different qubit counts (1 and 2)\n"
 
     def test_csv_format(self, tmp_path, capsys):
         path = tmp_path / "zero.psa"
@@ -524,6 +524,7 @@ DIAGNOSTICS = {
         "eval", "atom a = (1, 0, 0, 0)\nformula a\n", [], "line 2, column 1: usage: formula = <expression>"
     ),
     "formula-statement": ("eval", "let a = 1\n", [], "line 1, column 1: unknown statement 'let'"),
+    "unbound-atom": ("eval", "atom a = (1, 0, 0, 0)\nformula = a & b\n", [], "line 2, column 15: unbound atom 'b'"),
     # The expression's column counts from the first non-blank after the statement's '='.
     "formula-stray-equals": (
         "eval", "atom a = (1, 0, 0, 0)\nformula = a =\n", [], "line 2, column 13: unexpected character '='"
@@ -554,9 +555,16 @@ DIAGNOSTICS = {
     "end-outside": ("psa-table", "state pure 1 0\nend\n", [], "line 2: 'end' without a context block"),
     "psa-statement": ("psa-table", "state pure 1 0\nfoo 1\n", [], "line 2: unknown statement 'foo'"),
     "context-unclosed": (
-        "psa-table", "state pure 1 0\ncontext c\nvector 1 0\n", [], "context 'c' not closed with 'end'"
+        "psa-table", "state pure 1 0\ncontext c\nvector 1 0\n", [], "line 2: context 'c' not closed with 'end'"
     ),
     "no-contexts": ("psa-table", "state pure 1 0\n", [], "no contexts declared"),
+    "context-qubits": (
+        "psa-table",
+        "state pure 1 0 0 0\ncontext fine\nvector 1 0 0 0\nprojector 0 0 0 0  0 1 0 0  0 0 1 0  0 0 0 1\nend\n"
+        "context small\nvector 1 0\nvector 0 1\nend\n",
+        [],
+        "line 6: context 'small' and the state act on different qubit counts (1 and 2)",
+    ),
     "chsh-statement": ("chsh", CSTATE + "foo\n", [], "line 2: unknown statement 'foo'"),
     "observable-usage": (
         "chsh", CSTATE + "observable a\n", [], "line 2: usage: observable <a|ap|b|bp> <4 entries>"
@@ -571,6 +579,7 @@ DIAGNOSTICS = {
         "chsh", CSTATE + "observable a 1 0 0 -1\nobservable a 1 0 0 -1\n", [],
         "line 3: duplicate observable 'a'",
     ),
+    "missing-observables": ("chsh", CSTATE + "observable ap 0 1 1 0\n", [], "missing observables: a, b, bp"),
 }
 
 
@@ -598,15 +607,19 @@ READERS = {
     "psa-table": parse_psa_file,
     "chsh": parse_chsh_file,
 }
-LOCATED = {key: entry for key, entry in DIAGNOSTICS.items() if re.match(r"line \d+", entry[3])}
+FILE_FAULTS = {key: entry for key, entry in DIAGNOSTICS.items() if not entry[2]}
 
 
-@pytest.mark.parametrize("command, text, flags, message", LOCATED.values(), ids=LOCATED)
+@pytest.mark.parametrize("command, text, flags, message", FILE_FAULTS.values(), ids=FILE_FAULTS)
 def test_every_located_error_carries_its_line(command, text, flags, message, input_dir):
+    """Every reader raises exactly ``InputError``, with the message's line, or
+    none when the message names none (a fault of the whole file)."""
     with pytest.raises(ValueError) as exc:
         READERS[command](text, input_dir)
+    assert type(exc.value) is InputError
     assert str(exc.value) == message.format(dir=input_dir)
-    assert exc.value.line == int(re.match(r"line (\d+)", message).group(1))
+    located = re.match(r"line (\d+)", message)
+    assert exc.value.line == (int(located.group(1)) if located else None)
 
 
 class TestTolFlag:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bornlab import linalg
 from bornlab.psa import (
     Context,
-    Psa,
     chsh_preset,
     chsh_value,
     check_additivity,
@@ -61,28 +60,28 @@ def two_qubit_ic_family():
 
 class TestIntensity:
     def test_identity_has_intensity_one(self):
-        psa = Psa(random_density(2, rng=3))
-        assert intensity(psa, Projector(np.eye(4))) == 1.0
+        rho = random_density(2, rng=3)
+        assert intensity(rho, Projector(np.eye(4))) == 1.0
 
     def test_zero_projector_has_intensity_zero(self):
-        psa = Psa(random_density(1, rng=5))
-        assert intensity(psa, Projector(np.zeros((2, 2)))) == 0.0
+        rho = random_density(1, rng=5)
+        assert intensity(rho, Projector(np.zeros((2, 2)))) == 0.0
 
     def test_plus_state_against_ket0(self):
-        psa = Psa(pure_to_density(qubit(INV_SQRT2, INV_SQRT2)))
-        assert abs(intensity(psa, projector_onto(basis_state(1, 0))) - 0.5) <= 1e-12
+        rho = pure_to_density(qubit(INV_SQRT2, INV_SQRT2))
+        assert abs(intensity(rho, projector_onto(basis_state(1, 0))) - 0.5) <= 1e-12
 
     def test_monotone_under_projector_order(self):
         # P <= Q (QP = P) implies intensity(P) <= intensity(Q)
         rng = np.random.default_rng(7)
         p_small, p_rest = random_orthogonal_projectors(8, rng, 2)
         q = join_projectors([p_small, p_rest])  # = identity here
-        psa = Psa(random_density(3, rng=rng))
-        assert intensity(psa, p_small) <= intensity(psa, q) + 1e-10
+        rho = random_density(3, rng=rng)
+        assert intensity(rho, p_small) <= intensity(rho, q) + 1e-10
         # and against a strictly larger non-trivial subspace
         parts = random_orthogonal_projectors(8, rng, 3)
         bigger = join_projectors(parts[:2])
-        assert intensity(psa, parts[0]) <= intensity(psa, bigger) + 1e-10
+        assert intensity(rho, parts[0]) <= intensity(rho, bigger) + 1e-10
 
 
 class TestJoinProjectors:
@@ -112,40 +111,40 @@ class TestJoinProjectors:
 class TestAdditivity:
     def test_holds_on_contexts(self):
         rng = np.random.default_rng(17)
-        psa = Psa(random_density(2, rng=rng))
+        rho = random_density(2, rng=rng)
         parts = random_orthogonal_projectors(4, rng, 4)
-        assert check_additivity(psa, parts)
+        assert check_additivity(rho, parts)
 
     def test_two_element_family_in_dim_four(self):
         rng = np.random.default_rng(19)
-        psa = Psa(random_density(2, rng=rng))
+        rho = random_density(2, rng=rng)
         parts = random_orthogonal_projectors(4, rng, 2)
-        assert check_additivity(psa, parts)
+        assert check_additivity(rho, parts)
 
     def test_non_orthogonal_family_is_a_contract_error(self):
-        psa = Psa(random_density(1, rng=23))
+        rho = random_density(1, rng=23)
         p = projector_onto(basis_state(1, 0))
         q = projector_onto(qubit(INV_SQRT2, INV_SQRT2))
         with pytest.raises(ValueError, match="not orthogonal"):
-            check_additivity(psa, [p, q])
+            check_additivity(rho, [p, q])
 
 
 class TestContextsAndValuation:
     def test_computational_context_on_ket0(self):
-        psa = Psa(pure_to_density(basis_state(1, 0)))
+        rho = pure_to_density(basis_state(1, 0))
         ctx = Context([projector_onto(basis_state(1, 0)), projector_onto(basis_state(1, 1))])
-        table = global_valuation(psa, [ctx])
+        table = global_valuation(rho, [ctx])
         assert table[(0, 0)] == 1.0
         assert table[(0, 1)] == 0.0
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(29)
-        psa = Psa(random_density(3, rng=rng))
+        rho = random_density(3, rng=rng)
         contexts = []
         for _ in range(4):
             parts = random_orthogonal_projectors(8, rng, int(rng.integers(2, 6)))
             contexts.append(Context(parts))
-        table = global_valuation(psa, contexts)
+        table = global_valuation(rho, contexts)
         for ci, ctx in enumerate(contexts):
             row = sum(table[(ci, pi)] for pi in range(len(ctx)))
             assert abs(row - 1.0) <= 1e-10
@@ -162,19 +161,19 @@ class TestContextsAndValuation:
             [shared]
             + [Projector(np.outer(mixed[:, i], mixed[:, i].conj())) for i in range(2)]
         )
-        psa = Psa(random_density(2, rng=rng))
-        table = global_valuation(psa, [c1, c2])
+        rho = random_density(2, rng=rng)
+        table = global_valuation(rho, [c1, c2])
         assert abs(table[(0, 0)] - table[(1, 0)]) <= 1e-12
-        assert check_noncontextuality(psa, c1, c2)
+        assert check_noncontextuality(rho, c1, c2)
 
     def test_maximally_mixed_state_weights_rank_one_projectors_evenly(self):
-        psa = Psa(DensityOperator(np.eye(2) / 2))
+        rho = DensityOperator(np.eye(2) / 2)
         rng = np.random.default_rng(37)
         for _ in range(5):
             u = random_unitary(2, rng)
             ctx = Context([Projector(np.outer(u[:, i], u[:, i].conj())) for i in range(2)])
             for p in ctx.projectors:
-                assert abs(intensity(psa, p) - 0.5) <= 1e-12
+                assert abs(intensity(rho, p) - 0.5) <= 1e-12
 
     def test_shared_block_projector_in_dim_four(self):
         # contexts sharing |0><0| (x) I, completed by two different bases of
@@ -195,8 +194,8 @@ class TestContextsAndValuation:
         c1 = Context([ket0_block, *comp])
         c2 = Context([ket0_block, *alt])
         for _ in range(10):
-            psa = Psa(random_density(2, rng=rng))
-            assert check_noncontextuality(psa, c1, c2)
+            rho = random_density(2, rng=rng)
+            assert check_noncontextuality(rho, c1, c2)
             shared = [
                 (p, q)
                 for p in c1.projectors
@@ -204,16 +203,28 @@ class TestContextsAndValuation:
                 if linalg.max_abs(p.matrix - q.matrix) <= 1e-12
             ]
             assert len(shared) == 1
-            assert all(abs(intensity(psa, p) - intensity(psa, q)) <= 1e-12 for p, q in shared)
+            assert all(abs(intensity(rho, p) - intensity(rho, q)) <= 1e-12 for p, q in shared)
 
     def test_identical_and_disjoint_contexts(self):
         rng = np.random.default_rng(41)
-        psa = Psa(random_density(2, rng=rng))
+        rho = random_density(2, rng=rng)
         c1 = Context(random_orthogonal_projectors(4, rng, 2))
-        assert check_noncontextuality(psa, c1, c1)
+        assert check_noncontextuality(rho, c1, c1)
         c2 = Context(random_orthogonal_projectors(4, rng, 3))
         # almost surely no shared projector: vacuously non-contextual
-        assert check_noncontextuality(psa, c1, c2)
+        assert check_noncontextuality(rho, c1, c2)
+
+    def test_contexts_on_another_qubit_count_than_the_state_are_rejected(self):
+        rho = random_density(2, rng=43)
+        one = Context([projector_onto(basis_state(1, 0)), projector_onto(basis_state(1, 1))])
+        two = Context([Projector(np.eye(4))])
+        message = "^contexts must act on the valuation's qubit count$"
+        with pytest.raises(ValueError, match=message):
+            global_valuation(rho, [two, one])
+        with pytest.raises(ValueError, match=message):
+            check_noncontextuality(rho, two, one)
+        with pytest.raises(ValueError, match=message):
+            check_noncontextuality(rho, one, one)
 
     def test_context_must_resolve_the_identity(self):
         with pytest.raises(ValueError, match="identity"):
@@ -236,33 +247,31 @@ class TestReconstruction:
     def test_round_trip_one_qubit(self):
         rng = np.random.default_rng(43)
         rho = random_density(1, rng=rng)
-        psa = Psa(rho)
-        samples = [(p, intensity(psa, p)) for p in one_qubit_ic_family()]
+        samples = [(p, intensity(rho, p)) for p in one_qubit_ic_family()]
         recovered = reconstruct_density(samples, 1)
         assert linalg.max_abs(recovered.matrix - rho.matrix) <= 1e-8
 
     def test_round_trip_two_qubits(self):
         rng = np.random.default_rng(47)
         rho = random_density(2, rng=rng)
-        psa = Psa(rho)
-        samples = [(p, intensity(psa, p)) for p in two_qubit_ic_family()]
+        samples = [(p, intensity(rho, p)) for p in two_qubit_ic_family()]
         recovered = reconstruct_density(samples, 2)
         assert linalg.max_abs(recovered.matrix - rho.matrix) <= 1e-8
 
     def test_maximally_mixed_fixed_point(self):
-        psa = Psa(DensityOperator(np.eye(2) / 2))
-        samples = [(p, intensity(psa, p)) for p in one_qubit_ic_family()]
+        rho = DensityOperator(np.eye(2) / 2)
+        samples = [(p, intensity(rho, p)) for p in one_qubit_ic_family()]
         recovered = reconstruct_density(samples, 1)
         np.testing.assert_allclose(recovered.matrix, np.eye(2) / 2, atol=1e-10)
 
     def test_rank_deficient_family_is_rejected(self):
-        psa = Psa(random_density(1, rng=53))
+        rho = random_density(1, rng=53)
         family = [
             projector_onto(basis_state(1, 0)),
             projector_onto(basis_state(1, 1)),
             Projector(np.eye(2)),
         ]
-        samples = [(p, intensity(psa, p)) for p in family]
+        samples = [(p, intensity(rho, p)) for p in family]
         with pytest.raises(ValueError, match="informationally complete"):
             reconstruct_density(samples, 1)
 
@@ -398,28 +407,28 @@ class TestPsaAxioms:
     def test_identity_and_zero(self):
         rng = np.random.default_rng(67)
         for n in (1, 2, 3):
-            psa = Psa(random_density(n, rng=rng))
+            rho = random_density(n, rng=rng)
             dim = 2**n
-            assert abs(intensity(psa, Projector(np.eye(dim))) - 1.0) <= 1e-10
-            assert intensity(psa, Projector(np.zeros((dim, dim)))) <= 1e-10
+            assert abs(intensity(rho, Projector(np.eye(dim))) - 1.0) <= 1e-10
+            assert intensity(rho, Projector(np.zeros((dim, dim)))) <= 1e-10
 
     def test_additivity_on_random_families(self):
         rng = np.random.default_rng(71)
         for _ in range(30):
             n = int(rng.integers(1, 5))
             dim = 2**n
-            psa = Psa(random_density(n, rng=rng))
+            rho = random_density(n, rng=rng)
             n_groups = int(rng.integers(2, min(dim, 4) + 1))
             parts = random_orthogonal_projectors(dim, rng, n_groups)
-            assert check_additivity(psa, parts)
+            assert check_additivity(rho, parts)
 
     def test_mixture_valuations_interpolate(self):
         rng = np.random.default_rng(73)
         r1, r2 = random_density(1, rng=rng), random_density(1, rng=rng)
         p = projector_onto(random_pure(1, rng))
         blend = mix([(0.3, r1), (0.7, r2)])
-        expected = 0.3 * intensity(Psa(r1), p) + 0.7 * intensity(Psa(r2), p)
-        assert abs(intensity(Psa(blend), p) - expected) <= 1e-12
+        expected = 0.3 * intensity(r1, p) + 0.7 * intensity(r2, p)
+        assert abs(intensity(blend, p) - expected) <= 1e-12
 
 
 @st.composite
@@ -455,12 +464,12 @@ class TestOrthogonalityProperties:
     @given(orthogonal_families(complete=False))
     def test_additivity_holds_on_random_orthogonal_families(self, family):
         rho, groups = family
-        psa, parts = Psa(rho), [_projector(g) for g in groups]
-        assert check_additivity(psa, parts)
+        parts = [_projector(g) for g in groups]
+        assert check_additivity(rho, parts)
         # and down to rank one: each intensity is the sum of the Born values
         # of the columns its projector spans
         for g, p in zip(groups, parts):
-            assert abs(intensity(psa, p) - _born_sum(rho, g)) <= 1e-10
+            assert abs(intensity(rho, p) - _born_sum(rho, g)) <= 1e-10
 
     @settings(max_examples=200, deadline=None)
     @given(orthogonal_families(complete=True), st.integers(0, 2**32 - 1), st.integers(0, 16))
@@ -508,10 +517,9 @@ class TestSharedProjectorProperties:
     @given(shared_projector_contexts())
     def test_a_shared_projector_gets_one_value_in_both_contexts(self, case):
         rho, (c1, c2), (at1, at2) = case
-        psa = Psa(rho)
-        table = global_valuation(psa, [c1, c2])
+        table = global_valuation(rho, [c1, c2])
         assert table[(0, at1)] == table[(1, at2)]
-        assert check_noncontextuality(psa, c1, c2)
+        assert check_noncontextuality(rho, c1, c2)
 
 
 # Cabello, Estebaranz and Garcia-Alcaine's 18 vectors in C^4 (Phys. Lett. A
@@ -561,14 +569,14 @@ class TestKochenSpecker:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     def test_the_born_valuation_is_total_and_noncontextual(self, seed, rank):
-        psa, contexts = Psa(random_density(2, rng=seed, rank=rank)), ks_contexts()
-        table = global_valuation(psa, contexts)
+        rho, contexts = random_density(2, rng=seed, rank=rank), ks_contexts()
+        table = global_valuation(rho, contexts)
         for ci in range(len(contexts)):
             assert abs(sum(table[(ci, pi)] for pi in range(4)) - 1.0) <= 1e-10
         sharing = [(i, j) for i, j in combinations(range(9), 2) if set(KS_BASES[i]) & set(KS_BASES[j])]
         assert len(sharing) == 18
         for i, j in sharing:
-            assert check_noncontextuality(psa, contexts[i], contexts[j])
+            assert check_noncontextuality(rho, contexts[i], contexts[j])
 
 
 @cache
@@ -587,6 +595,5 @@ def pauli_eigenprojectors(n):
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
 def test_reconstruction_round_trip_from_pauli_eigenprojectors(n, seed, data):
     rho = random_density(n, rng=seed, rank=data.draw(st.integers(1, 2**n)))
-    psa = Psa(rho)
-    recovered = reconstruct_density([(p, intensity(psa, p)) for p in pauli_eigenprojectors(n)], n)
+    recovered = reconstruct_density([(p, intensity(rho, p)) for p in pauli_eigenprojectors(n)], n)
     assert linalg.max_abs(recovered.matrix - rho.matrix) <= 1e-10

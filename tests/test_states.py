@@ -50,6 +50,14 @@ class TestQuRegister:
         with pytest.raises(IndexError):
             basis_state(1, 2)
 
+    @pytest.mark.parametrize("index", [True, 1.0, 0.5], ids=repr)
+    def test_basis_index_must_be_an_integer(self, index):
+        with pytest.raises(ValueError, match=f"^basis index {index} is not an integer$"):
+            basis_state(2, index)
+
+    def test_numpy_integer_basis_index_is_accepted(self):
+        assert basis_state(2, np.int64(3)).amplitudes[3] == 1.0
+
 
 class TestDensityOperator:
     def test_rejects_non_hermitian(self):
