@@ -6,7 +6,9 @@ Kraus matrix is built.  ``evolve`` applies it by one of three rules: a
 gather of the register's entries for a gate with a 0/1 matrix (``id``,
 ``not``, ``cnot``, ``toffoli``), masks for the channels (noise and
 measurement), and contraction into the target axes for everything else
-(``h``, ``sqrtnot``, families built by hand).
+(``h``, ``sqrtnot``, families built by hand).  The first two read no
+coherence, and ``evolve_diagonal`` applies them to the diagonal of rho
+alone.
 A gate is a unitary on its own 2**arity space, and ``lift_unitary`` places it
 on its targets.  For multi-target gates the earlier-listed targets are the
 controls and the last listed target is the negated qubit, so
@@ -23,6 +25,7 @@ probability:
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 
 import numpy as np
@@ -105,6 +108,13 @@ class Gate:
             self._perm = src_d[0]
             self._identity = bool(np.all(self._perm == np.arange(len(m))))
 
+    @property
+    def mixing(self) -> bool:
+        """True for a contracted gate (``h``, ``sqrtnot``): it mixes basis
+        states by their amplitudes, so it reads the coherences of a state and
+        has no form on its probabilities alone."""
+        return self._perm is None
+
     def __repr__(self) -> str:
         return f"Gate({self.name!r}, arity={self.arity})"
 
@@ -141,8 +151,10 @@ def check_noise_kind(kind: str) -> None:
 
 
 def check_noise_probability(p: float) -> None:
-    if isinstance(p, bool):
-        raise ValueError(f"noise probability {p} is not a number")
+    """The probability rule of a noise step: a real number (``bool`` is not
+    one) in [0, 1]."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValueError(f"noise probability {p!r} is not a number")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability {p} out of [0, 1]")
 
@@ -207,19 +219,26 @@ def _contract(a: np.ndarray, axes, t: np.ndarray) -> np.ndarray:
 
 
 def _evolve_masked(masks: dict, targets, t: np.ndarray) -> np.ndarray:
-    """sum_b M_b * flip_b(t) on the (2,)*2n tensor ``t``: mask slot m sits on
-    the row axis targets[m] and the column axis n + targets[m], and flip_b
-    reverses both axes of each target whose bit is set in b."""
-    n, k = t.ndim // 2, len(targets)
-    axes = [*targets, *(n + q for q in targets)]
-    shape = [1] * (2 * n)
+    """sum_b M_b * flip_b(t), in mask order, on the (2,)*2n tensor ``t`` of
+    rho with 2**k x 2**k masks, or on the (2,)*n tensor of its diagonal with
+    the masks' diagonals: ``t`` holds one copy of the register's axes per
+    index of a mask (rows, then columns), mask slot m sits on axis targets[m]
+    of each copy, and flip_b reverses, in each copy, the axes of each target
+    whose bit is set in b."""
+    k, copies = len(targets), next(iter(masks.values())).ndim
+    n = t.ndim // copies
+
+    def lifted(qubits):
+        return [c * n + q for c in range(copies) for q in qubits]
+
+    axes = lifted(targets)
+    shape = [1] * t.ndim
     for axis in axes:
         shape[axis] = 2
     out = None
     for b, mask in masks.items():
-        placed = mask.reshape((2,) * (2 * k)).transpose(np.argsort(axes)).reshape(shape)
-        flipped = [q for m, q in enumerate(targets) if b >> (k - 1 - m) & 1]
-        term = placed * np.flip(t, [*flipped, *(n + q for q in flipped)])
+        placed = mask.reshape((2,) * len(axes)).transpose(np.argsort(axes)).reshape(shape)
+        term = placed * np.flip(t, lifted([q for m, q in enumerate(targets) if b >> (k - 1 - m) & 1]))
         if out is None:
             out = term
         else:
@@ -272,6 +291,9 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
       Paulis.
     - Contraction.  Every other operation is contracted into the target axes
       (``_evolve_contracted``; ``_contract`` on a vector).
+
+    The first two rules read no coherence of rho, so they also map its
+    diagonal alone: ``evolve_diagonal``.
     """
     n = op.n_qubits
     if state.shape == (op.dim,):
@@ -290,6 +312,32 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     if op._masks is not None:
         return _evolve_masked(op._masks, op.targets, t).reshape(state.shape)
     return _evolve_contracted(op.kraus, op.targets, t).reshape(state.shape)
+
+
+def evolve_diagonal(op: QuantumOperation, probs: np.ndarray) -> np.ndarray:
+    """The diagonal of ``evolve(op, rho)`` from the diagonal ``probs`` of rho,
+    a raw 2**n vector of probabilities, for the two rules that read no
+    coherence.  The result is not checked.
+
+    - Gather: ``probs[idx]``, which ``evolve`` already returns for a vector.
+    - Masks: the diagonal of sum_b M_b * flip_b(rho) at r is
+      sum_b M_b[r, r] rho[r xor b, r xor b], so each mask's diagonal weighs
+      the flipped probabilities (``_evolve_masked`` of the diagonals).  The
+      diagonals of the built-in masks are real with exact zero imaginary
+      parts, so each product and sum repeats the real part of the one the
+      matrix path makes, bit for bit.
+
+    A contracted operation (``h``, ``sqrtnot``, families built by hand) reads
+    the coherences and raises ``ValueError``.
+    """
+    if probs.shape != (op.dim,):
+        raise ValueError("operation and probabilities act on different qubit counts")
+    if op._masks is not None:
+        diagonals = {b: np.diagonal(mask).real for b, mask in op._masks.items()}
+        return _evolve_masked(diagonals, op.targets, probs.reshape((2,) * op.n_qubits)).reshape(probs.shape)
+    if op._perm is None:
+        raise ValueError("a contracted operation reads coherences: it has no form on probabilities")
+    return evolve(op, probs)
 
 
 def lift_unitary(gate: Gate, n_qubits: int, targets) -> QuantumOperation:

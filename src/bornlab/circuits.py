@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .channels import apply, evolve, lift_unitary
+from .channels import apply, evolve, evolve_diagonal, lift_unitary
 from .channels import builtin_gate, check_noise_kind, check_noise_probability
 from .channels import measurement_channel, noise_channel
 from .linalg import STRUCTURAL_TOL
@@ -147,7 +147,10 @@ class CircuitIr:
         every, none = MeasureStep(tuple(range(self.n_qubits))), MeasureStep(None)
         steps = tuple(every if step == none else step for step in self.steps)
         for previous, step in zip((None, *steps), steps):
-            _check_step(self.n_qubits, step, previous)
+            try:
+                _check_step(self.n_qubits, step, previous)
+            except _StepError as exc:
+                raise ValueError(str(exc)) from None
         steps = tuple(NoiseStep(s.kind, float(s.p), s.target) if isinstance(s, NoiseStep) else s for s in steps)
         if steps and isinstance(steps[-1], MeasureStep):
             steps = (*steps[:-1], MeasureStep(tuple(sorted(steps[-1].targets))))
@@ -267,6 +270,15 @@ def _gate_prefix(ir: CircuitIr) -> tuple[np.ndarray, int]:
     return psi, len(ir.steps)
 
 
+def _operation(n: int, step: Step):
+    """The operation a step applies on an n-qubit register."""
+    if isinstance(step, GateStep):
+        return lift_unitary(builtin_gate(step.name), n, step.targets)
+    if isinstance(step, NoiseStep):
+        return noise_channel(step.kind, step.p, n, step.target)
+    return measurement_channel(n, step.targets)
+
+
 def simulate(ir: CircuitIr) -> DensityOperator:
     """Fold the circuit's steps over |0..0><0..0|.
 
@@ -282,19 +294,14 @@ def simulate(ir: CircuitIr) -> DensityOperator:
     final matrix's spectrum), else on the whole matrix.
 
     This is the definition ``output_distribution`` is tested against: on a
-    circuit without noise it must give ``outcome_distribution`` of this
-    state, entry for entry.
+    circuit where no mixing gate follows noise it must give
+    ``outcome_distribution`` of this state, entry for entry.
     """
     n = ir.n_qubits
     psi, done = _gate_prefix(ir)
     rho = DensityOperator._unchecked(np.outer(psi, psi.conj()))
     for i, step in enumerate(ir.steps[done:], start=done + 1):
-        if isinstance(step, GateStep):
-            rho = apply(lift_unitary(builtin_gate(step.name), n, step.targets), rho)
-        elif isinstance(step, NoiseStep):
-            rho = apply(noise_channel(step.kind, step.p, n, step.target), rho)
-        else:
-            rho = apply(measurement_channel(n, measured_positions(ir)), rho)
+        rho = apply(_operation(n, step), rho)
         if abs(linalg.trace(rho.matrix) - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"step {i} ({step}) left a state that is not of unit trace")
     matrix = rho.matrix
@@ -335,31 +342,54 @@ def outcome_distribution(rho: DensityOperator) -> dict[str, float]:
     return _by_label(rho.n_qubits, _diagonal(rho))
 
 
-def _is_noisy(ir: CircuitIr) -> bool:
-    return any(isinstance(step, NoiseStep) for step in ir.steps)
+def _mixes_after_noise(ir: CircuitIr) -> bool:
+    """True when a mixing gate (``Gate.mixing``: ``h``, ``sqrtnot``) follows
+    a noise step: only then does the output distribution read coherences of
+    a mixed state."""
+    noisy = False
+    for step in ir.steps:
+        noisy = noisy or isinstance(step, NoiseStep)
+        if noisy and isinstance(step, GateStep) and builtin_gate(step.name).mixing:
+            return True
+    return False
 
 
-def _pure_probabilities(ir: CircuitIr) -> np.ndarray:
-    """The Born rule on the vector the gates of a noise-free circuit leave:
-    p(i) = |psi_i|**2 = ``(psi * conj(psi)).real``, the multiply that fills
-    the diagonal of |psi><psi|."""
-    psi, _ = _gate_prefix(ir)
-    return (psi * psi.conj()).real
+def _probabilities(ir: CircuitIr) -> np.ndarray:
+    """The diagonal of ``simulate(ir)``, bit for bit, for a circuit where no
+    mixing gate follows noise, without the matrix.
+
+    The leading gates run on the vector (``_gate_prefix``), and the Born rule
+    gives p(i) = |psi_i|**2 = ``(psi * conj(psi)).real``, the multiply that
+    fills the diagonal of |psi><psi|.  Every later step maps that
+    distribution to the next one without reading a coherence: a gate is a
+    gather and a noise step weighs the flipped probabilities by its masks
+    (``evolve_diagonal``); a measure step's one mask M_0 = I leaves them as
+    they are.  The sum is checked once, at the end.  No positivity check is
+    needed: |psi_i|**2 is never negative, and neither are the weights.
+    """
+    n = ir.n_qubits
+    psi, done = _gate_prefix(ir)
+    probs = (psi * psi.conj()).real
+    for step in ir.steps[done:]:
+        if not isinstance(step, MeasureStep):
+            probs = evolve_diagonal(_operation(n, step), probs)
+    total = float(probs.sum())
+    if abs(total - 1.0) > STRUCTURAL_TOL:
+        raise ValueError(f"the circuit left probabilities that sum to {total!r}, not 1")
+    return probs
 
 
 def output_distribution(ir: CircuitIr) -> dict[str, float]:
     """The outcome distribution of the circuit run from |0..0>, by label:
     ``outcome_distribution(simulate(ir))``, entry for entry and in its order.
 
-    A circuit without a noise step is pure up to its measure step, and
-    measurement leaves the diagonal alone, so its distribution is
-    ``_pure_probabilities``: no matrix is formed, and no positivity check
-    is needed, as re**2 + im**2 is never negative.  A noisy circuit is
-    simulated.
+    When no mixing gate follows a noise step (every noise-free circuit among
+    them), the distribution is ``_probabilities``: no matrix is formed.  A
+    circuit with a mixing gate after noise is simulated.
     """
-    if _is_noisy(ir):
+    if _mixes_after_noise(ir):
         return outcome_distribution(simulate(ir))
-    return _by_label(ir.n_qubits, _pure_probabilities(ir))
+    return _by_label(ir.n_qubits, _probabilities(ir))
 
 
 def _marginal(n: int, probs: np.ndarray, positions) -> tuple[list[str], np.ndarray]:
@@ -384,6 +414,12 @@ def measured_positions(ir: CircuitIr) -> tuple[int, ...]:
     return tuple(range(ir.n_qubits))
 
 
+def _check_integers(**values) -> None:
+    for what, value in values.items():
+        if not is_integer(value):
+            raise ValueError(f"{what} {value} is not an integer")
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Counts of sampled outcomes, tagged with the shots and seed that made it."""
@@ -393,6 +429,7 @@ class Histogram:
     seed: int
 
     def __post_init__(self):
+        _check_integers(shots=self.shots, seed=self.seed)
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if sum(self.counts.values()) != self.shots:
@@ -412,21 +449,21 @@ def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
     """Draw ``shots`` outcomes from the exact output distribution.
 
     The distribution is computed once, as ``output_distribution`` computes
-    it, and marginalised on the measured qubits by ``_marginal``; then all
-    the shots are drawn at once as one multinomial over its outcomes: time
-    and memory grow with the outcomes, not the shots.  Identical (ir, shots,
-    seed) triples give identical histograms.
+    it (on the probability vector unless a mixing gate follows noise, else
+    as the diagonal of ``simulate``), and marginalised on the measured
+    qubits by ``_marginal``; then all the shots are drawn at once as one
+    multinomial over its outcomes: time and memory grow with the outcomes,
+    not the shots.  Identical (ir, shots, seed) triples give identical
+    histograms.
     """
-    for what, value in (("shots", shots), ("seed", seed)):
-        if not is_integer(value):
-            raise ValueError(f"{what} {value} is not an integer")
+    _check_integers(shots=shots, seed=seed)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be <= {MAX_SHOTS}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    probs = _diagonal(simulate(ir)) if _is_noisy(ir) else _pure_probabilities(ir)
+    probs = _diagonal(simulate(ir)) if _mixes_after_noise(ir) else _probabilities(ir)
     labels, probs = _marginal(ir.n_qubits, probs, measured_positions(ir))
     probs = probs / probs.sum()
     tallies = np.random.default_rng(seed).multinomial(shots, probs)

@@ -21,7 +21,9 @@ MAX_QUBITS = 10
 
 def check_qubit_count(n: int) -> None:
     """The register limit for circuits, formula composites and every state read
-    from a file."""
+    from a file: an integer (``bool`` is not one) in 1..``MAX_QUBITS``."""
+    if not is_integer(n):
+        raise ValueError(f"qubit count {n!r} is not an integer")
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
 

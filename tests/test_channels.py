@@ -18,6 +18,7 @@ from bornlab.channels import (
     apply,
     builtin_gate,
     evolve,
+    evolve_diagonal,
     lift_unitary,
     measurement_channel,
     noise_channel,
@@ -273,6 +274,51 @@ class TestEvolve:
         op = lift_unitary(builtin_gate("h"), 2, [0])
         with pytest.raises(ValueError, match="qubit count"):
             evolve(op, np.ones(8, dtype=complex))
+
+
+@st.composite
+def markov_operations(draw):
+    """An operation whose rule reads no coherence, on 1-6 qubits: a 0/1 gate,
+    either noise kind at p in {0, 0.5, 1} or drawn, or a measurement, on
+    targets in any order."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["gate", "noise", "measure"]))
+    if kind == "gate":
+        gate = GATES[draw(st.sampled_from([g for g in GATES if not GATES[g].mixing and GATES[g].arity <= n]))]
+        return lift_unitary(gate, n, order[: gate.arity])
+    if kind == "noise":
+        p = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        return noise_channel(draw(st.sampled_from(sorted(NOISE_KINDS))), p, n, order[0])
+    return measurement_channel(n, order[: draw(st.integers(1, n))])
+
+
+class TestEvolveDiagonal:
+    @given(markov_operations(), st.integers(0, 2**32 - 1))
+    def test_it_is_the_diagonal_of_evolve_bit_for_bit(self, op, seed):
+        rho = random_density(op.n_qubits, rng=seed).matrix
+        got = evolve_diagonal(op, np.diagonal(rho).real.copy())
+        assert got.dtype == float
+        assert np.array_equal(got, np.diagonal(evolve(op, rho)).real)
+
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_only_the_contracted_gates_mix(self, name):
+        gate = GATES[name]
+        assert gate.mixing is (name in ("h", "sqrtnot"))
+        assert gate.mixing is (gate._perm is None)
+
+    @pytest.mark.parametrize(
+        "op",
+        [lift_unitary(GATES["h"], 2, [1]), QuantumOperation([np.kron(PAULI_Y, PAULI_Z)], [1, 0], 2)],
+        ids=["h", "by hand"],
+    )
+    def test_a_contracted_operation_has_no_form_on_probabilities(self, op):
+        with pytest.raises(ValueError, match="^a contracted operation reads coherences"):
+            evolve_diagonal(op, np.array([1.0, 0.0, 0.0, 0.0]))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="qubit count"):
+            evolve_diagonal(noise_channel("bitflip", 0.1, 2, 0), np.ones(8) / 8)
 
 
 class TestApply:

@@ -2,6 +2,8 @@
 
 import math
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from bornlab.circuits import (
     sample,
     simulate,
 )
-from bornlab.circuits import PROB_FLOOR, _by_label, _marginal, _unit_vector
+from bornlab.circuits import PROB_FLOOR, _by_label, _diagonal, _marginal, _unit_vector
 from bornlab.qcl import And, Atom, Not, Or
 from bornlab.states import basis_state, pure_to_density, random_density
 
@@ -164,6 +166,56 @@ class TestPrettyPrintRoundTrip:
             CircuitIr(2, (MeasureStep(None), GateStep("h", (0,))))
         with pytest.raises(ValueError, match="unknown gate"):
             CircuitIr(1, (GateStep("rx", (0,)),))
+
+
+_ONE_QUBIT = parse_circuit("qubits 1\ngate h 0\n")
+
+# Every fault of an IR built by hand or of a library number argument, and its
+# exact message: each raises a plain ``ValueError`` that names the argument.
+LIBRARY_DIAGNOSTICS = {
+    "empty measured set": (
+        lambda: CircuitIr(1, (GateStep("h", (0,)), MeasureStep(()))),
+        "measure step needs at least one qubit",
+    ),
+    "step after measure": (
+        lambda: CircuitIr(1, (MeasureStep((0,)), GateStep("h", (0,)))),
+        "measure must be the final step: no statements allowed after 'measure'",
+    ),
+    "unknown gate": (lambda: CircuitIr(1, (GateStep("H", (0,)),)), "unknown gate 'H'"),
+    "gate arity": (lambda: CircuitIr(2, (GateStep("cnot", (0,)),)), "gate 'cnot' expects 2 targets, got 1"),
+    "target out of range": (lambda: CircuitIr(1, (GateStep("not", (1,)),)), "qubit index 1 out of range for 1 qubits"),
+    "unknown noise kind": (lambda: CircuitIr(1, (NoiseStep("bit_flip", 0.1, 0),)), "unknown noise kind 'bit_flip'"),
+    "bool probability": (
+        lambda: CircuitIr(1, (NoiseStep("bitflip", True, 0),)),
+        "noise probability True is not a number",
+    ),
+    "text probability": (
+        lambda: CircuitIr(1, (NoiseStep("bitflip", "0.1", 0),)),
+        "noise probability '0.1' is not a number",
+    ),
+    "probability out of range": (
+        lambda: CircuitIr(1, (NoiseStep("bitflip", 1.5, 0),)),
+        "noise probability 1.5 out of [0, 1]",
+    ),
+    "bool qubit count": (lambda: CircuitIr(True, ()), "qubit count True is not an integer"),
+    "float qubit count": (lambda: CircuitIr(2.0, ()), "qubit count 2.0 is not an integer"),
+    "qubit count out of range": (lambda: CircuitIr(11, ()), "qubit count must be in 1..10, got 11"),
+    "injected text probability": (
+        lambda: inject_noise(_ONE_QUBIT, "bitflip", "0.1"),
+        "noise probability '0.1' is not a number",
+    ),
+    "injected nan": (lambda: inject_noise(_ONE_QUBIT, "depolarizing", math.nan), "noise probability nan out of [0, 1]"),
+    "bool shots": (lambda: Histogram(shots=True, counts={"0": 1}, seed=0), "shots True is not an integer"),
+    "float seed": (lambda: Histogram(shots=1, counts={"0": 1}, seed=0.5), "seed 0.5 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("make, message", LIBRARY_DIAGNOSTICS.values(), ids=LIBRARY_DIAGNOSTICS)
+def test_every_library_diagnostic_reads_exactly(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
 
 
 @st.composite
@@ -427,7 +479,82 @@ def _simulated_distribution(ir):
     return outcome_distribution(simulate(ir))
 
 
+def _drawn(ir, probs, shots, seed):
+    """The histogram ``sample`` draws from the basis probabilities ``probs``."""
+    labels, sums = _marginal(ir.n_qubits, probs, measured_positions(ir))
+    tallies = np.random.default_rng(seed).multinomial(shots, sums / sums.sum())
+    return Histogram(shots=shots, counts={labels[i]: int(c) for i, c in enumerate(tallies) if c > 0}, seed=seed)
+
+
+@st.composite
+def noisy_irs(draw):
+    """A random 1-10 qubit circuit under ``inject_noise`` of either kind at p
+    in {0, 0.5, 1} or drawn, and whether a mixing gate follows its noise.
+    That is drawn first and the circuit made to agree, so both paths of
+    ``output_distribution`` are drawn: a mixing gate is inserted after the
+    first gate, or every mixing gate after the first becomes ``not``."""
+    base = draw(circuit_irs(max_qubits=10, noise=False))
+    n, steps, mixes = base.n_qubits, list(base.steps), draw(st.booleans())
+    gates = [i for i, step in enumerate(steps) if isinstance(step, GateStep)]
+    if mixes:
+        if not gates:
+            steps.insert(0, GateStep("not", (draw(st.integers(0, n - 1)),)))
+            gates = [0]
+        at = draw(st.integers(gates[0] + 1, len(steps) - isinstance(steps[-1], MeasureStep)))
+        steps.insert(at, GateStep(draw(st.sampled_from(["h", "sqrtnot"])), (draw(st.integers(0, n - 1)),)))
+    else:
+        steps = [
+            GateStep("not", step.targets) if i in gates[1:] and GATES[step.name].mixing else step
+            for i, step in enumerate(steps)
+        ]
+    kind = draw(st.sampled_from(sorted(NOISE_KINDS)))
+    p = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    return inject_noise(CircuitIr(n, tuple(steps)), kind, p), mixes
+
+
+# h 0 | cnot 0 1 | toffoli 0 1 2 | measure all, the input of two record goldens.
+TEN_QUBIT_CIRCUIT = (Path(__file__).resolve().parent / "circuits" / "ten_qubit.qc").read_text(encoding="utf-8")
+
+
 class TestOutputDistribution:
+    @settings(max_examples=120, deadline=None)
+    @given(noisy_irs(), st.integers(1, 10**6), st.integers(0, 2**32 - 1))
+    def test_noisy_circuits_give_the_diagonal_of_simulate_exactly(self, case, shots, seed):
+        ir, mixes = case
+        assert circuits._mixes_after_noise(ir) is mixes
+        rho = simulate(ir)
+        got, want = output_distribution(ir), outcome_distribution(rho)
+        assert got == want
+        assert list(got) == list(want)
+        assert sample(ir, shots, seed) == _drawn(ir, _diagonal(rho), shots, seed)
+
+    @pytest.mark.parametrize("kind", sorted(NOISE_KINDS))
+    def test_noise_after_the_last_mixing_gate_allocates_no_matrix(self, kind):
+        # Structure, not time: the 4**10-entry matrix alone takes 16 MiB.
+        ir = inject_noise(parse_circuit(TEN_QUBIT_CIRCUIT), kind, 0.01)
+        tracemalloc.start()
+        try:
+            got = output_distribution(ir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert got == _simulated_distribution(ir)
+
+    def test_the_probabilities_are_checked_once_for_their_sum(self, monkeypatch):
+        calls = []
+
+        def leaking(op, probs):
+            calls.append(op)
+            return 0.999 * channels.evolve_diagonal(op, probs)
+
+        ir = parse_circuit("qubits 2\ngate h 0\nnoise bitflip 0.1 0\ngate cnot 0 1\nmeasure all\n")
+        monkeypatch.setattr(circuits, "evolve_diagonal", leaking)
+        for run in (output_distribution, lambda ir: sample(ir, 10, 0)):
+            with pytest.raises(ValueError, match=r"^the circuit left probabilities that sum to 0\.99[0-9]*, not 1$"):
+                run(ir)
+        assert len(calls) == 4
+
     @settings(max_examples=80, deadline=None)
     @given(circuit_irs(max_qubits=10, noise=False))
     def test_noise_free_circuits_give_the_diagonal_of_simulate_exactly(self, ir):
@@ -447,19 +574,22 @@ class TestOutputDistribution:
         assert list(got) == list(want)
 
     def test_a_noisy_circuit_runs_its_gates_once(self, monkeypatch):
-        # The noise test comes first: the gate prefix runs once, inside
-        # ``simulate``, not once before it and again in it.
+        # The path is chosen from the steps alone: the gate prefix runs once,
+        # on the probability path or inside ``simulate``, not once before
+        # the choice and again after it.
         prefixes, prefix = [], circuits._gate_prefix
 
         def counting_prefix(ir):
             prefixes.append(ir)
             return prefix(ir)
 
-        ir = parse_circuit("qubits 3\ngate h 0\ngate cnot 0 2\nnoise bitflip 0.1 2\nmeasure all\n")
-        want = _simulated_distribution(ir)
         monkeypatch.setattr(circuits, "_gate_prefix", counting_prefix)
-        assert output_distribution(ir) == want
-        assert prefixes == [ir]
+        for mixing in ("", "gate h 1\n"):
+            ir = parse_circuit(f"qubits 3\ngate h 0\ngate cnot 0 2\nnoise bitflip 0.1 2\n{mixing}measure all\n")
+            want = _simulated_distribution(ir)
+            prefixes.clear()
+            assert output_distribution(ir) == want
+            assert prefixes == [ir]
 
     def test_a_non_unit_gate_fails_with_the_message_of_simulate(self, monkeypatch):
         ir = parse_circuit("qubits 2\ngate cnot 0 1\ngate h 0\nmeasure all\n")

@@ -17,6 +17,7 @@ from bornlab.cli import FORMATS, build_parser, main
 from conftest import THREE_QUBIT_DEMO
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+CIRCUITS = Path(__file__).resolve().parent / "circuits"  # inputs of the larger record goldens
 HADAMARD = "qubits 1\ngate h 0\nmeasure all\n"
 
 ZERO_STATE_PSA = """\
@@ -171,41 +172,56 @@ measure all
 
 
 class TestNoiseFreeCircuits:
-    """``run`` and ``sample`` read a noise-free circuit's outcomes off its
-    state vector, with the bytes of the density-matrix path."""
+    """``run`` and ``sample`` read the outcomes of a circuit where no mixing
+    gate follows noise off its state vector and probability vector, with the
+    bytes of the density-matrix path."""
 
     COMMANDS = (["run", "--format", "record"], ["sample", "--shots", "1000", "--seed", "5", "--format", "record"])
 
-    def _outputs(self, path, capsys):
+    def _outputs(self, path, capsys, flags=()):
         outputs = []
         for command in self.COMMANDS:
-            assert main([command[0], str(path), *command[1:]]) == 0
+            assert main([command[0], str(path), *command[1:], *flags]) == 0
             outputs.append(capsys.readouterr().out)
         return outputs
 
-    def test_run_and_sample_form_no_state(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "ten.qc"
-        path.write_text(TEN_QUBITS_MEASURED, encoding="utf-8")
-
+    def _outputs_without_a_state(self, path, capsys, monkeypatch, flags=()):
+        """The outputs with every density-matrix path patched to fail, after
+        checking them against the outputs of that path."""
         with monkeypatch.context() as m:  # the outputs of the density-matrix path
-            m.setattr(circuits, "_is_noisy", lambda ir: True)
-            expected = self._outputs(path, capsys)
+            m.setattr(circuits, "_mixes_after_noise", lambda ir: True)
+            expected = self._outputs(path, capsys, flags)
 
         def fail(*args, **kwargs):
             raise AssertionError("a density matrix was formed or checked")
 
-        for owner, name in [
-            (circuits, "simulate"),
-            (circuits, "apply"),
-            (circuits, "check_density"),
-            (linalg, "is_psd"),
-            (states, "check_density"),
-            (states.DensityOperator, "__init__"),
-            (states.DensityOperator, "_unchecked"),
-        ]:
-            monkeypatch.setattr(owner, name, fail)
-        run, sampled = self._outputs(path, capsys)
-        assert [run, sampled] == expected
+        with monkeypatch.context() as m:
+            for owner, name in [
+                (circuits, "simulate"),
+                (circuits, "apply"),
+                (circuits, "check_density"),
+                (linalg, "is_psd"),
+                (states, "check_density"),
+                (states.DensityOperator, "__init__"),
+                (states.DensityOperator, "_unchecked"),
+            ]:
+                m.setattr(owner, name, fail)
+            outputs = self._outputs(path, capsys, flags)
+        assert outputs == expected
+        return outputs
+
+    def test_noise_after_the_last_mixing_gate_forms_no_state(self, capsys, monkeypatch):
+        path = CIRCUITS / "ten_qubit.qc"
+        for noise in ("bitflip:0.05", "depolarizing:0.01"):
+            run, sampled = self._outputs_without_a_state(path, capsys, monkeypatch, ["--noise", noise])
+            probabilities = json.loads(run)["probabilities"]
+            assert len(probabilities) == 8 and abs(sum(probabilities.values()) - 1.0) <= 1e-12
+            assert set(json.loads(sampled)["counts"]) <= set(probabilities)
+
+    def test_run_and_sample_form_no_state(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "ten.qc"
+        path.write_text(TEN_QUBITS_MEASURED, encoding="utf-8")
+        run, sampled = self._outputs_without_a_state(path, capsys, monkeypatch)
         probabilities = json.loads(run)["probabilities"]
         assert sorted(probabilities) == ["0000000000", "0000001000", "1000100001", "1000101001"]
         assert all(abs(p - 0.25) <= 1e-12 for p in probabilities.values())
@@ -696,14 +712,23 @@ DEMO_TABLES = {
 }
 
 
-# Committed record outputs of every command on the demos and the CHSH presets:
-# a change that moves any byte of them shows here.
+# Committed record outputs of every command on the demos and the CHSH presets,
+# and of noisy 9- and 10-qubit circuits: a change that moves any byte of them
+# shows here.
 RECORD_GOLDENS = {
     **{
         f"run/{demo}_{noise.partition(':')[0] or 'ideal'}": ["run", str(DEMOS / f"{demo}.qc")]
         + (["--noise", noise] if noise else [])
         for demo in ("hadamard", "three_qubit_demo")
         for noise in ("", "bitflip:0.05", "depolarizing:0.1")
+    },
+    **{
+        f"run/{circuit}_{noise.partition(':')[0]}": ["run", str(CIRCUITS / f"{circuit}.qc"), "--noise", noise]
+        for circuit, noise in (
+            ("nine_qubit", "bitflip:0.01"),
+            ("ten_qubit", "bitflip:0.05"),
+            ("ten_qubit", "depolarizing:0.01"),
+        )
     },
     **{f"eval/{demo}": ["eval", str(DEMOS / f"{demo}.qf")] for demo in ("and_of_halves", "excluded_middle")},
     **{f"psa-table/{demo}": ["psa-table", str(DEMOS / f"{demo}.psa")] for demo in ("kochen_specker", "zero_state")},
