@@ -728,7 +728,16 @@ RECORD_GOLDENS = {
             ("nine_qubit", "bitflip:0.01"),
             ("ten_qubit", "bitflip:0.05"),
             ("ten_qubit", "depolarizing:0.01"),
+            ("eight_qubit_mixing", "bitflip:0.05"),
+            ("eight_qubit_mixing", "depolarizing:0.1"),
         )
+    },
+    # A mixing gate after injected noise: these runs form the density matrix.
+    **{
+        f"sample/eight_qubit_mixing_{noise.partition(':')[0]}": [
+            "sample", str(CIRCUITS / "eight_qubit_mixing.qc"), "--noise", noise, "--shots", "1024", "--seed", "7",
+        ]
+        for noise in ("bitflip:0.05", "depolarizing:0.1")
     },
     **{f"eval/{demo}": ["eval", str(DEMOS / f"{demo}.qf")] for demo in ("and_of_halves", "excluded_middle")},
     **{f"psa-table/{demo}": ["psa-table", str(DEMOS / f"{demo}.psa")] for demo in ("kochen_specker", "zero_state")},
