@@ -396,9 +396,7 @@ def measurement_channel(n_qubits: int, measured) -> QuantumOperation:
     them would take 16 GiB at m = 10.  The mask takes 4**m floats.
     """
     qs = tuple(measured)
-    if not qs:
-        raise ValueError("measured qubit set must be non-empty")
-    check_targets(qs, n_qubits, what="measured qubit")
+    check_targets(qs, n_qubits, "measured qubit")
     op = QuantumOperation.__new__(QuantumOperation)
     op._place(_SectorProjectors(len(qs)), len(qs), sorted(qs), n_qubits)
     op._masks = {0: np.eye(2 ** len(qs))}

@@ -59,8 +59,9 @@ class InputError(ValueError):
 
 def _statements(text: str):
     """The statements of an input file: (line number, the text before the
-    line's ``#``) for each line that is not blank once its comment is cut."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    line's ``#``) for each line that is not blank once its comment is cut.
+    One leading byte-order mark (U+FEFF) is not part of the text."""
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if line and not line.isspace():
             yield lineno, line
@@ -81,11 +82,10 @@ class NoiseStep:
 
 @dataclass(frozen=True)
 class MeasureStep:
-    """The qubits a circuit's final step measures.  In an IR they are listed,
-    sorted; ``MeasureStep()`` (``None``) is accepted as constructor input
-    for every qubit, and ``CircuitIr`` lists them."""
+    """The qubits a circuit's final step measures; ``CircuitIr`` keeps them
+    sorted."""
 
-    targets: tuple[int, ...] | None = None
+    targets: tuple[int, ...]
 
 
 Step = GateStep | NoiseStep | MeasureStep
@@ -101,7 +101,8 @@ class _StepError(ValueError):
 
 
 def _check_step(n_qubits: int, step: Step, previous: Step | None) -> None:
-    """Every rule a circuit step obeys, given the step before it."""
+    """Every rule a circuit step obeys, given the step before it.  An empty
+    measured set, which circuit text cannot spell, raises a plain error."""
     if isinstance(previous, MeasureStep):
         raise _StepError("measure must be the final step: no statements allowed after 'measure'", 0)
     if isinstance(step, GateStep):
@@ -122,8 +123,6 @@ def _check_step(n_qubits: int, step: Step, previous: Step | None) -> None:
                 raise _StepError(str(exc), token) from None
         targets, first, what = (step.target,), 3, "target"
     elif isinstance(step, MeasureStep):
-        if not step.targets:
-            raise _StepError("measure step needs at least one qubit", 0)
         targets, first, what = step.targets, 1, "measured qubit"
     else:
         raise TypeError(f"unknown step {step!r}")
@@ -140,18 +139,15 @@ class CircuitIr:
 
     def __post_init__(self):
         check_qubit_count(self.n_qubits)
-        # One circuit has one IR: a measure step lists its qubits, every one
-        # for ``MeasureStep(None)``, and the final one keeps them sorted so
-        # that its labels read in register order; a noise probability is a
+        # One circuit has one IR: the final measure step's qubits are sorted,
+        # so its labels read in register order, and a noise probability is a
         # Python float, which ``pretty_print`` writes as a number.
-        every, none = MeasureStep(tuple(range(self.n_qubits))), MeasureStep(None)
-        steps = tuple(every if step == none else step for step in self.steps)
-        for previous, step in zip((None, *steps), steps):
+        for previous, step in zip((None, *self.steps), self.steps):
             try:
                 _check_step(self.n_qubits, step, previous)
             except _StepError as exc:
                 raise ValueError(str(exc)) from None
-        steps = tuple(NoiseStep(s.kind, float(s.p), s.target) if isinstance(s, NoiseStep) else s for s in steps)
+        steps = tuple(NoiseStep(s.kind, float(s.p), s.target) if isinstance(s, NoiseStep) else s for s in self.steps)
         if steps and isinstance(steps[-1], MeasureStep):
             steps = (*steps[:-1], MeasureStep(tuple(sorted(steps[-1].targets))))
         object.__setattr__(self, "steps", steps)
@@ -255,21 +251,6 @@ def inject_noise(ir: CircuitIr, kind: str, p: float) -> CircuitIr:
     return CircuitIr(ir.n_qubits, tuple(out))
 
 
-def _gate_prefix(ir: CircuitIr) -> tuple[np.ndarray, int]:
-    """Run the leading gate steps of ``ir`` on the vector |0..0>: ``evolve``
-    of each lifted gate, 2**n work per gate, the norm checked after each.
-    Returns the vector and the number of steps run."""
-    n = ir.n_qubits
-    psi = np.eye(1, 2**n, dtype=complex)[0]
-    for i, step in enumerate(ir.steps):
-        if not isinstance(step, GateStep):
-            return psi, i
-        psi = evolve(lift_unitary(builtin_gate(step.name), n, step.targets), psi)
-        if abs(np.vdot(psi, psi).real - 1.0) > STRUCTURAL_TOL:
-            raise ValueError(f"step {i + 1} ({step}) left a vector that is not of unit norm")
-    return psi, len(ir.steps)
-
-
 def _operation(n: int, step: Step):
     """The operation a step applies on an n-qubit register."""
     if isinstance(step, GateStep):
@@ -279,19 +260,37 @@ def _operation(n: int, step: Step):
     return measurement_channel(n, step.targets)
 
 
+def _gate_prefix(ir: CircuitIr) -> tuple[np.ndarray, int]:
+    """Run the leading gate steps of ``ir`` on the vector |0..0>, 2**n work
+    per gate and no check.  Returns the vector and the number of steps run."""
+    n = ir.n_qubits
+    psi = np.eye(1, 2**n, dtype=complex)[0]
+    for i, step in enumerate(ir.steps):
+        if not isinstance(step, GateStep):
+            return psi, i
+        psi = evolve(_operation(n, step), psi)
+    return psi, len(ir.steps)
+
+
+def _check_total(total: float) -> None:
+    """The rule of a run's total probability, checked once, where the run
+    ends, on every path: its outcomes sum to 1 within ``STRUCTURAL_TOL``."""
+    if abs(total - 1.0) > STRUCTURAL_TOL:
+        raise ValueError(f"the circuit left probabilities that sum to {total!r}, not 1")
+
+
 def simulate(ir: CircuitIr) -> DensityOperator:
     """Fold the circuit's steps over |0..0><0..0|.
 
     The circuit starts from the vector |0..0>, and its leading gate steps act
     on that vector (``_gate_prefix``).  At the first noise or measure step,
     or at the end, the vector becomes |psi><psi|.  Each remaining step is
-    one ``apply``, its trace checked after each (2**n work); a measure step
-    is one joint measurement channel on all the measured qubits, one mask
-    pass over the matrix.
-    Hermiticity and positivity are checked once, on the returned state, by
-    ``states.check_density``: on the diagonal blocks of the measured sectors
-    when the circuit ends in a measure step (their spectra make up the
-    final matrix's spectrum), else on the whole matrix.
+    one ``apply``; a measure step is one joint measurement channel on all
+    the measured qubits, one mask pass over the matrix.  Only the returned
+    state is checked: its trace by ``_check_total``, then its hermiticity
+    and positivity by ``states.check_density``, on the diagonal blocks of
+    the measured sectors when the circuit ends in a measure step (their
+    spectra make up the final matrix's spectrum), else on the whole matrix.
 
     This is the definition ``output_distribution`` is tested against: on a
     circuit where no mixing gate follows noise it must give
@@ -300,11 +299,10 @@ def simulate(ir: CircuitIr) -> DensityOperator:
     n = ir.n_qubits
     psi, done = _gate_prefix(ir)
     rho = DensityOperator._unchecked(np.outer(psi, psi.conj()))
-    for i, step in enumerate(ir.steps[done:], start=done + 1):
+    for step in ir.steps[done:]:
         rho = apply(_operation(n, step), rho)
-        if abs(linalg.trace(rho.matrix) - 1.0) > STRUCTURAL_TOL:
-            raise ValueError(f"step {i} ({step}) left a state that is not of unit trace")
     matrix = rho.matrix
+    _check_total(float(np.trace(matrix).real))
     ends_in_measure = bool(ir.steps) and isinstance(ir.steps[-1], MeasureStep)
     check_density(linalg.sector_blocks(matrix, n, measured_positions(ir)) if ends_in_measure else matrix)
     return DensityOperator._unchecked(matrix)
@@ -373,9 +371,7 @@ def _probabilities(ir: CircuitIr) -> np.ndarray:
     for step in ir.steps[done:]:
         if not isinstance(step, MeasureStep):
             probs = evolve_diagonal(_operation(n, step), probs)
-    total = float(probs.sum())
-    if abs(total - 1.0) > STRUCTURAL_TOL:
-        raise ValueError(f"the circuit left probabilities that sum to {total!r}, not 1")
+    _check_total(float(probs.sum()))
     return probs
 
 
@@ -414,10 +410,23 @@ def measured_positions(ir: CircuitIr) -> tuple[int, ...]:
     return tuple(range(ir.n_qubits))
 
 
-def _check_integers(**values) -> None:
-    for what, value in values.items():
+#: The most shots one multinomial draw takes: its count is an int64.
+MAX_SHOTS = int(np.iinfo(np.int64).max)
+
+
+def _check_shots_and_seed(shots: int, seed: int) -> None:
+    """The rule of a sample's arguments, for ``sample`` and ``Histogram``
+    alike: integers (``bool`` is not one), 1 <= shots <= ``MAX_SHOTS`` and
+    seed >= 0."""
+    for what, value in (("shots", shots), ("seed", seed)):
         if not is_integer(value):
             raise ValueError(f"{what} {value} is not an integer")
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= {MAX_SHOTS}")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -429,20 +438,14 @@ class Histogram:
     seed: int
 
     def __post_init__(self):
-        _check_integers(shots=self.shots, seed=self.seed)
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        _check_shots_and_seed(self.shots, self.seed)
         if sum(self.counts.values()) != self.shots:
             raise ValueError("histogram counts must sum to shots")
         lengths = {len(label) for label in self.counts}
         if len(lengths) > 1:
             raise ValueError("outcome labels must share one length")
-        if any(c < 0 for c in self.counts.values()):
-            raise ValueError("counts must be non-negative")
-
-
-#: The most shots one multinomial draw takes: its count is an int64.
-MAX_SHOTS = int(np.iinfo(np.int64).max)
+        if not all(is_integer(c) and c >= 0 for c in self.counts.values()):
+            raise ValueError("counts must be non-negative integers")
 
 
 def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
@@ -456,13 +459,7 @@ def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
     not the shots.  Identical (ir, shots, seed) triples give identical
     histograms.
     """
-    _check_integers(shots=shots, seed=seed)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if shots > MAX_SHOTS:
-        raise ValueError(f"shots must be <= {MAX_SHOTS}")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    _check_shots_and_seed(shots, seed)
     probs = _diagonal(simulate(ir)) if _mixes_after_noise(ir) else _probabilities(ir)
     labels, probs = _marginal(ir.n_qubits, probs, measured_positions(ir))
     probs = probs / probs.sum()
@@ -594,12 +591,12 @@ def _unit_vector(amplitudes: np.ndarray) -> np.ndarray:
     """``amplitudes`` over its norm, taken after scaling the largest real or
     imaginary part into [0.5, 1): no finite non-zero vector overflows or
     underflows to zero.  The scale is a power of two, so a vector of moderate
-    magnitude gets the same bits as without it.  A non-finite entry is passed
-    on for the caller to reject."""
+    magnitude gets the same bits as without it.  The one rule of a vector in
+    a file (``state pure``, ``vector``, literal atoms): finite, not zero."""
     parts = np.ascontiguousarray(amplitudes, dtype=complex).view(float)  # re, im, re, ...
     largest = float(np.abs(parts).max(initial=0.0))
     if not math.isfinite(largest):
-        return amplitudes
+        raise ValueError("amplitudes must be finite")
     if largest == 0.0:
         raise ValueError("zero vector")
     v = np.ldexp(parts, -math.frexp(largest)[1]).view(complex)
@@ -772,8 +769,6 @@ def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
                 raise ValueError(f"{kw!r} outside a context block")
             if kw == "vector":
                 u = _unit_vector(_complex_tokens(args))
-                if not np.all(np.isfinite(u)):  # before the product turns inf * 0 into nan
-                    raise ValueError("matrix entries must be finite")
                 current[1].append(Projector(np.outer(u, u.conj())))
             else:
                 current[1].append(Projector(_complex_tokens(args, square=True)))

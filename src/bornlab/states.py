@@ -44,10 +44,12 @@ def is_integer(value) -> bool:
 
 def check_targets(targets, n_qubits: int, what: str = "target") -> None:
     """The target rule for the sequence of qubits a gate, noise or measure step
-    acts on: each entry an integer (``bool`` is not one) in 0..n_qubits-1 and
-    none repeated, checked entry by entry in order.  ``what`` names the
-    entries in the repeat message.  The circuit DSL and the channel builders
-    both check here."""
+    acts on: at least one entry (an empty list raises a plain ``ValueError``),
+    each an integer (``bool`` is not one) in 0..n_qubits-1 and none repeated,
+    checked entry by entry in order.  ``what`` names the entries in the
+    messages.  The circuit DSL and the channel builders both check here."""
+    if not targets:
+        raise ValueError(f"{what} set must be non-empty")
     for i, t in enumerate(targets):
         if not is_integer(t):
             raise TargetError(f"qubit index {t} is not an integer", i)
@@ -150,7 +152,7 @@ class DensityOperator:
 
     def purity(self) -> float:
         """trace(rho^2): 1 for pure states, 1/dim for the maximally mixed one."""
-        return float(np.real(linalg.trace(self.matrix @ self.matrix)))
+        return float(np.vdot(self.matrix, self.matrix).real)  # sum |rho_ij|^2 = Tr(rho^2), rho hermitian
 
     def is_pure(self) -> bool:
         return abs(self.purity() - 1.0) <= STRUCTURAL_TOL

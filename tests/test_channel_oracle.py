@@ -115,7 +115,7 @@ def circuits(draw):
             steps.append(NoiseStep(kind, draw(st.floats(0, 1)), draw(st.integers(0, n - 1))))
     measured = draw(st.sampled_from(["none", "all", "some"]))
     if measured == "all":
-        steps.append(MeasureStep(None))
+        steps.append(MeasureStep(tuple(range(n))))
     elif measured == "some":
         qs = draw(st.sets(st.integers(0, n - 1), min_size=1))
         steps.append(MeasureStep(tuple(sorted(qs))))

@@ -156,14 +156,15 @@ class TestPrettyPrintRoundTrip:
         with pytest.raises(InputError, match=r"^line 2, column 13: repeated measured qubit 2$"):
             parse_circuit("qubits 3\nmeasure 2 0 2\n")
 
-    def test_an_ir_lists_the_qubits_of_measure_step_none(self):
-        ir = CircuitIr(2, (GateStep("h", (0,)), MeasureStep()))
-        assert ir == CircuitIr(2, (GateStep("h", (0,)), MeasureStep((1, 0))))
+    def test_a_measure_step_lists_its_qubits_and_the_ir_sorts_them(self):
+        with pytest.raises(TypeError):
+            MeasureStep()
+        ir = CircuitIr(2, (GateStep("h", (0,)), MeasureStep((1, 0))))
         assert ir.steps[-1] == MeasureStep((0, 1))
 
     def test_ir_validation_on_manual_construction(self):
         with pytest.raises(ValueError, match="final step"):
-            CircuitIr(2, (MeasureStep(None), GateStep("h", (0,))))
+            CircuitIr(2, (MeasureStep((0, 1)), GateStep("h", (0,))))
         with pytest.raises(ValueError, match="unknown gate"):
             CircuitIr(1, (GateStep("rx", (0,)),))
 
@@ -175,7 +176,7 @@ _ONE_QUBIT = parse_circuit("qubits 1\ngate h 0\n")
 LIBRARY_DIAGNOSTICS = {
     "empty measured set": (
         lambda: CircuitIr(1, (GateStep("h", (0,)), MeasureStep(()))),
-        "measure step needs at least one qubit",
+        "measured qubit set must be non-empty",
     ),
     "step after measure": (
         lambda: CircuitIr(1, (MeasureStep((0,)), GateStep("h", (0,)))),
@@ -207,6 +208,7 @@ LIBRARY_DIAGNOSTICS = {
     "injected nan": (lambda: inject_noise(_ONE_QUBIT, "depolarizing", math.nan), "noise probability nan out of [0, 1]"),
     "bool shots": (lambda: Histogram(shots=True, counts={"0": 1}, seed=0), "shots True is not an integer"),
     "float seed": (lambda: Histogram(shots=1, counts={"0": 1}, seed=0.5), "seed 0.5 is not an integer"),
+    "float counts": (lambda: Histogram(shots=2, counts={"0": 1.5, "1": 0.5}, seed=0), "counts must be non-negative integers"),
 }
 
 
@@ -232,8 +234,8 @@ def circuit_irs(draw, max_qubits=6, noise=True):
             kind = draw(st.sampled_from(sorted(NOISE_KINDS)))
             steps.append(NoiseStep(kind, draw(st.floats(0.0, 1.0)), order[0]))
     if draw(st.booleans()):
-        measured = draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1))
-        steps.append(MeasureStep(None if measured is None else tuple(sorted(measured))))
+        measured = draw(st.just(set(range(n))) | st.sets(st.integers(0, n - 1), min_size=1))
+        steps.append(MeasureStep(tuple(sorted(measured))))
     return CircuitIr(n, tuple(steps))
 
 
@@ -381,28 +383,27 @@ class TestSimulate:
         assert sum(p for label, p in dist.items() if label[0] == "1") == pytest.approx(0.5, abs=1e-12)
         assert all(label[3] == "0" for label in dist)
 
-    def test_noise_free_prefix_checks_the_norm_after_each_gate(self, monkeypatch):
-        # A gate that breaks the norm is caught at its own step on the vector.
-        # The fault is in ``h``, which is contracted from its matrix; ``cnot``
-        # is a gather and never reads its matrix.
-        ir = parse_circuit("qubits 2\ngate cnot 0 1\ngate h 0\nmeasure all\n")
-        bad = GATES["h"].matrix * 1.1
-        monkeypatch.setattr(GATES["h"], "matrix", bad)
-        with pytest.raises(ValueError, match=r"step 2 \(.*'h'.*\) left a vector that is not of unit norm"):
-            simulate(ir)
-
-    def test_steps_on_the_matrix_check_the_trace_after_each(self, monkeypatch):
-        # After a noise step the circuit runs on the matrix; a gate that
-        # breaks the trace is caught at its own step there.
-        ir = parse_circuit("qubits 2\nnoise bitflip 0.1 1\ngate h 0\nmeasure all\n")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # On the vector: ``h`` is contracted from its matrix; ``cnot`` is
+            # a gather and never reads its matrix.
+            "qubits 2\ngate cnot 0 1\ngate h 0\nmeasure all\n",
+            # On the matrix, after a noise step.
+            "qubits 2\nnoise bitflip 0.1 1\ngate h 0\nmeasure all\n",
+        ],
+    )
+    def test_a_gate_that_breaks_the_total_is_caught_where_the_run_ends(self, text, monkeypatch):
+        ir = parse_circuit(text)
         monkeypatch.setattr(GATES["h"], "matrix", GATES["h"].matrix * 1.1)
-        with pytest.raises(ValueError, match=r"^step 2 \(.*'h'.*\) left a state that is not of unit trace$"):
+        with pytest.raises(ValueError, match=r"^the circuit left probabilities that sum to 1\.21[0-9]*, not 1$"):
             simulate(ir)
 
-    def test_an_empty_measured_set_is_rejected_by_the_ir(self):
+    def test_an_empty_measured_set_is_rejected_by_the_ir_and_the_channel(self):
         # Circuit text cannot spell it: a bare ``measure`` is a usage error.
-        with pytest.raises(ValueError, match="^measure step needs at least one qubit$"):
-            CircuitIr(1, (MeasureStep(()),))
+        for make in (lambda: CircuitIr(1, (MeasureStep(()),)), lambda: channels.measurement_channel(1, [])):
+            with pytest.raises(ValueError, match="^measured qubit set must be non-empty$"):
+                make()
 
     @pytest.mark.parametrize("measure", ["", "measure 0\n"])
     @pytest.mark.parametrize(
@@ -594,10 +595,27 @@ class TestOutputDistribution:
     def test_a_non_unit_gate_fails_with_the_message_of_simulate(self, monkeypatch):
         ir = parse_circuit("qubits 2\ngate cnot 0 1\ngate h 0\nmeasure all\n")
         monkeypatch.setattr(GATES["h"], "matrix", GATES["h"].matrix * 1.1)
-        message = r"^step 2 \(.*'h'.*\) left a vector that is not of unit norm$"
-        for run in (simulate, output_distribution):
+        message = r"^the circuit left probabilities that sum to 1\.21[0-9]*, not 1$"
+        for run in (simulate, output_distribution, lambda ir: sample(ir, 10, 0)):
             with pytest.raises(ValueError, match=message):
                 run(ir)
+
+    @pytest.mark.parametrize("noise", ["", "noise bitflip 0.1 0\n", "noise bitflip 0.1 0\ngate h 1\n"])
+    def test_every_run_path_checks_its_total_once_at_its_end(self, noise, monkeypatch):
+        # The vector path, the probability tail and the matrix path: one
+        # check per run, whatever the number of steps.
+        totals, check = [], circuits._check_total
+
+        def counting_check(total):
+            totals.append(total)
+            check(total)
+
+        monkeypatch.setattr(circuits, "_check_total", counting_check)
+        ir = parse_circuit(f"qubits 3\ngate h 0\ngate cnot 0 1\ngate h 2\n{noise}gate toffoli 0 1 2\nmeasure 0 2\n")
+        for run in (simulate, output_distribution, lambda ir: sample(ir, 10, 0)):
+            totals.clear()
+            run(ir)
+            assert totals == [pytest.approx(1.0, abs=1e-12)]
 
 
 def _diagonals_and_positions():
@@ -676,11 +694,16 @@ class TestSample:
             (True, 0, "shots True is not an integer"),
             (5, 1.5, "seed 1.5 is not an integer"),
             (5, False, "seed False is not an integer"),
+            (0, 0, "shots must be >= 1"),
+            (2**70, 0, "shots must be <= 9223372036854775807"),
+            (1, -5, "seed must be >= 0"),
         ],
     )
-    def test_shots_and_seed_must_be_integers(self, shots, seed, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            sample(parse_circuit("qubits 1\n"), shots, seed)
+    def test_sample_and_histogram_share_one_rule_for_shots_and_seed(self, shots, seed, message):
+        ir = parse_circuit("qubits 1\n")
+        for make in (lambda: sample(ir, shots, seed), lambda: Histogram(shots=shots, counts={"0": shots}, seed=seed)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make()
 
     def test_numpy_integer_shots_and_seed_are_accepted(self):
         assert sample(parse_circuit("qubits 1\n"), np.int64(3), np.uint32(1)).counts == {"0": 3}

@@ -379,8 +379,8 @@ class TestPsaTable:
             ("0 0", "1 0", "line 1: zero vector"),
             ("inf 0", "1 0", "line 1: amplitudes must be finite"),
             ("1 0", "0 0", "line 3: zero vector"),
-            ("1 0", "nan 0", "line 3: matrix entries must be finite"),
-            ("1 0", "inf 0", "line 3: matrix entries must be finite"),
+            ("1 0", "nan 0", "line 3: amplitudes must be finite"),
+            ("1 0", "inf 0", "line 3: amplitudes must be finite"),
         ],
     )
     def test_zero_and_non_finite_amplitudes_are_rejected(self, state, vector, message, tmp_path, capsys):
@@ -795,6 +795,50 @@ class TestDemoFiles:
         assert main([*argv, "--format", "record"]) == 0
         path = Path(__file__).resolve().parent / "golden" / f"{golden}.json"
         assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+BELL = "qubits 2\ngate h 0\ngate cnot 0 1\nmeasure all\n"
+# Each command's input (file name, text, flags); each reads ``bell.qc``, the
+# main input or a circuit that a ``state circuit`` line or an atom names.
+BOM_INPUTS = {
+    "run": ("bell.qc", BELL, ["--noise", "bitflip:0.1"]),
+    "sample": ("bell.qc", BELL, ["--seed", "3"]),
+    "eval": ("f.qf", "atom a = bell.qc\natom b = (0.6, 0, 0.8, 0)\nformula = a & !b\n", []),
+    "psa-table": (
+        "v.psa", "state circuit bell.qc\ncontext z\nvector 1 0 0 0\nvector 0 1 0 0\nvector 0 0 1 0\nvector 0 0 0 1\nend\n", []
+    ),
+    "chsh": (
+        "s.chsh",
+        "state circuit bell.qc\nobservable a 1 0 0 -1\nobservable ap 0 1 1 0\n"
+        "observable b 0 1 1 0\nobservable bp 0 -1j 1j 0\n",
+        [],
+    ),
+}
+
+
+class TestByteOrderMark:
+    """A file saved with a UTF-8 byte-order mark reads as the same file
+    without it."""
+
+    @pytest.mark.parametrize("command, name, text, flags", [(c, *e) for c, e in BOM_INPUTS.items()], ids=BOM_INPUTS)
+    def test_every_command_reads_a_file_that_starts_with_a_mark(self, command, name, text, flags, tmp_path, capsys):
+        outputs = []
+        for bom in ("", "\ufeff"):
+            (tmp_path / "bell.qc").write_text(bom + BELL, encoding="utf-8")
+            (tmp_path / name).write_text(bom + text, encoding="utf-8")
+            assert main([command, str(tmp_path / name), *flags, "--format", "record"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == ""
+        assert outputs[1] == outputs[0]
+
+    def test_the_library_drops_one_leading_mark_and_no_other(self):
+        assert parse_circuit("\ufeff" + BELL) == parse_circuit(BELL)
+        with pytest.raises(InputError, match="^line 1, column 13: unexpected character '\\?'$"):
+            parse_formula_file("\ufeffformula = a ?\n")
+        with pytest.raises(InputError, match="^line 1, column 1: expected 'qubits <n>' as the first statement$"):
+            parse_circuit("\ufeff\ufeff" + BELL)
+        with pytest.raises(InputError, match=re.escape("line 2, column 1: unknown statement '\\ufeffgate'")):
+            parse_circuit("qubits 2\n\ufeffgate h 0\n")
 
 
 class TestModuleEntryPoint:

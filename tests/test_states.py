@@ -88,6 +88,13 @@ class TestDensityOperator:
         assert not DensityOperator(np.eye(2) / 2).is_pure()
         assert abs(DensityOperator(np.eye(2) / 2).purity() - 0.5) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_purity_is_the_trace_of_rho_squared(self, n):
+        rng = np.random.default_rng(n)
+        for rank in (1, 2, 2**n):
+            rho = random_density(n, rng=rng, rank=rank)
+            assert abs(rho.purity() - np.trace(rho.matrix @ rho.matrix).real) <= 1e-12
+
 
 class TestPureToDensity:
     def test_ket0(self):
