@@ -47,7 +47,6 @@ from .qcl import (
     GateApp,
     Not,
     Or,
-    TruthProjectors,
     eval_formula,
     eval_formula_state,
     qcl_and,
@@ -61,12 +60,9 @@ from .states import (
     QuRegister,
     basis_state,
     born_expectation,
-    mix,
     projector_onto,
     pure_to_density,
     qubit,
-    random_density,
-    random_pure,
 )
 
 __version__ = "0.1.0"

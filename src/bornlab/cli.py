@@ -16,7 +16,9 @@ seed 0, echoed into the output), results print at 6 decimals, and the
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 from pathlib import Path
@@ -58,6 +60,14 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _csv(rows) -> str:
+    """``rows`` as CSV lines ending in ``\n``; only fields that hold a comma, a
+    quote or a line break are quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def _read_input(args) -> tuple[str, Path]:
     """The input file's text, and the directory its relative paths resolve in."""
     path = Path(args.input)
@@ -74,7 +84,8 @@ def _read_circuit(args):
 def _scalar(args, key: str, value: float) -> str:
     if args.fmt == "record":
         return _json_dump({key: value})
-    return f"{value + 0.0:.6f}\n"
+    text = f"{value + 0.0:.6f}"
+    return _csv([[key], [text]]) if args.fmt == "csv" else text + "\n"
 
 
 def cmd_run(args) -> str:
@@ -83,7 +94,7 @@ def cmd_run(args) -> str:
     if args.fmt == "table":
         return "".join(f"{l} {dist[l]:.6f}\n" for l in labels)
     if args.fmt == "csv":
-        return "outcome,probability\n" + "".join(f"{l},{dist[l]:.6f}\n" for l in labels)
+        return _csv([("outcome", "probability"), *((l, f"{dist[l]:.6f}") for l in labels)])
     return _json_dump({"probabilities": dist})
 
 
@@ -93,8 +104,8 @@ def cmd_sample(args) -> str:
     if args.fmt == "table":
         return f"shots {h.shots}\nseed {h.seed}\n" + "".join(f"{l} {h.counts[l]}\n" for l in labels)
     if args.fmt == "csv":
-        head = f"# shots={h.shots} seed={h.seed}\noutcome,count\n"
-        return head + "".join(f"{l},{h.counts[l]}\n" for l in labels)
+        head = [(f"# shots={h.shots} seed={h.seed}",), ("outcome", "count")]
+        return _csv([*head, *((l, h.counts[l]) for l in labels)])
     return _json_dump({"shots": h.shots, "seed": h.seed, "counts": h.counts})
 
 
@@ -111,7 +122,7 @@ def cmd_psa_table(args) -> str:
     if args.fmt == "table":
         return "".join(f"{c} {l} {v:.6f}\n" for c, l, v in rows)
     if args.fmt == "csv":
-        return "context,projector,intensity\n" + "".join(f"{c},{l},{v:.6f}\n" for c, l, v in rows)
+        return _csv([("context", "projector", "intensity"), *((c, l, f"{v:.6f}") for c, l, v in rows)])
     return _json_dump([{"context": c, "projector": l, "intensity": v} for c, l, v in rows])
 
 

@@ -28,32 +28,16 @@ import numpy as np
 
 from . import linalg
 from .channels import apply, builtin_gate, lift_unitary
-from .states import DensityOperator, Projector, check_qubit_count, clamp_probability
+from .states import DensityOperator, check_qubit_count, clamp_probability
 
 _KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
-
-
-class TruthProjectors:
-    """The falsity/truth projector pair on n qubits.
-
-    p0 projects onto registers whose last qubit is 0, p1 onto those whose
-    last qubit is 1; both are exact 0/1 diagonal matrices with p0 + p1 = I.
-    """
-
-    def __init__(self, n_qubits: int):
-        if n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        dim = 2**n_qubits
-        last_bit = np.arange(dim) & 1
-        self.n_qubits = n_qubits
-        self.p0 = Projector(np.diag((1 - last_bit).astype(complex)))
-        self.p1 = Projector(np.diag(last_bit.astype(complex)))
 
 
 def truth_probability(rho: DensityOperator) -> float:
     """Probability that the information stored by ``rho`` is true: its
     diagonal weight where the last bit is 1, summed as complex numbers the way
-    ``born_expectation(rho, TruthProjectors(n).p1)`` sums its trace."""
+    ``born_expectation`` sums the trace of ``rho`` times that diagonal
+    projector."""
     last_bit = np.arange(rho.dim) & 1
     return clamp_probability(float(np.real(np.sum(np.diagonal(rho.matrix) * last_bit))))
 

@@ -195,29 +195,6 @@ def pure_to_density(psi: QuRegister) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()))
 
 
-def mix(states) -> DensityOperator:
-    """Convex combination of density operators.
-
-    ``states`` is a sequence of (weight, DensityOperator) pairs with
-    non-negative weights summing to 1 within ``STRUCTURAL_TOL``.
-    """
-    pairs = list(states)
-    if not pairs:
-        raise ValueError("mix of an empty collection")
-    total = sum(w for w, _ in pairs)
-    if any(w < 0 for w, _ in pairs):
-        raise ValueError("mixture weights must be non-negative")
-    if abs(total - 1.0) > STRUCTURAL_TOL:
-        raise ValueError(f"mixture weights must sum to 1, got {total!r}")
-    n = pairs[0][1].n_qubits
-    if any(rho.n_qubits != n for _, rho in pairs):
-        raise ValueError("mixture components must share one qubit count")
-    acc = np.zeros((2**n, 2**n), dtype=complex)
-    for w, rho in pairs:
-        acc += w * rho.matrix
-    return DensityOperator(acc)
-
-
 def born_expectation(rho: DensityOperator, p: Projector) -> float:
     """The value Re trace(rho @ P), clamped to [0, 1] by ``clamp_probability``."""
     if rho.n_qubits != p.n_qubits:
@@ -231,22 +208,3 @@ def clamp_probability(v: float) -> float:
     if v < -STRUCTURAL_TOL or v > 1.0 + STRUCTURAL_TOL:
         raise ValueError(f"expectation {v!r} outside [0, 1]: invariant broken upstream")
     return min(max(v, 0.0), 1.0)
-
-
-def random_pure(n_qubits: int, rng=None) -> QuRegister:
-    """Haar-ish random pure state (normalized complex Gaussian vector)."""
-    rng = np.random.default_rng(rng)
-    v = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    return QuRegister(v / np.linalg.norm(v))
-
-
-def random_density(n_qubits: int, rng=None, rank: int | None = None) -> DensityOperator:
-    """Ginibre-sampled mixed state; full rank unless ``rank`` is given."""
-    rng = np.random.default_rng(rng)
-    dim = 2**n_qubits
-    r = dim if rank is None else rank
-    if not 1 <= r <= dim:
-        raise ValueError(f"rank must be in 1..{dim}")
-    g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
-    m = g @ g.conj().T
-    return DensityOperator(m / np.trace(m).real)

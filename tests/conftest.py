@@ -7,7 +7,8 @@ so failures reproduce exactly.
 import numpy as np
 
 from bornlab import linalg
-from bornlab.states import Projector
+from bornlab.linalg import STRUCTURAL_TOL
+from bornlab.states import DensityOperator, Projector, QuRegister
 
 # Three-qubit demo circuit: double negation, double Hadamard, identity.
 # Every wire composes to the identity, so the noiseless output is |000>.
@@ -28,6 +29,48 @@ def random_unitary(dim, rng):
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def random_pure(n_qubits, rng=None):
+    """Haar-ish random pure state (normalized complex Gaussian vector)."""
+    rng = np.random.default_rng(rng)
+    v = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+    return QuRegister(v / np.linalg.norm(v))
+
+
+def random_density(n_qubits, rng=None, rank=None):
+    """Ginibre-sampled mixed state; full rank unless ``rank`` is given."""
+    rng = np.random.default_rng(rng)
+    dim = 2**n_qubits
+    r = dim if rank is None else rank
+    if not 1 <= r <= dim:
+        raise ValueError(f"rank must be in 1..{dim}")
+    g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+    m = g @ g.conj().T
+    return DensityOperator(m / np.trace(m).real)
+
+
+def mix(states):
+    """Convex combination of density operators.
+
+    ``states`` is a sequence of (weight, DensityOperator) pairs with
+    non-negative weights summing to 1 within ``STRUCTURAL_TOL``.
+    """
+    pairs = list(states)
+    if not pairs:
+        raise ValueError("mix of an empty collection")
+    total = sum(w for w, _ in pairs)
+    if any(w < 0 for w, _ in pairs):
+        raise ValueError("mixture weights must be non-negative")
+    if abs(total - 1.0) > STRUCTURAL_TOL:
+        raise ValueError(f"mixture weights must sum to 1, got {total!r}")
+    n = pairs[0][1].n_qubits
+    if any(rho.n_qubits != n for _, rho in pairs):
+        raise ValueError("mixture components must share one qubit count")
+    acc = np.zeros((2**n, 2**n), dtype=complex)
+    for w, rho in pairs:
+        acc += w * rho.matrix
+    return DensityOperator(acc)
 
 
 def random_complex_matrix(dim, rng):

@@ -32,10 +32,9 @@ from bornlab.states import (
     projector_onto,
     pure_to_density,
     qubit,
-    random_density,
 )
 
-from conftest import THREE_QUBIT_DEMO, random_orthogonal_projectors, random_unitary
+from conftest import THREE_QUBIT_DEMO, random_density, random_orthogonal_projectors, random_unitary
 
 HADAMARD_CIRCUIT = "qubits 1\ngate h 0\nmeasure all\n"
 INV_SQRT2 = 1.0 / np.sqrt(2.0)

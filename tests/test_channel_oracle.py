@@ -32,7 +32,8 @@ from bornlab.channels import (
     noise_channel,
 )
 from bornlab.circuits import CircuitIr, GateStep, MeasureStep, NoiseStep, simulate
-from bornlab.states import random_density
+
+from conftest import random_density
 
 S = 1 / np.sqrt(2)
 I2 = np.eye(2)

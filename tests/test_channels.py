@@ -30,10 +30,9 @@ from bornlab.states import (
     basis_state,
     pure_to_density,
     qubit,
-    random_density,
 )
 
-from conftest import random_kraus_family
+from conftest import random_density, random_kraus_family
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

@@ -33,9 +33,9 @@ from bornlab.circuits import (
 )
 from bornlab.circuits import PROB_FLOOR, _by_label, _diagonal, _marginal, _unit_vector
 from bornlab.qcl import And, Atom, Not, Or
-from bornlab.states import basis_state, pure_to_density, random_density
+from bornlab.states import basis_state, pure_to_density
 
-from conftest import THREE_QUBIT_DEMO, counting_is_psd
+from conftest import THREE_QUBIT_DEMO, counting_is_psd, random_density
 
 
 def _marginalize(dist: dict[str, float], positions) -> dict[str, float]:

@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, formats, determinism, and exit codes."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -256,6 +258,10 @@ class TestEval:
         assert main(["eval", str(path)]) == 0
         assert capsys.readouterr().out == "0.750000\n"
 
+    def test_csv_heads_the_value_with_its_key(self, capsys):
+        assert main(["eval", str(DEMOS / "and_of_halves.qf"), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "truth_probability\n0.250000\n"
+
     def test_circuit_bound_atom(self, tmp_path, capsys):
         (tmp_path / "h.qc").write_text(HADAMARD, encoding="utf-8")
         path = tmp_path / "f.qf"
@@ -423,6 +429,19 @@ class TestPsaTable:
         assert lines[0] == "context,projector,intensity"
         assert lines[1] == "computational,P0,1.000000"
 
+    def test_csv_quotes_names_that_hold_a_comma_or_a_quote(self, tmp_path, capsys):
+        path = tmp_path / "names.psa"
+        body = "vector 1 0\nvector 0 1\nend\n"
+        path.write_text(f"state pure 1 0\ncontext a,b\n{body}context \"q\n{body}", encoding="utf-8")
+        assert main(["psa-table", str(path), "--format", "csv"]) == 0
+        assert list(csv.reader(io.StringIO(capsys.readouterr().out))) == [
+            ["context", "projector", "intensity"],
+            ["a,b", "P0", "1.000000"],
+            ["a,b", "P1", "0.000000"],
+            ['"q', "P0", "1.000000"],
+            ['"q', "P1", "0.000000"],
+        ]
+
     @pytest.mark.parametrize(
         "command, text",
         [
@@ -442,6 +461,10 @@ class TestChsh:
     def test_singlet_optimal_preset(self, capsys):
         assert main(["chsh", "singlet-optimal"]) == 0
         assert capsys.readouterr().out == "2.828427\n"
+
+    def test_csv_heads_the_value_with_its_key(self, capsys):
+        assert main(["chsh", "singlet-optimal", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "S\n2.828427\n"
 
     def test_product_preset_stays_classical(self, capsys):
         assert main(["chsh", "product"]) == 0

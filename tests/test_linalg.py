@@ -18,9 +18,7 @@ from bornlab.linalg import (
     sector_blocks,
     trace,
 )
-from bornlab.states import random_density
-
-from conftest import random_complex_matrix, random_unitary
+from conftest import random_complex_matrix, random_density, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -94,8 +92,6 @@ class TestTrace:
 class TestPartialTrace:
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(13)
-        from bornlab.states import random_density
-
         rho = random_density(1, rng=rng).matrix
         sigma = random_density(1, rng=rng).matrix
         np.testing.assert_allclose(partial_trace(np.kron(rho, sigma), 2, {1}), rho, atol=1e-12)

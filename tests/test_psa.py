@@ -1,5 +1,6 @@
 """Intensive valuation: additivity, contexts, reconstruction, and CHSH."""
 
+import tracemalloc
 from functools import cache
 from itertools import combinations
 
@@ -18,7 +19,6 @@ from bornlab.psa import (
     global_valuation,
     intensity,
     join_projectors,
-    pauli_basis,
     reconstruct_density,
     singlet_state,
 )
@@ -27,15 +27,12 @@ from bornlab.states import (
     Projector,
     QuRegister,
     basis_state,
-    mix,
     projector_onto,
     pure_to_density,
     qubit,
-    random_density,
-    random_pure,
 )
 
-from conftest import random_orthogonal_projectors, random_unitary
+from conftest import mix, random_density, random_orthogonal_projectors, random_pure, random_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -50,12 +47,13 @@ def one_qubit_ic_family():
     ]
 
 
-def two_qubit_ic_family():
-    return [
-        Projector(np.kron(p.matrix, q.matrix))
-        for p in one_qubit_ic_family()
-        for q in one_qubit_ic_family()
-    ]
+def product_ic_family(n_qubits):
+    """The 4**n tensor products of ``one_qubit_ic_family``'s projectors, one
+    per qubit: informationally complete."""
+    family = [np.ones((1, 1), dtype=complex)]
+    for _ in range(n_qubits):
+        family = [np.kron(f, p.matrix) for f in family for p in one_qubit_ic_family()]
+    return [Projector(f) for f in family]
 
 
 class TestIntensity:
@@ -237,12 +235,43 @@ class TestContextsAndValuation:
             )
 
 
+def pauli_reconstruction(samples, n_qubits):
+    """Reference solve: Tr(rho P_i) = v_i by least squares over the 4**n
+    Pauli strings, with the unit-trace row appended; rho as a plain matrix."""
+    singles, basis = np.array([np.eye(2), *PAULIS]), np.ones((1, 1, 1))
+    for _ in range(n_qubits):
+        d = 2 * basis.shape[1]
+        basis = np.einsum("aij,bkl->abikjl", basis, singles).reshape(4 * len(basis), d, d)
+    rows = np.real(np.einsum("sij,bji->sb", np.array([p.matrix for p, _ in samples]), basis))
+    trace_row = np.real(np.trace(basis, axis1=1, axis2=2))
+    v = np.append([value for _, value in samples], 1.0)
+    x, *_ = np.linalg.lstsq(np.vstack([rows, trace_row]), v, rcond=None)
+    return np.tensordot(x, basis, axes=1)
+
+
 class TestReconstruction:
-    def test_pauli_basis_spans_hermitian_space(self):
-        for n in (1, 2):
-            basis = pauli_basis(n)
-            flat = np.array([b.reshape(-1) for b in basis])
-            assert np.linalg.matrix_rank(flat) == 4**n
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_pauli_basis_solve_on_entangled_families(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(5):
+            rho = random_density(n, rng=rng)
+            family = [projector_onto(random_pure(n, rng)) for _ in range(4**n + 2)]
+            samples = [(p, intensity(rho, p)) for p in family]
+            want = pauli_reconstruction(samples, n)
+            assert linalg.max_abs(reconstruct_density(samples, n).matrix - want) <= 1e-12
+
+    def test_five_qubits_build_no_pauli_basis(self):
+        # The 4**5 Pauli strings of 32 x 32 complex entries alone take 16 MiB.
+        rho = random_density(5, rng=59)
+        samples = [(p, intensity(rho, p)) for p in product_ic_family(5)]
+        tracemalloc.start()
+        try:
+            recovered = reconstruct_density(samples, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert linalg.max_abs(recovered.matrix - rho.matrix) <= 1e-8
+        assert peak < 30 * 2**20
 
     def test_round_trip_one_qubit(self):
         rng = np.random.default_rng(43)
@@ -254,7 +283,7 @@ class TestReconstruction:
     def test_round_trip_two_qubits(self):
         rng = np.random.default_rng(47)
         rho = random_density(2, rng=rng)
-        samples = [(p, intensity(rho, p)) for p in two_qubit_ic_family()]
+        samples = [(p, intensity(rho, p)) for p in product_ic_family(2)]
         recovered = reconstruct_density(samples, 2)
         assert linalg.max_abs(recovered.matrix - rho.matrix) <= 1e-8
 

@@ -1,4 +1,4 @@
-"""Truth projectors, probabilistic connectives, and formula evaluation."""
+"""Truth probability, probabilistic connectives, and formula evaluation."""
 
 import itertools
 from unittest import mock
@@ -17,7 +17,6 @@ from bornlab.qcl import (
     GateApp,
     Not,
     Or,
-    TruthProjectors,
     eval_formula,
     eval_formula_state,
     qcl_and,
@@ -27,15 +26,14 @@ from bornlab.qcl import (
 )
 from bornlab.states import (
     DensityOperator,
+    Projector,
     basis_state,
     born_expectation,
     pure_to_density,
     qubit,
-    random_density,
-    random_pure,
 )
 
-from conftest import counting_is_psd
+from conftest import counting_is_psd, random_density, random_pure
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -47,25 +45,6 @@ HALF = pure_to_density(qubit(INV_SQRT2, INV_SQRT2))
 def diag_truth_probability(rho):
     """Independent oracle: sum the diagonal over odd indices (last bit 1)."""
     return float(np.real(sum(rho.matrix[i, i] for i in range(rho.dim) if i & 1)))
-
-
-class TestTruthProjectors:
-    def test_structure_is_exact(self):
-        for n in (1, 2, 3):
-            tp = TruthProjectors(n)
-            dim = 2**n
-            np.testing.assert_array_equal(
-                tp.p1.matrix, np.diag([(i & 1) + 0j for i in range(dim)])
-            )
-            np.testing.assert_array_equal(tp.p0.matrix + tp.p1.matrix, np.eye(dim))
-            np.testing.assert_array_equal(tp.p0.matrix @ tp.p1.matrix, np.zeros((dim, dim)))
-
-    def test_last_qubit_convention(self):
-        tp = TruthProjectors(2)
-        # |10> has last qubit 0: false
-        assert tp.p0.matrix[2, 2] == 1.0
-        # |01> has last qubit 1: true
-        assert tp.p1.matrix[1, 1] == 1.0
 
 
 class TestTruthProbability:
@@ -98,7 +77,8 @@ class TestTruthProbability:
         rng = np.random.default_rng(103)
         for n in range(1, 8):
             for rho in (random_density(n, rng=rng), pure_to_density(random_pure(n, rng))):
-                expected = born_expectation(rho, TruthProjectors(n).p1)
+                truth = Projector(np.diag(np.arange(2**n) & 1).astype(complex))
+                expected = born_expectation(rho, truth)
                 assert abs(truth_probability(rho) - expected) <= 1e-15
 
 

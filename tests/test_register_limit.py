@@ -1,5 +1,5 @@
 """The advertised 10-qubit limit, and every accepted shot count, holds under a
-2 GiB address-space cap.
+2 GiB address-space cap, and so does reconstruction's 6-qubit limit.
 
 Each circuit, formula or sample runs through ``bornlab`` in a child
 interpreter whose address space is capped, so an allocation that scales with
@@ -107,25 +107,36 @@ def test_shots_past_int64_are_rejected_without_a_traceback():
 
 
 RECONSTRUCT_CHILD = f"""\
-import resource
+import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({CAP_BYTES}, resource.RLIM_INFINITY))
 from bornlab.psa import reconstruct_density
 from bornlab.states import basis_state, projector_onto
-samples = [(projector_onto(basis_state(8, i)), 1.0 if i == 0 else 0.0) for i in range(3)]
+n, count = map(int, sys.argv[1:])
+p = projector_onto(basis_state(n, 0))
 try:
-    reconstruct_density(samples, 8)
+    reconstruct_density([(p, 0.5)] * count, n)
 except ValueError as exc:
     print(exc)
 """
 
 
-def test_too_few_reconstruction_samples_fail_before_the_pauli_basis_is_built():
-    # The 4**8 Pauli matrices of 8 qubits take 64 GiB.
+@pytest.mark.parametrize(
+    "n, count, message",
+    [
+        # 4**8 rows of 4**8 coordinates would take 32 GiB.
+        (8, 3, "projector family is not informationally complete (needs rank 65536)"),
+        # Enough samples, but 4**7 rows of 4**7 coordinates would take 2.1 GB.
+        (7, 4**7, "reconstruction is limited to 6 qubits, got 7"),
+    ],
+    ids=["too-few-samples", "past-the-limit"],
+)
+def test_reconstruction_fails_before_its_rows_are_built(n, count, message):
     done = subprocess.run(
-        [sys.executable, "-c", RECONSTRUCT_CHILD], capture_output=True, text=True, env=ENV, timeout=120
+        [sys.executable, "-c", RECONSTRUCT_CHILD, str(n), str(count)],
+        capture_output=True, text=True, env=ENV, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert "not informationally complete (needs rank 65536)" in done.stdout
+    assert done.stdout == message + "\n"
 
 
 def _conjunction_file(tmp_path, n_atoms):

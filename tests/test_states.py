@@ -11,15 +11,12 @@ from bornlab.states import (
     QuRegister,
     basis_state,
     born_expectation,
-    mix,
     projector_onto,
     pure_to_density,
     qubit,
-    random_density,
-    random_pure,
 )
 
-from conftest import random_unitary
+from conftest import mix, random_density, random_pure, random_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
