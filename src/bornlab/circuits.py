@@ -41,7 +41,7 @@ from .channels import measurement_channel, noise_channel
 from .linalg import STRUCTURAL_TOL
 from .psa import Context
 from .qcl import And, Atom, Formula, Not, Or
-from .states import DensityOperator, Projector, QuRegister, check_qubit_count
+from .states import DensityOperator, Projector, QuRegister, check_qubit_count, projector_onto
 from .states import TargetError, check_density, check_targets, is_integer, pure_to_density
 
 
@@ -768,8 +768,7 @@ def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
             if current is None:
                 raise ValueError(f"{kw!r} outside a context block")
             if kw == "vector":
-                u = _unit_vector(_complex_tokens(args))
-                current[1].append(Projector(np.outer(u, u.conj())))
+                current[1].append(projector_onto(_unit_vector(_complex_tokens(args))))
             else:
                 current[1].append(Projector(_complex_tokens(args, square=True)))
         elif kw == "end":

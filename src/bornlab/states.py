@@ -11,6 +11,8 @@ of outcomes is a ``psa.Context``, which checks that they are orthogonal.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import linalg
@@ -162,7 +164,14 @@ class DensityOperator:
 
 
 class Projector:
-    """Hermitian idempotent matrix on n qubits; the carrier of properties."""
+    """Hermitian idempotent matrix on n qubits; the carrier of properties.
+
+    A rank-1 projector made by ``projector_onto`` keeps its unit vector (its
+    ray) as ``ray`` and forms ``matrix`` only when something reads it; one
+    made from a matrix has no ray.
+    """
+
+    ray: np.ndarray | None = None
 
     def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
@@ -171,22 +180,45 @@ class Projector:
             raise ValueError("matrix is not a projector (hermitian idempotent)")
         self.matrix = m
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix |u><u| of a ray, formed on first read."""
+        u = self.ray
+        m = np.outer(u, u.conj())
+        m.setflags(write=False)
+        return m
+
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return 2**self.n_qubits
 
     @property
     def rank(self) -> int:
+        if self.ray is not None:
+            return 1
         return round(float(np.real(linalg.trace(self.matrix))))
 
     def __repr__(self) -> str:
         return f"Projector(n_qubits={self.n_qubits}, rank={self.rank})"
 
 
-def projector_onto(psi: QuRegister) -> Projector:
-    """Rank-1 projector |psi><psi|."""
-    v = psi.amplitudes
-    return Projector(np.outer(v, v.conj()))
+def projector_onto(psi) -> Projector:
+    """The rank-1 projector |psi><psi| onto a ``QuRegister`` or a unit vector,
+    kept as its ray.  A vector is not normalized again: its squared norm must
+    be within ``STRUCTURAL_TOL`` of 1."""
+    if isinstance(psi, QuRegister):
+        u = psi.amplitudes
+    else:
+        u = np.array(psi, dtype=complex)
+        if u.ndim != 1 or not np.all(np.isfinite(u)):
+            raise ValueError("a ray must be a finite vector")
+        norm_sq = float(np.vdot(u, u).real)
+        if abs(norm_sq - 1.0) > STRUCTURAL_TOL:
+            raise ValueError(f"ray is not a unit vector: squared norm {norm_sq!r}")
+        u.setflags(write=False)
+    p = Projector.__new__(Projector)
+    p.n_qubits, p.ray = linalg.n_qubits_of(u.size), u
+    return p
 
 
 def pure_to_density(psi: QuRegister) -> DensityOperator:
@@ -196,10 +228,16 @@ def pure_to_density(psi: QuRegister) -> DensityOperator:
 
 
 def born_expectation(rho: DensityOperator, p: Projector) -> float:
-    """The value Re trace(rho @ P), clamped to [0, 1] by ``clamp_probability``."""
+    """The value Re Tr(rho P), clamped to [0, 1] by ``clamp_probability``, in
+    d**2 operations: <u|rho|u> for a ray u, else sum conj(P_ij) rho_ij (P is
+    hermitian)."""
     if rho.n_qubits != p.n_qubits:
         raise ValueError("state and projector act on different qubit counts")
-    return clamp_probability(float(np.real(linalg.trace(rho.matrix @ p.matrix))))
+    if p.ray is not None:
+        value = np.vdot(p.ray, rho.matrix @ p.ray)
+    else:
+        value = np.vdot(p.matrix, rho.matrix)
+    return clamp_probability(float(value.real))
 
 
 def clamp_probability(v: float) -> float:

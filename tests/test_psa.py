@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import linalg
+from bornlab.linalg import STRUCTURAL_TOL
 from bornlab.psa import (
     Context,
+    _check_orthogonal,
     chsh_preset,
     chsh_value,
     check_additivity,
@@ -512,6 +514,76 @@ class TestOrthogonalityProperties:
             Context(parts)
         with pytest.raises(ValueError, match="not orthogonal"):
             join_projectors(parts)
+
+
+def pair_product_orthogonality(ps, tol):
+    """Reference rule: the first pair i < j, in row-major order, whose product
+    P_i P_j exceeds ``tol`` in max-norm, or None; one dense product per pair."""
+    for i, j in combinations(range(len(ps)), 2):
+        if linalg.max_abs(ps[i].matrix @ ps[j].matrix) > tol:
+            return i, j
+    return None
+
+
+def pushed_rays(seed):
+    """Orthonormal rays on 1-5 qubits, with the pair (i, j) turned towards
+    each other until the max-norm of P_i P_j is ``factor`` times ``tol``;
+    returns the unit vectors and ``tol``."""
+    rng = np.random.default_rng(seed)
+    dim = 2 ** int(rng.integers(1, 6))
+    u = list(random_unitary(dim, rng).T[: int(rng.integers(2, dim + 1))])
+    tol = 10.0 ** rng.uniform(-12, -6)
+    factor = rng.choice([0.25, 0.5, 2.0, 4.0])
+    i, j = sorted(rng.choice(len(u), 2, replace=False))
+    overlap = factor * tol / (np.abs(u[i]).max() * np.abs(u[j]).max())
+    w = u[j] + overlap * u[i]
+    u[j] = w / np.linalg.norm(w)
+    return u, tol
+
+
+def _orthogonality_message(ps, tol):
+    try:
+        _check_orthogonal(ps, tol)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestOrthogonalityRule:
+    """The Gram branch for rays and the stacked products for matrices give
+    the pair-product rule's verdict and first failing pair."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_pushed_pair_gets_the_reference_verdict_on_every_branch(self, seed):
+        u, tol = pushed_rays(seed)
+        rays = [projector_onto(v) for v in u]
+        pair = pair_product_orthogonality(rays, tol)
+        want = None if pair is None else f"projectors {pair[0]} and {pair[1]} are not orthogonal"
+        matrices = [Projector(p.matrix) for p in rays]
+        mixed = [p if k % 2 else m for k, (p, m) in enumerate(zip(rays, matrices))]
+        for family in (rays, matrices, mixed):
+            assert _orthogonality_message(family, tol) == want
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_rays_fail_at_the_reference_pair(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(1, 4))
+        rays = [projector_onto(random_pure(n, rng)) for _ in range(int(rng.integers(2, 6)))]
+        i, j = pair_product_orthogonality(rays, STRUCTURAL_TOL)
+        assert _orthogonality_message(rays, STRUCTURAL_TOL) == f"projectors {i} and {j} are not orthogonal"
+
+    def test_a_ray_context_forms_no_matrix(self):
+        rng = np.random.default_rng(71)
+        u = random_unitary(8, rng)
+        context = Context(projector_onto(u[:, k]) for k in range(8))
+        table = global_valuation(random_density(3, rng=rng), [context])
+        assert abs(sum(table.values()) - 1.0) <= 1e-12
+        assert all("matrix" not in vars(p) for p in context.projectors)
+
+    def test_a_ray_context_must_resolve_the_identity(self):
+        u = random_unitary(4, np.random.default_rng(73))
+        with pytest.raises(ValueError, match="identity"):
+            Context(projector_onto(u[:, k]) for k in range(3))
 
 
 @st.composite

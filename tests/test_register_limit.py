@@ -1,7 +1,7 @@
 """The advertised 10-qubit limit, and every accepted shot count, holds under a
 2 GiB address-space cap, and so does reconstruction's 6-qubit limit.
 
-Each circuit, formula or sample runs through ``bornlab`` in a child
+Each circuit, formula, valuation or sample runs through ``bornlab`` in a child
 interpreter whose address space is capped, so an allocation that scales with
 4**n per Kraus matrix, per formula composite or per shot fails there as a
 ``MemoryError`` instead of exhausting the machine.
@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -209,3 +210,59 @@ def test_the_joint_measurement_of_ten_qubits_is_built_without_its_projectors():
     assert built["n_kraus"] == 1024
     assert built["peak"] < 20 * 2**20
     assert built["seconds"] < 1.0
+
+
+@pytest.fixture(scope="module")
+def walsh_file(tmp_path_factory):
+    """A valuation file: the state |0..0> on 10 qubits and one full context of
+    the 1024 +-1 rows of the Walsh-Hadamard matrix, as ``vector`` lines."""
+    h = np.ones((1, 1), dtype=int)
+    for _ in range(10):
+        h = np.kron(h, [[1, 1], [1, -1]])
+    lines = ["state pure 1" + " 0" * 1023, "context walsh"]
+    lines += ["vector " + " ".join(map(str, row)) for row in h]
+    path = tmp_path_factory.mktemp("walsh") / "walsh10.psa"
+    path.write_text("\n".join(lines + ["end"]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_a_full_ten_qubit_context_of_vectors_is_valued_under_a_2_gib_cap(walsh_file):
+    # Its 1024 projectors of 1024 x 1024 complex entries would take 16 GiB.
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, "psa-table", str(walsh_file)],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)
+    assert len(rows) == 1024
+    assert all(row["intensity"] == 1 / 1024 for row in rows)
+
+
+VALUATION_CHILD = f"""\
+import json, pathlib, resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, ({CAP_BYTES}, resource.RLIM_INFINITY))
+from bornlab.circuits import parse_psa_file
+from bornlab.psa import global_valuation
+text = pathlib.Path(sys.argv[1]).read_text(encoding="utf-8")
+tracemalloc.start()
+state, contexts = parse_psa_file(text)
+table = global_valuation(state, [context for _, context in contexts])
+peak = tracemalloc.get_traced_memory()[1]
+formed = sum("matrix" in vars(p) for _, context in contexts for p in context.projectors)
+print(json.dumps({{"peak": peak, "formed": formed, "rows": len(table)}}))
+"""
+
+
+def test_a_full_ten_qubit_context_of_vectors_forms_no_matrix_per_member(walsh_file):
+    # Structure, not time: the members keep their rays, and the checks and
+    # the Born rule work on them, so the peak stays below eight 1024 x 1024
+    # complex matrices (the state, its checks and the Gram matrix).
+    done = subprocess.run(
+        [sys.executable, "-c", VALUATION_CHILD, str(walsh_file)],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    valued = json.loads(done.stdout)
+    assert valued["rows"] == 1024
+    assert valued["formed"] == 0
+    assert valued["peak"] < 8 * 2**24

@@ -209,3 +209,50 @@ class TestBornExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="qubit count"):
             born_expectation(random_density(1, rng=2), Projector(np.eye(4)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_trace_of_the_product_for_rays_and_matrices(self, n):
+        # The reference forms rho @ P (d**3); born_expectation reads d**2 entries.
+        rng = np.random.default_rng(400 + n)
+        dim = 2**n
+        for _ in range(10):
+            rho = random_density(n, rng=rng, rank=int(rng.integers(1, dim + 1)))
+            columns = random_unitary(dim, rng)[:, : int(rng.integers(1, dim + 1))]
+            for p in (projector_onto(columns[:, 0]), Projector(columns @ columns.conj().T)):
+                want = float(np.real(np.trace(rho.matrix @ p.matrix)))
+                assert abs(born_expectation(rho, p) - want) <= 1e-15
+
+
+class TestRays:
+    def test_a_ray_has_rank_one_without_its_matrix(self):
+        p = projector_onto(random_pure(3, rng=5))
+        assert (p.rank, p.dim, p.n_qubits) == (1, 8, 3)
+        assert "matrix" not in vars(p)
+
+    def test_the_matrix_is_formed_once_on_read_and_is_read_only(self):
+        psi = random_pure(2, rng=7)
+        p = projector_onto(psi)
+        np.testing.assert_array_equal(p.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        assert p.matrix is p.matrix and not p.matrix.flags.writeable
+        assert linalg.is_projector(p.matrix)
+
+    def test_a_unit_vector_is_kept_as_given(self):
+        u = np.array([0.6, 0.8j])
+        p = projector_onto(u)
+        np.testing.assert_array_equal(p.ray, u)
+        assert not p.ray.flags.writeable
+        u[0] = 1.0
+        assert p.ray[0] == 0.6
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            ([1.0, 1.0], "not a unit vector"),
+            ([[1.0, 0.0]], "finite vector"),
+            ([np.nan, 1.0], "finite vector"),
+            ([1.0, 0.0, 0.0], "not a power of 2"),
+        ],
+    )
+    def test_rejects_what_is_not_a_ray(self, vector, message):
+        with pytest.raises(ValueError, match=message):
+            projector_onto(vector)
