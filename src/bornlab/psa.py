@@ -37,40 +37,33 @@ def intensity(rho: DensityOperator, p: Projector) -> float:
     return born_expectation(rho, p)
 
 
-def _rays(ps) -> np.ndarray | None:
-    """The rays of a family as the rows of one matrix, or None unless every
-    member carries one."""
-    if any(p.ray is None for p in ps):
-        return None
-    return np.array([p.ray for p in ps])
-
-
-def _check_orthogonal(ps, tol: float) -> None:
+def _check_orthogonal(ps, tol: float) -> np.ndarray | None:
     """Reject a non-empty family unless its projectors share one dimension
     and are pairwise orthogonal within ``tol`` (positive) in max-norm; the
     message names the first failing pair in row-major order.
 
     For rays, P_i P_j = u_i <u_i|u_j> u_j^H has max-norm |<u_i|u_j>| max|u_i|
-    max|u_j|, so one Gram matrix gives every pair; otherwise each member is
-    multiplied by the stack of the members after it.
+    max|u_j|, so one Gram matrix gives every pair; the rays are returned as
+    the rows of one matrix.  A family with any other member is checked pair
+    by pair and None is returned.
     """
     linalg.check_tol(tol)
     dim = ps[0].dim
     if any(p.dim != dim for p in ps):
         raise ValueError("projectors must share one dimension")
-    u = _rays(ps)
-    if u is not None:
-        peak = np.abs(u).max(axis=1)
-        over = np.abs(u.conj() @ u.T) * np.outer(peak, peak) > tol
-        bad = np.argwhere(np.triu(over, 1))
-        if bad.size:
-            raise ValueError(f"projectors {bad[0, 0]} and {bad[0, 1]} are not orthogonal")
-        return
-    stack = np.array([p.matrix for p in ps])
-    for i in range(len(ps) - 1):
-        over = np.abs(stack[i] @ stack[i + 1 :]).max(axis=(1, 2)) > tol
-        if over.any():
-            raise ValueError(f"projectors {i} and {i + 1 + int(np.argmax(over))} are not orthogonal")
+    if any(p.ray is None for p in ps):
+        for i, pi in enumerate(ps):
+            for j in range(i + 1, len(ps)):
+                if linalg.max_abs(pi.matrix @ ps[j].matrix) > tol:
+                    raise ValueError(f"projectors {i} and {j} are not orthogonal")
+        return None
+    u = np.array([p.ray for p in ps])
+    peak = np.abs(u).max(axis=1)
+    over = np.abs(u.conj() @ u.T) * np.outer(peak, peak) > tol
+    bad = np.argwhere(np.triu(over, 1))
+    if bad.size:
+        raise ValueError(f"projectors {bad[0, 0]} and {bad[0, 1]} are not orthogonal")
+    return u
 
 
 def join_projectors(ps) -> Projector:
@@ -106,8 +99,7 @@ class Context:
         ps = tuple(projectors)
         if not ps:
             raise ValueError("a context needs at least one projector")
-        _check_orthogonal(ps, tol)
-        u = _rays(ps)
+        u = _check_orthogonal(ps, tol)
         total = sum(p.matrix for p in ps) if u is None else u.T @ u.conj()  # sum_i |u_i><u_i|
         if linalg.max_abs(total - np.eye(ps[0].dim)) > tol:
             raise ValueError("context projectors do not sum to the identity")

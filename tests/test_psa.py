@@ -550,8 +550,8 @@ def _orthogonality_message(ps, tol):
 
 
 class TestOrthogonalityRule:
-    """The Gram branch for rays and the stacked products for matrices give
-    the pair-product rule's verdict and first failing pair."""
+    """The Gram branch for rays and the pair loop for other families give the
+    pair-product rule's verdict and first failing pair."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_one_pushed_pair_gets_the_reference_verdict_on_every_branch(self, seed):
