@@ -99,7 +99,7 @@ class NotHermitianError(ValueError):
 
 
 #: Unit roundoff of double precision.
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def _cholesky_certifies(a: np.ndarray, tol: float) -> bool:
@@ -116,7 +116,7 @@ def _cholesky_certifies(a: np.ndarray, tol: float) -> bool:
     a state (||a||_F <= 1) that holds up to d = 2**11 at the default tol.
     """
     d = a.shape[-1]
-    gamma = 4 * (d + 1) * _UNIT_ROUNDOFF
+    gamma = 4 * (d + 1) * UNIT_ROUNDOFF
     frobenius = float(np.max(np.linalg.norm(a, axis=(-2, -1))))
     bound = gamma * (np.sqrt(d) * frobenius + d * tol / 2) / (1 - d * gamma)
     if not bound < tol / 2:

@@ -133,18 +133,120 @@ def check_noncontextuality(rho: DensityOperator, c1: Context, c2: Context) -> bo
     table = global_valuation(rho, (c1, c2))
     return all(
         abs(table[(0, i)] - table[(1, j)]) <= STRUCTURAL_TOL
-        for i, p in enumerate(c1.projectors)
-        for j, q in enumerate(c2.projectors)
-        if linalg.max_abs(p.matrix - q.matrix) <= STRUCTURAL_TOL
+        for i, j in _equal_pairs(c1.projectors, c2.projectors, STRUCTURAL_TOL)
     )
+
+
+def _equal_pairs(ps, qs, tol: float):
+    """The pairs (i, j) with max|P_i - Q_j| <= ``tol``, in row-major order.
+
+    When both families are rays, no member's matrix is formed or cached.  For
+    P = u u^H and Q = w w^H, ||P - Q||_F^2 = |u|^4 + |w|^4 - 2 |<u|w>|^2, and
+    max|P - Q| >= ||P - Q||_F / d, so one Gram matrix of the rays rules out
+    every pair whose Frobenius distance exceeds d ``tol``.  The ``limit``
+    below widens (d tol)^2 by the rounding of that Gram matrix (at most
+    16 (d+2) u s^2, s the largest squared norm of a ray) and of the dense
+    difference (4 u s per entry), so it rules out no pair the dense
+    comparison would accept; the exact max-norm, formed from the two rays as
+    ``Projector.matrix`` forms it and not cached, decides the pairs left.
+    """
+    if any(p.ray is None for p in (*ps, *qs)):
+        return [
+            (i, j)
+            for i, p in enumerate(ps)
+            for j, q in enumerate(qs)
+            if linalg.max_abs(p.matrix - q.matrix) <= tol
+        ]
+    u, w = np.array([p.ray for p in ps]), np.array([q.ray for q in qs])
+    dim, roundoff = u.shape[1], linalg.UNIT_ROUNDOFF
+    nu, nw = np.linalg.norm(u, axis=1) ** 2, np.linalg.norm(w, axis=1) ** 2
+    frobenius_sq = nu[:, None] ** 2 + nw[None, :] ** 2 - 2 * np.abs(u.conj() @ w.T) ** 2
+    s = max(nu.max(), nw.max())
+    limit = (dim * (tol + 4 * roundoff * s)) ** 2 + 16 * (dim + 2) * roundoff * s * s
+    return [
+        (i, j)
+        for i, j in np.argwhere(frobenius_sq <= limit)
+        if linalg.max_abs(np.outer(u[i], u[i].conj()) - np.outer(w[j], w[j].conj())) <= tol
+    ]
 
 
 #: The largest residual |Tr(rho P_i) - v_i| ``reconstruct_density`` accepts.
 RESIDUAL_TOL = 1e-8
 
-#: The largest register ``reconstruct_density`` accepts.  Its 4**n x 4**n
-#: system takes 134 MB at 6 qubits and 2.1 GB at 7.
+#: The largest register ``reconstruct_density`` accepts.  Its memory is the
+#: samples' rows ``a`` (samples x 4**n) and their Gram matrix a^T a (4**n x
+#: 4**n), plus the copies of it that numpy's Cholesky and LU routines make
+#: while they factor it: 134 MB each at 6 qubits from 4**6 samples, 2.1 GB
+#: each at 7.
 MAX_RECONSTRUCT_QUBITS = 6
+
+#: The shift mu of ``_certified_solve``'s Cholesky test, relative to
+#: ||a^T a||_F: a family it certifies has cond(a) below sqrt(2e8), 1.4e4.
+_GRAM_SHIFT = 1e-8
+
+
+def _coordinate_rows(projectors, dim: int) -> np.ndarray:
+    """One row per projector P over rho's d**2 real coordinates, so that the
+    row times them is Tr(rho P): [Re diag(P), 2 Re P[upper], 2 Im P[upper]],
+    read in stacks of 256 projectors, which are freed on return, before the
+    Gram matrix is formed."""
+    upper = np.triu_indices(dim, 1)
+    a = np.empty((len(projectors), dim * dim))
+    for i in range(0, len(projectors), 256):  # Tr(rho P) = sum_i rho_ii P_ii + 2 Re sum_i<j rho_ij conj(P_ij)
+        stack = np.array([p.matrix for p in projectors[i : i + 256]])
+        diag, off = np.diagonal(stack, axis1=1, axis2=2).real, stack[:, upper[0], upper[1]]
+        a[i : i + 256] = np.hstack([diag, 2 * off.real, 2 * off.imag])
+    return a
+
+
+def _certified_solve(a: np.ndarray, v: np.ndarray, dim: int) -> np.ndarray | None:
+    """The least-squares solution x of [a; t] x = [v; 1], t the unit-trace
+    row (1 on the ``dim`` diagonal coordinates), or None where a Cholesky
+    factorisation does not certify that ``a`` (N x n) has full column rank,
+    or where intensities that are not finite or overflow give a solution
+    that is not finite.
+
+    The certificate.  G = a^T a is formed once; its rounding E1 has |E1| <=
+    gamma_N |a|^T |a|, so ||E1||_2 <= gamma_N ||a||_F^2 = gamma_N tr(G).  If
+    G - mu I (each diagonal entry rounded, within u (tr(G) + mu)) factorises
+    as R^T R in floating point, R is exact for it plus E2 with |E2| <=
+    gamma_{n+1} |R^T||R| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3), so ||E2||_2 <= gamma_{n+1} ||R||_F^2 <=
+    gamma_{n+1} (tr(G) + n ||E2||_2).  With gamma = 4 (N + n + 2) u covering
+    all three, the ``bound`` below holds their sum, and R^T R >= 0 gives
+    s_min(a)^2 = lambda_min(a^T a) >= mu - bound > mu / 2.  With mu = 1e-8
+    ||G||_F >= 1e-8 s_max(a)^2 that caps cond(a) at 1.4e4, and the second
+    test below makes s_min(a) exceed ``np.linalg.matrix_rank``'s tolerance
+    s_max max(N, n) eps (s_max^2 <= tr(G)) by a factor of 700, far above the
+    SVD's own rounding: a certified family is never ranked below n there.
+
+    The solve.  The normal equations (G + t t^T) x = a^T v + t, with t t^T
+    the block of ones on the diagonal coordinates added to G in place, are
+    solved once, then once more for the correction of one step of iterative
+    refinement on the residual [v - a x; 1 - t.x].
+    """
+    rows, n = a.shape
+    gram = a.T @ a
+    trace, mu = float(np.trace(gram)), _GRAM_SHIFT * float(np.linalg.norm(gram))
+    gamma = 4 * (rows + n + 2) * linalg.UNIT_ROUNDOFF
+    bound = gamma * (trace + mu) / (1 - n * gamma)
+    rank_tol = max(rows, n) * np.finfo(float).eps
+    if not (bound < mu / 2 and 1e6 * trace * rank_tol**2 < mu):
+        return None
+    diagonal = gram.diagonal().copy()
+    np.fill_diagonal(gram, diagonal - mu)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    np.fill_diagonal(gram, diagonal)
+    gram[:dim, :dim] += 1.0
+    t = np.zeros(n)
+    t[:dim] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.linalg.solve(gram, a.T @ v + t)
+        x += np.linalg.solve(gram, a.T @ (v - a @ x) + (1.0 - x[:dim].sum()) * t)
+    return x if np.isfinite(x).all() else None
 
 
 def reconstruct_density(samples, n_qubits: int) -> DensityOperator:
@@ -157,6 +259,12 @@ def reconstruct_density(samples, n_qubits: int) -> DensityOperator:
     diagonal, then the real and the imaginary parts of its entries above the
     diagonal) with a unit-trace row appended, then validates the result
     against the density-operator invariants.
+
+    Where a Cholesky factorisation of the rows' Gram matrix certifies full
+    rank with cond below 1.4e4 (``_certified_solve``), the normal equations
+    give the solution, refined once.  Elsewhere (a rank-deficient or an
+    ill-conditioned family) ``np.linalg.matrix_rank`` decides completeness
+    and ``np.linalg.lstsq`` solves, both by SVD.
     """
     pairs = [(p, float(v)) for p, v in samples]
     if not pairs:
@@ -170,24 +278,21 @@ def reconstruct_density(samples, n_qubits: int) -> DensityOperator:
         raise ValueError(incomplete)
     if n_qubits > MAX_RECONSTRUCT_QUBITS:
         raise ValueError(f"reconstruction is limited to {MAX_RECONSTRUCT_QUBITS} qubits, got {n_qubits}")
-    upper = np.triu_indices(dim, 1)
-    a = np.empty((len(pairs), rank))
-    for i in range(0, len(pairs), 256):  # Tr(rho P) = sum_i rho_ii P_ii + 2 Re sum_i<j rho_ij conj(P_ij)
-        stack = np.array([p.matrix for p, _ in pairs[i : i + 256]])
-        diag, off = np.diagonal(stack, axis1=1, axis2=2).real, stack[:, upper[0], upper[1]]
-        a[i : i + 256] = np.hstack([diag, 2 * off.real, 2 * off.imag])
+    a = _coordinate_rows([p for p, _ in pairs], dim)
     v = np.array([value for _, value in pairs])
-    if np.linalg.matrix_rank(a) < rank:
-        raise ValueError(incomplete)
-    trace_row = np.zeros(rank)
-    trace_row[:dim] = 1.0
-    x, *_ = np.linalg.lstsq(np.vstack([a, trace_row]), np.append(v, 1.0), rcond=None)
+    x = _certified_solve(a, v, dim)
+    if x is None:
+        if np.linalg.matrix_rank(a) < rank:
+            raise ValueError(incomplete)
+        trace_row = np.zeros(rank)
+        trace_row[:dim] = 1.0
+        x, *_ = np.linalg.lstsq(np.vstack([a, trace_row]), np.append(v, 1.0), rcond=None)
     residual = float(np.max(np.abs(a @ x - v)))
     if residual > RESIDUAL_TOL:
         raise ValueError(f"intensity samples are inconsistent (residual {residual:.3g})")
     above = np.zeros((dim, dim), dtype=complex)
     re, im = np.split(x[dim:], 2)
-    above[upper] = re + 1j * im
+    above[np.triu_indices(dim, 1)] = re + 1j * im
     return DensityOperator(np.diag(x[:dim]) + above + above.conj().T)
 
 

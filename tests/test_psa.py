@@ -251,7 +251,59 @@ def pauli_reconstruction(samples, n_qubits):
     return np.tensordot(x, basis, axes=1)
 
 
+def svd_reconstruction(samples, n_qubits):
+    """The SVD algorithm, for families it alone serves: rows over rho's d**2
+    real coordinates, ``matrix_rank``'s verdict, then ``lstsq`` with the
+    unit-trace row appended; rho as a plain matrix."""
+    dim = 2**n_qubits
+    upper = np.triu_indices(dim, 1)
+    stack = np.array([p.matrix for p, _ in samples])
+    off = stack[:, upper[0], upper[1]]
+    a = np.hstack([np.diagonal(stack, axis1=1, axis2=2).real, 2 * off.real, 2 * off.imag])
+    assert np.linalg.matrix_rank(a) == dim * dim
+    trace_row = np.zeros(dim * dim)
+    trace_row[:dim] = 1.0
+    v = np.array([value for _, value in samples])
+    x, *_ = np.linalg.lstsq(np.vstack([a, trace_row]), np.append(v, 1.0), rcond=None)
+    above = np.zeros((dim, dim), dtype=complex)
+    re, im = np.split(x[dim:], 2)
+    above[upper] = re + 1j * im
+    return np.diag(x[:dim]) + above + above.conj().T, np.linalg.cond(a)
+
+
 class TestReconstruction:
+    def test_a_well_conditioned_family_needs_no_svd(self, monkeypatch):
+        rho = random_density(4, rng=61)
+        samples = [(p, intensity(rho, p)) for p in product_ic_family(4)]
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        for name in ("svd", "matrix_rank", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, no_svd)
+        recovered = reconstruct_density(samples, 4)
+        assert linalg.max_abs(recovered.matrix - rho.matrix) <= 1e-12
+
+    @pytest.mark.parametrize("nudge", [1e-6, 1e-7])
+    def test_an_ill_conditioned_family_gets_the_svd_result_bit_for_bit(self, monkeypatch, nudge):
+        # {|0>, |1>, |+>, |+> nudged toward |+i>}: informationally complete,
+        # with cond(a) about 2.6 / nudge
+        psi = qubit(INV_SQRT2, INV_SQRT2 * np.exp(1j * nudge))
+        family = [*one_qubit_ic_family()[:3], projector_onto(psi)]
+        rho = DensityOperator([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
+        samples = [(p, intensity(rho, p)) for p in family]
+        want, cond = svd_reconstruction(samples, 1)
+        assert 1e6 < cond < 1e8
+        calls, lstsq = [], np.linalg.lstsq
+
+        def counted_lstsq(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        assert np.array_equal(reconstruct_density(samples, 1).matrix, want)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_the_pauli_basis_solve_on_entangled_families(self, n):
         rng = np.random.default_rng(200 + n)
@@ -621,6 +673,51 @@ class TestSharedProjectorProperties:
         table = global_valuation(rho, [c1, c2])
         assert table[(0, at1)] == table[(1, at2)]
         assert check_noncontextuality(rho, c1, c2)
+
+
+def dense_noncontextuality(rho, c1, c2):
+    """Reference verdict: every pair of members compared through its dense
+    matrices."""
+    table = global_valuation(rho, (c1, c2))
+    return all(
+        abs(table[(0, i)] - table[(1, j)]) <= STRUCTURAL_TOL
+        for i, p in enumerate(c1.projectors)
+        for j, q in enumerate(c2.projectors)
+        if linalg.max_abs(p.matrix - q.matrix) <= STRUCTURAL_TOL
+    )
+
+
+class TestNoncontextualityOfRays:
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 0.99, 1.01, 2.0])
+    def test_ray_contexts_get_the_dense_verdict_and_form_no_matrix(self, scale):
+        # The 3-qubit Walsh basis (entries +-1/sqrt(8)) against a copy whose
+        # rays carry random phases and whose first two are turned by theta,
+        # where max|P_0 - Q_0| = scale * tol, about theta / 4.  On the state
+        # (u_0 + u_1) / sqrt(2) the turned rays' intensities move by about
+        # theta, beyond tol for scale >= 0.5: the verdict flips where the
+        # pair stops counting as one projector.
+        rng = np.random.default_rng(79)
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        u = np.kron(np.kron(h, h), h).T.astype(complex)
+
+        def turned(theta):
+            w = u.copy()
+            w[0], w[1] = np.cos(theta) * u[0] + np.sin(theta) * u[1], np.cos(theta) * u[1] - np.sin(theta) * u[0]
+            return w
+
+        def distance(theta):
+            w0 = turned(theta)[0]
+            return linalg.max_abs(np.outer(u[0], u[0].conj()) - np.outer(w0, w0.conj()))
+
+        theta = 4 * scale * STRUCTURAL_TOL
+        if scale:
+            theta *= scale * STRUCTURAL_TOL / distance(theta)
+        w = turned(theta) * np.exp(2j * np.pi * rng.random(8))[:, None]
+        c1, c2 = (Context(projector_onto(r) for r in rays) for rays in (u, w))
+        rho = pure_to_density(QuRegister((u[0] + u[1]) / np.sqrt(2)))
+        verdict = check_noncontextuality(rho, c1, c2)
+        assert all("matrix" not in vars(p) for p in (*c1.projectors, *c2.projectors))
+        assert verdict == dense_noncontextuality(rho, c1, c2) == (not 0 < scale < 1)
 
 
 # Cabello, Estebaranz and Garcia-Alcaine's 18 vectors in C^4 (Phys. Lett. A
