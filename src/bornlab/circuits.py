@@ -559,10 +559,9 @@ class _FormulaParser:
         return node, self.check_depth(depth + 1, col)
 
 
-def parse_formula(text: str, line: int = 1, col_offset: int = 1) -> Formula:
+def parse_formula(text: str) -> Formula:
     """Parse a formula expression (atoms, !, &, |, parentheses)."""
-    tokens = _tokenize_formula(text, line, col_offset)
-    return _FormulaParser(tokens, line, col_offset + len(text)).parse()
+    return _FormulaParser(_tokenize_formula(text, 1, 1), 1, 1 + len(text)).parse()
 
 
 # --- states in input files ---------------------------------------------------
@@ -655,7 +654,7 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
     """
     base = Path(base_dir)
     bindings: dict[str, DensityOperator] = {}
-    formula = None  # the formula line's tree, expression, line and column
+    formula = None  # the formula line's tree, tokens and line
     for lineno, line in _statements(text):
         word = line.split(None, 1)[0]
         kw = word.partition("=")[0] or word
@@ -678,7 +677,8 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
                     raise ValueError("usage: formula = <expression>")
                 # The expression starts at the first non-blank after the statement's '='.
                 column = len(line) - len(line[line.index("=") + 1 :].lstrip()) + 1
-                formula = (parse_formula(expr, line=lineno, col_offset=column), expr, lineno, column)
+                tokens = _tokenize_formula(expr, lineno, column)
+                formula = (_FormulaParser(tokens, lineno, column + len(expr)).parse(), tokens, lineno)
             else:
                 raise ValueError(f"unknown statement {kw!r}")
         except InputError:
@@ -687,8 +687,8 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
             raise InputError(str(exc), lineno, 1) from exc
     if formula is None:
         raise InputError("missing 'formula =' line", len(text.splitlines()) or 1, 1)
-    ast, expr, lineno, column = formula
-    for kind, name, col in _tokenize_formula(expr, lineno, column):
+    ast, tokens, lineno = formula
+    for kind, name, col in tokens:
         if kind == "ident" and name not in bindings:
             raise InputError(f"unbound atom {name!r}", lineno, col)
     return ast, bindings

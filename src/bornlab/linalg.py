@@ -9,8 +9,6 @@ and the last qubit is the least significant bit.
 
 from __future__ import annotations
 
-import string
-
 import numpy as np
 
 #: Tolerance for structural predicates (hermitian / PSD / projector / unitary).
@@ -53,32 +51,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def trace(a: np.ndarray) -> complex:
     """Sum of the diagonal entries."""
     return complex(np.trace(a))
-
-
-def partial_trace(a: np.ndarray, n_qubits: int, traced_indices) -> np.ndarray:
-    """Trace out the listed qubit positions of a 2**n x 2**n matrix.
-
-    The result has dimension 2**(n - len(traced)); tracing every qubit yields
-    the 1x1 matrix [[trace(a)]].
-    """
-    traced = sorted(set(traced_indices))
-    dim = 2**n_qubits
-    if a.shape != (dim, dim):
-        raise ValueError(f"matrix of shape {a.shape} is not on {n_qubits} qubits")
-    if traced and not (0 <= traced[0] and traced[-1] < n_qubits):
-        raise IndexError(f"traced indices {traced} out of range for {n_qubits} qubits")
-    keep = [q for q in range(n_qubits) if q not in traced]
-    letters = string.ascii_letters
-    row = list(letters[:n_qubits])
-    col = list(letters[n_qubits : 2 * n_qubits])
-    for q in traced:
-        col[q] = row[q]
-    out = "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
-    reduced = np.einsum(
-        "".join(row + col) + "->" + out, a.reshape([2] * (2 * n_qubits))
-    )
-    d = 2 ** len(keep)
-    return reduced.reshape(d, d)
 
 
 def check_tol(tol: float) -> None:

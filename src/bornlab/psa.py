@@ -37,6 +37,14 @@ def intensity(rho: DensityOperator, p: Projector) -> float:
     return born_expectation(rho, p)
 
 
+def _ray_stack(ps) -> np.ndarray | None:
+    """The rays of a family as the rows of one matrix, or None unless every
+    member is a ray."""
+    if any(p.ray is None for p in ps):
+        return None
+    return np.array([p.ray for p in ps])
+
+
 def _check_orthogonal(ps, tol: float) -> np.ndarray | None:
     """Reject a non-empty family unless its projectors share one dimension
     and are pairwise orthogonal within ``tol`` (positive) in max-norm; the
@@ -51,13 +59,13 @@ def _check_orthogonal(ps, tol: float) -> np.ndarray | None:
     dim = ps[0].dim
     if any(p.dim != dim for p in ps):
         raise ValueError("projectors must share one dimension")
-    if any(p.ray is None for p in ps):
+    u = _ray_stack(ps)
+    if u is None:
         for i, pi in enumerate(ps):
             for j in range(i + 1, len(ps)):
                 if linalg.max_abs(pi.matrix @ ps[j].matrix) > tol:
                     raise ValueError(f"projectors {i} and {j} are not orthogonal")
         return None
-    u = np.array([p.ray for p in ps])
     peak = np.abs(u).max(axis=1)
     over = np.abs(u.conj() @ u.T) * np.outer(peak, peak) > tol
     bad = np.argwhere(np.triu(over, 1))
@@ -140,34 +148,28 @@ def check_noncontextuality(rho: DensityOperator, c1: Context, c2: Context) -> bo
 def _equal_pairs(ps, qs, tol: float):
     """The pairs (i, j) with max|P_i - Q_j| <= ``tol``, in row-major order.
 
-    When both families are rays, no member's matrix is formed or cached.  For
-    P = u u^H and Q = w w^H, ||P - Q||_F^2 = |u|^4 + |w|^4 - 2 |<u|w>|^2, and
+    Each candidate pair is decided by that exact max-norm, on the two
+    members' matrices, which are formed for that pair and not kept.  Every
+    pair is a candidate unless both families are rays.  Then, for P = u u^H
+    and Q = w w^H, ||P - Q||_F^2 = |u|^4 + |w|^4 - 2 |<u|w>|^2, and
     max|P - Q| >= ||P - Q||_F / d, so one Gram matrix of the rays rules out
     every pair whose Frobenius distance exceeds d ``tol``.  The ``limit``
     below widens (d tol)^2 by the rounding of that Gram matrix (at most
     16 (d+2) u s^2, s the largest squared norm of a ray) and of the dense
-    difference (4 u s per entry), so it rules out no pair the dense
-    comparison would accept; the exact max-norm, formed from the two rays as
-    ``Projector.matrix`` forms it and not cached, decides the pairs left.
+    difference (4 u s per entry), so it rules out no pair the exact
+    comparison would accept.
     """
-    if any(p.ray is None for p in (*ps, *qs)):
-        return [
-            (i, j)
-            for i, p in enumerate(ps)
-            for j, q in enumerate(qs)
-            if linalg.max_abs(p.matrix - q.matrix) <= tol
-        ]
-    u, w = np.array([p.ray for p in ps]), np.array([q.ray for q in qs])
-    dim, roundoff = u.shape[1], linalg.UNIT_ROUNDOFF
-    nu, nw = np.linalg.norm(u, axis=1) ** 2, np.linalg.norm(w, axis=1) ** 2
-    frobenius_sq = nu[:, None] ** 2 + nw[None, :] ** 2 - 2 * np.abs(u.conj() @ w.T) ** 2
-    s = max(nu.max(), nw.max())
-    limit = (dim * (tol + 4 * roundoff * s)) ** 2 + 16 * (dim + 2) * roundoff * s * s
-    return [
-        (i, j)
-        for i, j in np.argwhere(frobenius_sq <= limit)
-        if linalg.max_abs(np.outer(u[i], u[i].conj()) - np.outer(w[j], w[j].conj())) <= tol
-    ]
+    u, w = _ray_stack(ps), _ray_stack(qs)
+    if u is None or w is None:
+        candidates = np.ndindex(len(ps), len(qs))
+    else:
+        dim, roundoff = u.shape[1], linalg.UNIT_ROUNDOFF
+        nu, nw = np.linalg.norm(u, axis=1) ** 2, np.linalg.norm(w, axis=1) ** 2
+        frobenius_sq = nu[:, None] ** 2 + nw[None, :] ** 2 - 2 * np.abs(u.conj() @ w.T) ** 2
+        s = max(nu.max(), nw.max())
+        limit = (dim * (tol + 4 * roundoff * s)) ** 2 + 16 * (dim + 2) * roundoff * s * s
+        candidates = np.argwhere(frobenius_sq <= limit)
+    return [(i, j) for i, j in candidates if linalg.max_abs(ps[i].matrix - qs[j].matrix) <= tol]
 
 
 #: The largest residual |Tr(rho P_i) - v_i| ``reconstruct_density`` accepts.

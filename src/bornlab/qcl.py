@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .channels import apply, builtin_gate, lift_unitary
 from .states import DensityOperator, check_qubit_count, clamp_probability
 
@@ -110,9 +109,11 @@ def qcl_or(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
 
 
 def _truth_qubit(rho: DensityOperator) -> DensityOperator:
-    """The truth qubit's reduced state: every other qubit traced out."""
-    n = rho.n_qubits
-    return DensityOperator._unchecked(linalg.partial_trace(rho.matrix, n, range(n - 1)))
+    """The truth qubit's reduced state: every other qubit traced out, as the
+    trace over the first index of ``rho`` read as ``(h, 2, h, 2)``, where
+    h = dim / 2 indexes the qubits before the last."""
+    h = rho.dim // 2
+    return DensityOperator._unchecked(np.trace(rho.matrix.reshape(h, 2, h, 2), axis1=0, axis2=2))
 
 
 def _composite(ast: Formula, bindings, reduced: bool = False) -> DensityOperator:

@@ -11,8 +11,6 @@ of outcomes is a ``psa.Context``, which checks that they are orthogonal.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from . import linalg
@@ -166,9 +164,10 @@ class DensityOperator:
 class Projector:
     """Hermitian idempotent matrix on n qubits; the carrier of properties.
 
-    A rank-1 projector made by ``projector_onto`` keeps its unit vector (its
-    ray) as ``ray`` and forms ``matrix`` only when something reads it; one
-    made from a matrix has no ray.
+    One made from a matrix has no ray and keeps the matrix it was checked
+    with.  A rank-1 projector made by ``projector_onto`` keeps only its unit
+    vector (its ray) as ``ray``: its ``matrix`` |u><u| is formed afresh on
+    each read and never kept.
     """
 
     ray: np.ndarray | None = None
@@ -178,12 +177,14 @@ class Projector:
         self.n_qubits = linalg.n_qubits_of(m.shape[0])
         if not linalg.is_projector(m):
             raise ValueError("matrix is not a projector (hermitian idempotent)")
-        self.matrix = m
+        self._matrix = m
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        """The dense matrix |u><u| of a ray, formed on first read."""
+        """The dense, read-only matrix: the checked one, or a ray's |u><u|."""
         u = self.ray
+        if u is None:
+            return self._matrix
         m = np.outer(u, u.conj())
         m.setflags(write=False)
         return m

@@ -73,6 +73,12 @@ def mix(states):
     return DensityOperator(acc)
 
 
+def holds_no_matrix(p) -> bool:
+    """True iff no attribute of ``p`` is a 2-D array: no matrix is kept, under
+    any name."""
+    return not any(getattr(value, "ndim", 0) == 2 for value in vars(p).values())
+
+
 def random_complex_matrix(dim, rng):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 

@@ -14,7 +14,6 @@ from bornlab.linalg import (
     is_projector,
     is_psd,
     is_unitary,
-    partial_trace,
     sector_blocks,
     trace,
 )
@@ -87,37 +86,6 @@ class TestTrace:
             a = random_complex_matrix(2, rng)
             b = random_complex_matrix(2, rng)
             assert abs(trace(np.kron(a, b)) - trace(a) * trace(b)) <= 1e-12
-
-
-class TestPartialTrace:
-    def test_product_state_factorizes(self):
-        rng = np.random.default_rng(13)
-        rho = random_density(1, rng=rng).matrix
-        sigma = random_density(1, rng=rng).matrix
-        np.testing.assert_allclose(partial_trace(np.kron(rho, sigma), 2, {1}), rho, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(np.kron(rho, sigma), 2, {0}), sigma, atol=1e-12)
-
-    def test_bell_state_reduces_to_maximally_mixed(self):
-        v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        rho_bell = np.outer(v, v.conj())
-        np.testing.assert_allclose(partial_trace(rho_bell, 2, {1}), I2 / 2, atol=1e-12)
-
-    def test_preserves_trace(self):
-        rng = np.random.default_rng(17)
-        a = random_complex_matrix(8, rng)
-        for traced in ({0}, {1}, {0, 2}, set()):
-            assert abs(trace(partial_trace(a, 3, traced)) - trace(a)) <= 1e-12
-
-    def test_tracing_everything_leaves_the_trace(self):
-        rng = np.random.default_rng(19)
-        a = random_complex_matrix(4, rng)
-        out = partial_trace(a, 2, {0, 1})
-        assert out.shape == (1, 1)
-        assert abs(out[0, 0] - trace(a)) <= 1e-12
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            partial_trace(np.eye(4), 2, {2})
 
 
 class TestPredicates:

@@ -34,7 +34,14 @@ from bornlab.states import (
     qubit,
 )
 
-from conftest import mix, random_density, random_orthogonal_projectors, random_pure, random_unitary
+from conftest import (
+    holds_no_matrix,
+    mix,
+    random_density,
+    random_orthogonal_projectors,
+    random_pure,
+    random_unitary,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -326,6 +333,23 @@ class TestReconstruction:
             tracemalloc.stop()
         assert linalg.max_abs(recovered.matrix - rho.matrix) <= 1e-8
         assert peak < 30 * 2**20
+
+    def test_ray_samples_keep_no_matrix_once_reconstructed(self):
+        # 4**5 + 8 matrices of 32 x 32 complex entries, kept on the samples'
+        # projectors, would stay allocated after the call: over 16 MiB.
+        rng = np.random.default_rng(67)
+        rho = random_density(5, rng=rng)
+        family = [projector_onto(random_pure(5, rng)) for _ in range(4**5 + 8)]
+        samples = [(p, intensity(rho, p)) for p in family]
+        tracemalloc.start()
+        try:
+            recovered = reconstruct_density(samples, 5)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert linalg.max_abs(recovered.matrix - rho.matrix) <= 1e-8
+        assert retained < 2**20
+        assert all(holds_no_matrix(p) for p in family)
 
     def test_round_trip_one_qubit(self):
         rng = np.random.default_rng(43)
@@ -630,7 +654,7 @@ class TestOrthogonalityRule:
         context = Context(projector_onto(u[:, k]) for k in range(8))
         table = global_valuation(random_density(3, rng=rng), [context])
         assert abs(sum(table.values()) - 1.0) <= 1e-12
-        assert all("matrix" not in vars(p) for p in context.projectors)
+        assert all(holds_no_matrix(p) for p in context.projectors)
 
     def test_a_ray_context_must_resolve_the_identity(self):
         u = random_unitary(4, np.random.default_rng(73))
@@ -716,7 +740,7 @@ class TestNoncontextualityOfRays:
         c1, c2 = (Context(projector_onto(r) for r in rays) for rays in (u, w))
         rho = pure_to_density(QuRegister((u[0] + u[1]) / np.sqrt(2)))
         verdict = check_noncontextuality(rho, c1, c2)
-        assert all("matrix" not in vars(p) for p in (*c1.projectors, *c2.projectors))
+        assert all(holds_no_matrix(p) for p in (*c1.projectors, *c2.projectors))
         assert verdict == dense_noncontextuality(rho, c1, c2) == (not 0 < scale < 1)
 
 

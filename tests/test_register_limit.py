@@ -248,7 +248,11 @@ tracemalloc.start()
 state, contexts = parse_psa_file(text)
 table = global_valuation(state, [context for _, context in contexts])
 peak = tracemalloc.get_traced_memory()[1]
-formed = sum("matrix" in vars(p) for _, context in contexts for p in context.projectors)
+formed = sum(
+    any(getattr(value, "ndim", 0) == 2 for value in vars(p).values())
+    for _, context in contexts
+    for p in context.projectors
+)
 print(json.dumps({{"peak": peak, "formed": formed, "rows": len(table)}}))
 """
 

@@ -16,7 +16,7 @@ from bornlab.states import (
     qubit,
 )
 
-from conftest import mix, random_density, random_pure, random_unitary
+from conftest import holds_no_matrix, mix, random_density, random_pure, random_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -227,13 +227,16 @@ class TestRays:
     def test_a_ray_has_rank_one_without_its_matrix(self):
         p = projector_onto(random_pure(3, rng=5))
         assert (p.rank, p.dim, p.n_qubits) == (1, 8, 3)
-        assert "matrix" not in vars(p)
+        assert holds_no_matrix(p)
 
-    def test_the_matrix_is_formed_once_on_read_and_is_read_only(self):
+    def test_every_read_forms_the_matrix_read_only_and_keeps_nothing(self):
         psi = random_pure(2, rng=7)
         p = projector_onto(psi)
-        np.testing.assert_array_equal(p.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-        assert p.matrix is p.matrix and not p.matrix.flags.writeable
+        for _ in range(2):
+            m = p.matrix
+            np.testing.assert_array_equal(m, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+            assert not m.flags.writeable
+            assert holds_no_matrix(p)
         assert linalg.is_projector(p.matrix)
 
     def test_a_unit_vector_is_kept_as_given(self):
