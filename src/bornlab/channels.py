@@ -316,16 +316,17 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
 
 def evolve_diagonal(op: QuantumOperation, probs: np.ndarray) -> np.ndarray:
     """The diagonal of ``evolve(op, rho)`` from the diagonal ``probs`` of rho,
-    a raw 2**n vector of probabilities, for the two rules that read no
-    coherence.  The result is not checked.
+    a raw 2**n vector: real probabilities, or the complex diagonal itself,
+    for the two rules that read no coherence.  The result is not checked.
 
     - Gather: ``probs[idx]``, which ``evolve`` already returns for a vector.
     - Masks: the diagonal of sum_b M_b * flip_b(rho) at r is
       sum_b M_b[r, r] rho[r xor b, r xor b], so each mask's diagonal weighs
       the flipped probabilities (``_evolve_masked`` of the diagonals).  The
       diagonals of the built-in masks are real with exact zero imaginary
-      parts, so each product and sum repeats the real part of the one the
-      matrix path makes, bit for bit.
+      parts, so each product and sum repeats the one the matrix path makes,
+      bit for bit: its real part on real probabilities, all of it on the
+      complex diagonal (up to the sign of a zero).
 
     A contracted operation (``h``, ``sqrtnot``, families built by hand) reads
     the coherences and raises ``ValueError``.

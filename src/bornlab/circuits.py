@@ -279,18 +279,71 @@ def _check_total(total: float) -> None:
         raise ValueError(f"the circuit left probabilities that sum to {total!r}, not 1")
 
 
+def _is_mixing(step: Step) -> bool:
+    """True for a mixing gate step (``Gate.mixing``: ``h``, ``sqrtnot``): the
+    one kind of step that reads the coherences of a state."""
+    return isinstance(step, GateStep) and builtin_gate(step.name).mixing
+
+
+def _evolve_probabilities(n: int, probs: np.ndarray, steps) -> np.ndarray:
+    """The diagonal ``probs`` of a state carried through ``steps``, none of
+    them a mixing gate: a gate is a gather and a noise step weighs the
+    flipped entries by its masks (``evolve_diagonal``); a measure step's one
+    mask M_0 = I leaves them as they are."""
+    for step in steps:
+        if not isinstance(step, MeasureStep):
+            probs = evolve_diagonal(_operation(n, step), probs)
+    return probs
+
+
+def _diagonal_state(diagonal: np.ndarray) -> DensityOperator:
+    """The checked, read-only diag(``diagonal``): its sum by ``_check_total``,
+    then each entry as a 1 x 1 block by ``check_density``, the rule and the
+    messages the sector blocks of a measure-all state get."""
+    _check_total(float(diagonal.sum().real))
+    check_density(diagonal.reshape(-1, 1, 1))
+    return DensityOperator._unchecked(_diagonal_matrix(diagonal))
+
+
+def _diagonal_matrix(diagonal: np.ndarray) -> np.ndarray:
+    """The complex matrix diag(``diagonal``), zero off the diagonal."""
+    matrix = np.zeros((diagonal.size, diagonal.size), dtype=complex)
+    np.fill_diagonal(matrix, diagonal)
+    return matrix
+
+
 def simulate(ir: CircuitIr) -> DensityOperator:
     """Fold the circuit's steps over |0..0><0..0|.
 
     The circuit starts from the vector |0..0>, and its leading gate steps act
-    on that vector (``_gate_prefix``).  At the first noise or measure step,
-    or at the end, the vector becomes |psi><psi|.  Each remaining step is
-    one ``apply``; a measure step is one joint measurement channel on all
-    the measured qubits, one mask pass over the matrix.  Only the returned
-    state is checked: its trace by ``_check_total``, then its hermiticity
-    and positivity by ``states.check_density``, on the diagonal blocks of
-    the measured sectors when the circuit ends in a measure step (their
-    spectra make up the final matrix's spectrum), else on the whole matrix.
+    on that vector (``_gate_prefix``).  From the first noise or measure step
+    on, the register is held as its diagonal wherever it is diagonal, and as
+    the 4**n matrix only across the span where a mixing gate needs it:
+
+    - Head.  A computational basis state (one non-zero amplitude) stays
+      diagonal under 0/1 gates and noise, so the steps before the first
+      mixing gate run on its diagonal p = psi * conj(psi)
+      (``_evolve_probabilities``).
+    - Tail.  When the final step measures every qubit, the state ends
+      diagonal, and the diagonal of every earlier state is mapped without
+      its coherences, so the steps after the last mixing gate run on the
+      matrix's diagonal (all the steps, when no mixing gate is left).
+    - Span.  Every other step is one ``apply`` on the matrix, which starts
+      as diag(p), or as |psi><psi| when there is no head; a measure step is
+      one joint measurement channel on all the measured qubits, one mask
+      pass over the matrix.
+
+    The diagonal is kept complex, as the matrix keeps it: the imaginary
+    parts its rounding leaves are carried too.  So each diagonal entry is
+    the one the matrix path computes, bit for bit (``evolve_diagonal``), and
+    the entries off it are exact zeros there too; only the sign of a zero
+    can differ.  Only the returned state is checked: its trace by
+    ``_check_total``, then its hermiticity and positivity by
+    ``states.check_density``, on its diagonal entries as 1 x 1 blocks when it
+    ends diagonal, on the diagonal blocks of the measured sectors when the
+    circuit ends in a measure step (their spectra make up the final matrix's
+    spectrum), else on the whole matrix.  The span is not checked where it is
+    formed: a full check costs more than the whole run.
 
     This is the definition ``output_distribution`` is tested against: on a
     circuit where no mixing gate follows noise it must give
@@ -298,12 +351,26 @@ def simulate(ir: CircuitIr) -> DensityOperator:
     """
     n = ir.n_qubits
     psi, done = _gate_prefix(ir)
-    rho = DensityOperator._unchecked(np.outer(psi, psi.conj()))
-    for step in ir.steps[done:]:
+    steps = ir.steps[done:]
+    mixing = [i for i, step in enumerate(steps) if _is_mixing(step)]
+    measures_all = bool(steps) and isinstance(steps[-1], MeasureStep) and len(steps[-1].targets) == n
+    # A head; or, when no mixing gate is left, a tail that starts at the vector.
+    if np.count_nonzero(psi) == 1 or (measures_all and not mixing):
+        head = mixing[0] if mixing else len(steps)
+        diagonal = _evolve_probabilities(n, psi * psi.conj(), steps[:head])
+        if not mixing:
+            return _diagonal_state(diagonal)
+        rho = DensityOperator._unchecked(_diagonal_matrix(diagonal))
+    else:
+        head, rho = 0, DensityOperator._unchecked(np.outer(psi, psi.conj()))
+    tail = mixing[-1] + 1 if measures_all else len(steps)
+    for step in steps[head:tail]:
         rho = apply(_operation(n, step), rho)
+    if measures_all:
+        return _diagonal_state(_evolve_probabilities(n, np.diagonal(rho.matrix), steps[tail:]))
     matrix = rho.matrix
     _check_total(float(np.trace(matrix).real))
-    ends_in_measure = bool(ir.steps) and isinstance(ir.steps[-1], MeasureStep)
+    ends_in_measure = bool(steps) and isinstance(steps[-1], MeasureStep)
     check_density(linalg.sector_blocks(matrix, n, measured_positions(ir)) if ends_in_measure else matrix)
     return DensityOperator._unchecked(matrix)
 
@@ -347,7 +414,7 @@ def _mixes_after_noise(ir: CircuitIr) -> bool:
     noisy = False
     for step in ir.steps:
         noisy = noisy or isinstance(step, NoiseStep)
-        if noisy and isinstance(step, GateStep) and builtin_gate(step.name).mixing:
+        if noisy and _is_mixing(step):
             return True
     return False
 
@@ -359,18 +426,13 @@ def _probabilities(ir: CircuitIr) -> np.ndarray:
     The leading gates run on the vector (``_gate_prefix``), and the Born rule
     gives p(i) = |psi_i|**2 = ``(psi * conj(psi)).real``, the multiply that
     fills the diagonal of |psi><psi|.  Every later step maps that
-    distribution to the next one without reading a coherence: a gate is a
-    gather and a noise step weighs the flipped probabilities by its masks
-    (``evolve_diagonal``); a measure step's one mask M_0 = I leaves them as
-    they are.  The sum is checked once, at the end.  No positivity check is
+    distribution to the next one without reading a coherence, by the loop
+    ``simulate`` runs where the state is diagonal (``_evolve_probabilities``).
+    The sum is checked once, at the end.  No positivity check is
     needed: |psi_i|**2 is never negative, and neither are the weights.
     """
-    n = ir.n_qubits
     psi, done = _gate_prefix(ir)
-    probs = (psi * psi.conj()).real
-    for step in ir.steps[done:]:
-        if not isinstance(step, MeasureStep):
-            probs = evolve_diagonal(_operation(n, step), probs)
+    probs = _evolve_probabilities(ir.n_qubits, (psi * psi.conj()).real, ir.steps[done:])
     _check_total(float(probs.sum()))
     return probs
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornlab import channels, circuits, linalg
@@ -33,7 +33,7 @@ from bornlab.circuits import (
 )
 from bornlab.circuits import PROB_FLOOR, _by_label, _diagonal, _marginal, _unit_vector
 from bornlab.qcl import And, Atom, Not, Or
-from bornlab.states import basis_state, pure_to_density
+from bornlab.states import DensityOperator, basis_state, pure_to_density
 
 from conftest import THREE_QUBIT_DEMO, counting_is_psd, random_density
 
@@ -616,6 +616,129 @@ class TestOutputDistribution:
             totals.clear()
             run(ir)
             assert totals == [pytest.approx(1.0, abs=1e-12)]
+
+
+def _matrix_fold(ir):
+    """``simulate`` with every step after the gate prefix on the matrix, the
+    reference its diagonal stretches must equal: the leading gates on the
+    vector |0..0>, then |psi><psi| and one ``apply`` per remaining step."""
+    n, steps = ir.n_qubits, list(ir.steps)
+    psi = np.eye(1, 2**n, dtype=complex)[0]
+    while steps and isinstance(steps[0], GateStep):
+        psi = channels.evolve(circuits._operation(n, steps.pop(0)), psi)
+    rho = DensityOperator._unchecked(np.outer(psi, psi.conj()))
+    for step in steps:
+        rho = channels.apply(circuits._operation(n, step), rho)
+    return rho.matrix
+
+
+@st.composite
+def staged_irs(draw):
+    """A 1-6 qubit circuit in the stretches ``simulate`` tells apart: a gate
+    prefix of 0/1 gates alone (a basis state) or with a mixing gate in it (a
+    superposition, mostly), then noise and gates of every kind, so that
+    mixing gates follow noise, then ``measure all``, a partial measure (on
+    two or more qubits) or none."""
+    n = draw(st.integers(1, 6))
+    names = sorted(g for g in GATES if GATES[g].arity <= n)
+
+    def gate(pool):
+        name, order = draw(st.sampled_from(pool)), draw(st.permutations(range(n)))
+        return GateStep(name, tuple(order[: GATES[name].arity]))
+
+    steps = [gate([g for g in names if not GATES[g].mixing]) for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        steps.insert(draw(st.integers(0, len(steps))), gate(["h", "sqrtnot"]))
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            steps.append(gate(names))
+        else:
+            kind = draw(st.sampled_from(sorted(NOISE_KINDS)))
+            p = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+            steps.append(NoiseStep(kind, p, draw(st.integers(0, n - 1))))
+    ending = draw(st.sampled_from(["all", "some", "none"]))
+    if ending == "all":
+        steps.append(MeasureStep(tuple(range(n))))
+    elif ending == "some" and n > 1:
+        measured = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        steps.append(MeasureStep(tuple(sorted(measured))))
+    return CircuitIr(n, tuple(steps))
+
+
+# A basis state under noise, the one mixing gate, then noise and measure all.
+HEAD_SPAN_TAIL = "qubits 3\ngate cnot 0 1\nnoise depolarizing 0.3 1\ngate h 1\nnoise bitflip 0.2 1\nmeasure all\n"
+# A superposition under noise, a mixing gate, and a partial measure.
+SPAN_THEN_PARTIAL = "qubits 3\ngate sqrtnot 2\nnoise bitflip 0.2 2\ngate h 0\ngate not 2\nmeasure 0 2\n"
+
+
+class TestDiagonalStretches:
+    @settings(max_examples=200, deadline=None)
+    @given(staged_irs(), st.integers(1, 10**6), st.integers(0, 2**32 - 1))
+    @example(parse_circuit(HEAD_SPAN_TAIL), 100, 0)
+    @example(parse_circuit(SPAN_THEN_PARTIAL), 100, 0)
+    def test_simulate_gives_the_matrix_fold_entry_for_entry(self, ir, shots, seed):
+        want = _matrix_fold(ir)
+        assert np.array_equal(simulate(ir).matrix, want)
+        rho = DensityOperator._unchecked(want)
+        got, expected = output_distribution(ir), outcome_distribution(rho)
+        assert got == expected
+        assert list(got) == list(expected)
+        assert sample(ir, shots, seed) == _drawn(ir, _diagonal(rho), shots, seed)
+
+    def test_the_eight_qubit_slot_applies_only_its_mixing_gate(self, monkeypatch):
+        # ``cnot`` on |0..0> leaves a basis state, so its noise runs on the
+        # diagonal; ``sqrtnot`` is the one step on the matrix; its noise and
+        # ``measure all`` run on the matrix's diagonal.
+        text = "qubits 8\ngate cnot 4 3\ngate sqrtnot 2\nmeasure all\n"
+        ir = inject_noise(parse_circuit(text), "depolarizing", 0.01)
+        applied, apply = [], circuits.apply
+
+        def counting_apply(op, rho):
+            applied.append(op.targets)
+            return apply(op, rho)
+
+        monkeypatch.setattr(circuits, "apply", counting_apply)
+        got = simulate(ir).matrix
+        assert applied == [(2,)]
+        assert np.array_equal(got, _matrix_fold(ir))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "qubits 2\ngate not 0\nnoise bitflip 0.1 1\n",
+            "qubits 2\nnoise bitflip 0.1 1\ngate h 0\nmeasure 1\n",
+            "qubits 2\ngate h 0\nnoise bitflip 0.1 1\nmeasure all\n",
+            "qubits 2\ngate h 0\nnoise bitflip 0.1 1\ngate h 1\nnoise bitflip 0.1 0\nmeasure all\n",
+        ],
+        ids=["head-to-the-end", "head-then-span", "tail-from-the-vector", "span-then-tail"],
+    )
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            ("negative", r"^density operator must be positive semidefinite$"),
+            ("leaking", r"^the circuit left probabilities that sum to 0\.99[0-9]*, not 1$"),
+        ],
+    )
+    def test_a_broken_diagonal_fails_the_checks_of_the_returned_state(self, monkeypatch, text, broken, message):
+        # One diagonal step per circuit: moving 0.75 from its largest entry
+        # to its smallest keeps the sum and leaves a negative probability;
+        # scaling it by 0.999 leaks.
+        calls, evolve_diagonal = [], channels.evolve_diagonal
+
+        def breaking(op, probs):
+            calls.append(op)
+            out = evolve_diagonal(op, probs)
+            if broken == "leaking":
+                return 0.999 * out
+            out = out.copy()
+            out[np.argmin(out.real)] -= 0.75
+            out[np.argmax(out.real)] += 0.75
+            return out
+
+        monkeypatch.setattr(circuits, "evolve_diagonal", breaking)
+        with pytest.raises(ValueError, match=message):
+            simulate(parse_circuit(text))
+        assert len(calls) == 1
 
 
 def _diagonals_and_positions():

@@ -52,7 +52,25 @@ def _toffoli_expected():
     return out
 
 
+def _late_mixing_expected():
+    # q0 and q5 set, q3 flipped with p = 0.25, q7 uniform after h and
+    # depolarizing noise, q9 uniform after sqrtnot, q1 flipped with p = 0.1.
+    out = {}
+    for a, b, flip3, flip1 in itertools.product((0, 1), repeat=4):
+        ones = {0, 5} | {q for q, bit in ((7, a), (9, b), (3, flip3), (1, flip1)) if bit}
+        out[_label(10, ones)] = 0.25 * (0.25 if flip3 else 0.75) * (0.1 if flip1 else 0.9)
+    return out
+
+
 CASES = {
+    # A basis state under noise, then the mixing gates, then noise again and
+    # measure all: only the two mixing gates and the noise between them run
+    # on the matrix.
+    "basis_head_late_mixing": (
+        "qubits 10\ngate not 0\ngate cnot 0 5\nnoise bitflip 0.25 3\ngate h 7\n"
+        "noise depolarizing 0.2 7\ngate sqrtnot 9\nnoise bitflip 0.1 1\nmeasure all\n",
+        _late_mixing_expected(),
+    ),
     "measure_all": (
         "qubits 10\ngate h 0\ngate cnot 0 9\ngate not 4\ngate h 2\n"
         "noise bitflip 0.25 6\nmeasure all\n",
