@@ -145,48 +145,31 @@ def check_noncontextuality(rho: DensityOperator, c1: Context, c2: Context) -> bo
     )
 
 
-#: Entries of u u^H - w w^H that ``_ray_distance`` forms at a time: 128 KiB
-#: per complex block, which stays in cache (8 rows of a 10-qubit pair).
-_BLOCK_ENTRIES = 8192
-
-
-def _ray_distance(u: np.ndarray, w: np.ndarray) -> float:
-    """max|u u^H - w w^H| for two rays, a block of rows at a time: each
-    entry is the product and difference that ``Projector.matrix`` of the two
-    rays would give, so the max-norm has the same bits, and no d x d matrix
-    is formed."""
-    uc, wc, rows = u.conj(), w.conj(), max(1, _BLOCK_ENTRIES // u.size)
-    return max(
-        linalg.max_abs(np.outer(u[r : r + rows], uc) - np.outer(w[r : r + rows], wc))
-        for r in range(0, u.size, rows)
-    )
-
-
 def _equal_pairs(ps, qs, tol: float):
     """The pairs (i, j) with max|P_i - Q_j| <= ``tol``, in row-major order.
 
-    Each candidate pair is decided by that exact max-norm: on the two
-    members' matrices, which are formed for that pair and not kept, or for
-    two rays by ``_ray_distance``.  Every pair is a candidate unless both
-    families are rays.  Then, for P = u u^H and Q = w w^H, ||P - Q||_F^2 =
-    |u|^4 + |w|^4 - 2 |<u|w>|^2, and max|P - Q| >= ||P - Q||_F / d, so one
-    Gram matrix of the rays rules out every pair whose Frobenius distance
-    exceeds d ``tol``.  The ``limit`` below widens (d tol)^2 by the rounding
-    of that Gram matrix (at most 16 (d+2) u s^2, s the largest squared norm
-    of a ray) and of the dense difference (4 u s per entry), so it rules out
-    no pair the exact comparison would accept.
+    Each candidate pair is decided by that exact max-norm, on the two
+    members' matrices, which are formed for that pair and not kept.  Every
+    pair is a candidate unless both families are rays.  Then, for P = u u^H
+    and Q = w w^H, ||P - Q||_F^2 = |u|^4 + |w|^4 - 2 |<u|w>|^2, and
+    max|P - Q| >= ||P - Q||_F / d, so one Gram matrix of the rays rules out
+    every pair whose Frobenius distance exceeds d ``tol``.  The ``limit``
+    below widens (d tol)^2 by the rounding of that Gram matrix (at most
+    16 (d+2) u s^2, s the largest squared norm of a ray) and of the dense
+    difference (4 u s per entry), so it rules out no pair the exact
+    comparison would accept.
     """
     u, w = _ray_stack(ps), _ray_stack(qs)
     if u is None or w is None:
-        pairs = np.ndindex(len(ps), len(qs))
-        return [(i, j) for i, j in pairs if linalg.max_abs(ps[i].matrix - qs[j].matrix) <= tol]
-    dim, roundoff = u.shape[1], linalg.UNIT_ROUNDOFF
-    nu, nw = np.linalg.norm(u, axis=1) ** 2, np.linalg.norm(w, axis=1) ** 2
-    frobenius_sq = nu[:, None] ** 2 + nw[None, :] ** 2 - 2 * np.abs(u.conj() @ w.T) ** 2
-    s = max(nu.max(), nw.max())
-    limit = (dim * (tol + 4 * roundoff * s)) ** 2 + 16 * (dim + 2) * roundoff * s * s
-    candidates = np.argwhere(frobenius_sq <= limit)
-    return [(i, j) for i, j in candidates if _ray_distance(u[i], w[j]) <= tol]
+        candidates = np.ndindex(len(ps), len(qs))
+    else:
+        dim, roundoff = u.shape[1], linalg.UNIT_ROUNDOFF
+        nu, nw = np.linalg.norm(u, axis=1) ** 2, np.linalg.norm(w, axis=1) ** 2
+        frobenius_sq = nu[:, None] ** 2 + nw[None, :] ** 2 - 2 * np.abs(u.conj() @ w.T) ** 2
+        s = max(nu.max(), nw.max())
+        limit = (dim * (tol + 4 * roundoff * s)) ** 2 + 16 * (dim + 2) * roundoff * s * s
+        candidates = np.argwhere(frobenius_sq <= limit)
+    return [(i, j) for i, j in candidates if linalg.max_abs(ps[i].matrix - qs[j].matrix) <= tol]
 
 
 #: The largest residual |Tr(rho P_i) - v_i| ``reconstruct_density`` accepts.

@@ -14,8 +14,6 @@ from bornlab.linalg import STRUCTURAL_TOL
 from bornlab.psa import (
     Context,
     _check_orthogonal,
-    _equal_pairs,
-    _ray_distance,
     chsh_preset,
     chsh_value,
     check_additivity,
@@ -744,33 +742,6 @@ class TestNoncontextualityOfRays:
         verdict = check_noncontextuality(rho, c1, c2)
         assert all(holds_no_matrix(p) for p in (*c1.projectors, *c2.projectors))
         assert verdict == dense_noncontextuality(rho, c1, c2) == (not 0 < scale < 1)
-
-
-    @pytest.mark.parametrize("n", [1, 4, 8, 10])
-    @pytest.mark.parametrize("step", [0.0, 1e-12, 1e-3])
-    def test_the_ray_distance_is_the_dense_max_norm_bit_for_bit(self, n, step):
-        # One block of rows up to 6 qubits, 64 and 8 rows a block at 8 and 10.
-        rng = np.random.default_rng(n)
-        u = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        u /= np.linalg.norm(u)
-        w = u * np.exp(2j * np.pi * rng.random()) + step * rng.normal(size=2**n)
-        dense = linalg.max_abs(np.outer(u, u.conj()) - np.outer(w, w.conj()))
-        assert _ray_distance(u, w) == dense
-
-    def test_a_ten_qubit_pair_is_compared_without_its_matrices(self):
-        # Structure, not time: either 1024 x 1024 matrix alone takes 16 MiB.
-        rng = np.random.default_rng(83)
-        u = rng.normal(size=1024) + 1j * rng.normal(size=1024)
-        u /= np.linalg.norm(u)
-        p, q = projector_onto(u), projector_onto(u * np.exp(0.3j))
-        tracemalloc.start()
-        try:
-            pairs = _equal_pairs([p], [q], STRUCTURAL_TOL)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-        assert pairs == [(0, 0)]
 
 
 # Cabello, Estebaranz and Garcia-Alcaine's 18 vectors in C^4 (Phys. Lett. A
