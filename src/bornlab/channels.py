@@ -8,7 +8,11 @@ gather of the register's entries for a gate with a 0/1 matrix (``id``,
 measurement), and contraction into the target axes for everything else
 (``h``, ``sqrtnot``, families built by hand).  The first two read no
 coherence, and ``evolve_diagonal`` applies them to the diagonal of rho
-alone.
+alone.  The masks act on block views of the register, one rule for noise
+(one target) and measurement (m targets) alike.
+A checked operation moves to other targets of its register by ``placed``,
+which checks only the targets: a run builds each noise family once per
+(kind, p) and places it on the target of every step.
 A gate is a unitary on its own 2**arity space, and ``lift_unitary`` places it
 on its targets.  For multi-target gates the earlier-listed targets are the
 controls and the last listed target is the negated qubit, so
@@ -218,32 +222,44 @@ def _contract(a: np.ndarray, axes, t: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, list(range(k)), list(axes))
 
 
-def _evolve_masked(masks: dict, targets, t: np.ndarray) -> np.ndarray:
-    """sum_b M_b * flip_b(t), in mask order, on the (2,)*2n tensor ``t`` of
-    rho with 2**k x 2**k masks, or on the (2,)*n tensor of its diagonal with
-    the masks' diagonals: ``t`` holds one copy of the register's axes per
-    index of a mask (rows, then columns), mask slot m sits on axis targets[m]
-    of each copy, and flip_b reverses, in each copy, the axes of each target
-    whose bit is set in b."""
+def _evolve_masked(masks: dict, targets, n: int, state: np.ndarray) -> np.ndarray:
+    """sum_b M_b * flip_b(rho), in mask order, on the raw 2**n x 2**n array
+    ``state`` of rho with 2**k x 2**k masks, or on the raw 2**n vector of its
+    diagonal with the masks' diagonals.
+
+    Each copy of the register (rows, then columns; or the diagonal alone) is
+    viewed as blocks around the sorted targets, of shape (2**g0, 2, 2**g1,
+    ..., 2, 2**gk) where g0, ..., gk count the qubits before, between and
+    after them.  Mask slot m sits on the axis of target targets[m] in each
+    copy, and flip_b reverses, by basic slicing, that axis in each copy for
+    each target whose slot bit is set in b.  The products and their sum are
+    those of the (2,)*2n tensor form, entry for entry, the sign of a zero
+    too: the view only merges the axes that neither the masks nor the flips
+    touch.
+    """
     k, copies = len(targets), next(iter(masks.values())).ndim
-    n = t.ndim // copies
-
-    def lifted(qubits):
-        return [c * n + q for c in range(copies) for q in qubits]
-
-    axes = lifted(targets)
-    shape = [1] * t.ndim
-    for axis in axes:
-        shape[axis] = 2
+    slots = sorted(range(k), key=targets.__getitem__)  # the mask slots in register order
+    block, below = [], -1
+    for m in slots:
+        block += [2 ** (targets[m] - below - 1), 2]
+        below = targets[m]
+    t = state.reshape((block + [2 ** (n - 1 - below)]) * copies)
+    mask_shape = ([1, 2] * k + [1]) * copies
+    mask_axes = [c * k + m for c in range(copies) for m in slots]
     out = None
     for b, mask in masks.items():
-        placed = mask.reshape((2,) * len(axes)).transpose(np.argsort(axes)).reshape(shape)
-        term = placed * np.flip(t, lifted([q for m, q in enumerate(targets) if b >> (k - 1 - m) & 1]))
+        flip = [slice(None)] * t.ndim
+        for j, m in enumerate(slots):
+            if b >> (k - 1 - m) & 1:
+                for c in range(copies):
+                    flip[c * (2 * k + 1) + 2 * j + 1] = slice(None, None, -1)
+        placed = mask.reshape((2,) * (copies * k)).transpose(mask_axes).reshape(mask_shape)
+        term = placed * t[tuple(flip)]
         if out is None:
             out = term
         else:
             out += term
-    return out
+    return out.reshape(state.shape)
 
 
 def _evolve_contracted(kraus, targets, t: np.ndarray) -> np.ndarray:
@@ -285,7 +301,8 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
       (A_i rho dagger(A_i))[r, c] = d_i[r] conj(d_i[c]) rho[r xor b_i, c xor b_i],
       so the result is sum_b M_b * flip_b(rho): M_b = sum_{i: b_i = b}
       d_i dagger(d_i) is a 2**k x 2**k mask on the targets' row and column
-      axes, and flip_b is ``np.flip`` of those axes of the targets b flips.
+      axes, and flip_b reverses those axes of the targets b flips, on block
+      views of rho (``_evolve_masked``).
       ``measurement_channel`` records the one mask M_0 = I, which leaves the
       entries between sectors exactly 0; ``noise_channel`` the masks of its
       Paulis.
@@ -308,10 +325,9 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
         return state[idx] if state.ndim == 1 else state[idx[:, None], idx]
     if state.ndim == 1:
         return _contract(op.kraus[0], op.targets, state.reshape((2,) * n)).reshape(state.shape)
-    t = state.reshape((2,) * (2 * n))
     if op._masks is not None:
-        return _evolve_masked(op._masks, op.targets, t).reshape(state.shape)
-    return _evolve_contracted(op.kraus, op.targets, t).reshape(state.shape)
+        return _evolve_masked(op._masks, op.targets, n, state)
+    return _evolve_contracted(op.kraus, op.targets, state.reshape((2,) * (2 * n))).reshape(state.shape)
 
 
 def evolve_diagonal(op: QuantumOperation, probs: np.ndarray) -> np.ndarray:
@@ -335,7 +351,7 @@ def evolve_diagonal(op: QuantumOperation, probs: np.ndarray) -> np.ndarray:
         raise ValueError("operation and probabilities act on different qubit counts")
     if op._masks is not None:
         diagonals = {b: np.diagonal(mask).real for b, mask in op._masks.items()}
-        return _evolve_masked(diagonals, op.targets, probs.reshape((2,) * op.n_qubits)).reshape(probs.shape)
+        return _evolve_masked(diagonals, op.targets, op.n_qubits, probs)
     if op._perm is None:
         raise ValueError("a contracted operation reads coherences: it has no form on probabilities")
     return evolve(op, probs)
@@ -353,6 +369,17 @@ def lift_unitary(gate: Gate, n_qubits: int, targets) -> QuantumOperation:
     op._place((gate.matrix,), gate.arity, targets, n_qubits)
     op._perm, op._identity = gate._perm, gate._identity
     return op
+
+
+def placed(op: QuantumOperation, targets) -> QuantumOperation:
+    """``op`` moved to ``targets`` of the same register: the operation shares
+    its Kraus matrices and its rule (masks or gather), which were checked
+    once, when ``op`` was built, and only the targets are checked here, the
+    way ``lift_unitary`` places a checked ``Gate``."""
+    new = QuantumOperation.__new__(QuantumOperation)
+    new._place(op.kraus, len(op.targets), targets, op.n_qubits)
+    new._masks, new._perm, new._identity = op._masks, op._perm, op._identity
+    return new
 
 
 def apply(op: QuantumOperation, rho: DensityOperator) -> DensityOperator:

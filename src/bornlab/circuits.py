@@ -37,7 +37,7 @@ import numpy as np
 from . import linalg
 from .channels import apply, evolve, evolve_diagonal, lift_unitary
 from .channels import builtin_gate, check_noise_kind, check_noise_probability
-from .channels import measurement_channel, noise_channel
+from .channels import measurement_channel, noise_channel, placed
 from .linalg import STRUCTURAL_TOL
 from .psa import Context
 from .qcl import And, Atom, Formula, Not, Or
@@ -139,18 +139,32 @@ class CircuitIr:
 
     def __post_init__(self):
         check_qubit_count(self.n_qubits)
-        # One circuit has one IR: the final measure step's qubits are sorted,
-        # so its labels read in register order, and a noise probability is a
-        # Python float, which ``pretty_print`` writes as a number.
         for previous, step in zip((None, *self.steps), self.steps):
             try:
                 _check_step(self.n_qubits, step, previous)
             except _StepError as exc:
                 raise ValueError(str(exc)) from None
-        steps = tuple(NoiseStep(s.kind, float(s.p), s.target) if isinstance(s, NoiseStep) else s for s in self.steps)
-        if steps and isinstance(steps[-1], MeasureStep):
-            steps = (*steps[:-1], MeasureStep(tuple(sorted(steps[-1].targets))))
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", _normal_steps(self.steps))
+
+    @classmethod
+    def _of_checked(cls, n_qubits: int, steps) -> CircuitIr:
+        """The IR of a checked qubit count and of ``steps`` that passed
+        ``_check_step`` in order: the readers' one check per step is not run
+        again."""
+        ir = object.__new__(cls)
+        object.__setattr__(ir, "n_qubits", n_qubits)
+        object.__setattr__(ir, "steps", _normal_steps(steps))
+        return ir
+
+
+def _normal_steps(steps) -> tuple[Step, ...]:
+    """One circuit has one IR: the final measure step's qubits are sorted, so
+    its labels read in register order, and a noise probability is a Python
+    float, which ``pretty_print`` writes as a number."""
+    steps = tuple(NoiseStep(s.kind, float(s.p), s.target) if isinstance(s, NoiseStep) else s for s in steps)
+    if steps and isinstance(steps[-1], MeasureStep):
+        steps = (*steps[:-1], MeasureStep(tuple(sorted(steps[-1].targets))))
+    return steps
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -196,7 +210,8 @@ def _parse_step(toks: list[tuple[str, int]], lineno: int, n_qubits: int) -> Step
 
 
 def parse_circuit(text: str) -> CircuitIr:
-    """Parse circuit text into its IR; a fault raises ``InputError``."""
+    """Parse circuit text into its IR; a fault raises ``InputError``.  Each
+    step is checked once, on its line, where a fault gets its column."""
     n_qubits: int | None = None
     steps: list[Step] = []
     for lineno, line in _statements(text):
@@ -221,7 +236,7 @@ def parse_circuit(text: str) -> CircuitIr:
         steps.append(step)
     if n_qubits is None:
         raise InputError("empty circuit: expected 'qubits <n>'", 1, 1)
-    return CircuitIr(n_qubits, tuple(steps))
+    return CircuitIr._of_checked(n_qubits, steps)
 
 
 def pretty_print(ir: CircuitIr) -> str:
@@ -240,7 +255,10 @@ def pretty_print(ir: CircuitIr) -> str:
 
 
 def inject_noise(ir: CircuitIr, kind: str, p: float) -> CircuitIr:
-    """Insert a noise step on each target of every gate step, after the gate."""
+    """Insert a noise step on each target of every gate step, after the gate.
+    The IR's steps were checked when it was built, and the noise steps are
+    of a checked kind and p on the gates' own targets, so no step is checked
+    again."""
     check_noise_kind(kind)
     check_noise_probability(p)
     out: list[Step] = []
@@ -248,7 +266,7 @@ def inject_noise(ir: CircuitIr, kind: str, p: float) -> CircuitIr:
         out.append(step)
         if isinstance(step, GateStep):
             out.extend(NoiseStep(kind, p, t) for t in step.targets)
-    return CircuitIr(ir.n_qubits, tuple(out))
+    return CircuitIr._of_checked(ir.n_qubits, out)
 
 
 def _operation(n: int, step: Step):
@@ -258,6 +276,25 @@ def _operation(n: int, step: Step):
     if isinstance(step, NoiseStep):
         return noise_channel(step.kind, step.p, n, step.target)
     return measurement_channel(n, step.targets)
+
+
+def _operations(n: int):
+    """``_operation`` on an n-qubit register for the steps of one run, with
+    one checked noise family per (kind, p): the first noise step of a (kind,
+    p) builds it (``noise_channel``), and each later one gets it placed on its
+    own target (``placed``).  The table lives as long as the run."""
+    families = {}
+
+    def operation(step: Step):
+        if not isinstance(step, NoiseStep):
+            return _operation(n, step)
+        family = families.get((step.kind, step.p))
+        if family is None:
+            family = families[step.kind, step.p] = _operation(n, step)
+            return family
+        return placed(family, (step.target,))
+
+    return operation
 
 
 def _gate_prefix(ir: CircuitIr) -> tuple[np.ndarray, int]:
@@ -285,14 +322,14 @@ def _is_mixing(step: Step) -> bool:
     return isinstance(step, GateStep) and builtin_gate(step.name).mixing
 
 
-def _evolve_probabilities(n: int, probs: np.ndarray, steps) -> np.ndarray:
+def _evolve_probabilities(operation, probs: np.ndarray, steps) -> np.ndarray:
     """The diagonal ``probs`` of a state carried through ``steps``, none of
     them a mixing gate: a gate is a gather and a noise step weighs the
     flipped entries by its masks (``evolve_diagonal``); a measure step's one
     mask M_0 = I leaves them as they are."""
     for step in steps:
         if not isinstance(step, MeasureStep):
-            probs = evolve_diagonal(_operation(n, step), probs)
+            probs = evolve_diagonal(operation(step), probs)
     return probs
 
 
@@ -349,7 +386,7 @@ def simulate(ir: CircuitIr) -> DensityOperator:
     circuit where no mixing gate follows noise it must give
     ``outcome_distribution`` of this state, entry for entry.
     """
-    n = ir.n_qubits
+    n, operation = ir.n_qubits, _operations(ir.n_qubits)
     psi, done = _gate_prefix(ir)
     steps = ir.steps[done:]
     mixing = [i for i, step in enumerate(steps) if _is_mixing(step)]
@@ -357,7 +394,7 @@ def simulate(ir: CircuitIr) -> DensityOperator:
     # A head; or, when no mixing gate is left, a tail that starts at the vector.
     if np.count_nonzero(psi) == 1 or (measures_all and not mixing):
         head = mixing[0] if mixing else len(steps)
-        diagonal = _evolve_probabilities(n, psi * psi.conj(), steps[:head])
+        diagonal = _evolve_probabilities(operation, psi * psi.conj(), steps[:head])
         if not mixing:
             return _diagonal_state(diagonal)
         rho = DensityOperator._unchecked(_diagonal_matrix(diagonal))
@@ -365,9 +402,9 @@ def simulate(ir: CircuitIr) -> DensityOperator:
         head, rho = 0, DensityOperator._unchecked(np.outer(psi, psi.conj()))
     tail = mixing[-1] + 1 if measures_all else len(steps)
     for step in steps[head:tail]:
-        rho = apply(_operation(n, step), rho)
+        rho = apply(operation(step), rho)
     if measures_all:
-        return _diagonal_state(_evolve_probabilities(n, np.diagonal(rho.matrix), steps[tail:]))
+        return _diagonal_state(_evolve_probabilities(operation, np.diagonal(rho.matrix), steps[tail:]))
     matrix = rho.matrix
     _check_total(float(np.trace(matrix).real))
     ends_in_measure = bool(steps) and isinstance(steps[-1], MeasureStep)
@@ -432,7 +469,7 @@ def _probabilities(ir: CircuitIr) -> np.ndarray:
     needed: |psi_i|**2 is never negative, and neither are the weights.
     """
     psi, done = _gate_prefix(ir)
-    probs = _evolve_probabilities(ir.n_qubits, (psi * psi.conj()).real, ir.steps[done:])
+    probs = _evolve_probabilities(_operations(ir.n_qubits), (psi * psi.conj()).real, ir.steps[done:])
     _check_total(float(probs.sum()))
     return probs
 
@@ -668,17 +705,21 @@ def _pure_state(amplitudes: np.ndarray) -> DensityOperator:
     return pure_to_density(QuRegister(_unit_vector(amplitudes)))
 
 
-def _circuit_state(value: str, base_dir: Path) -> DensityOperator:
-    """The output state of the circuit file ``value``, relative to ``base_dir``."""
+def _circuit_state(value: str, base_dir: Path, states: dict[str, DensityOperator]) -> DensityOperator:
+    """The output state of the circuit file ``value``, relative to ``base_dir``.
+    ``states`` holds the read-only states already simulated, by circuit text:
+    a text is simulated once, and every file that holds it shares its state."""
     path = base_dir / value
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read circuit {str(path)!r}: {exc}") from exc
-    try:
-        return simulate(parse_circuit(text))
-    except InputError as exc:
-        raise ValueError(f"in circuit {str(path)!r}: {exc}") from exc
+    if text not in states:
+        try:
+            states[text] = simulate(parse_circuit(text))
+        except InputError as exc:
+            raise ValueError(f"in circuit {str(path)!r}: {exc}") from exc
+    return states[text]
 
 
 # --- formula files ------------------------------------------------------------
@@ -710,12 +751,15 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
 
     A statement's keyword ends at its first blank or ``=``, so
     ``formula=a`` reads as ``formula = a``.  Literal qubits are normalized;
-    circuit paths resolve relative to ``base_dir``.  A fault raises
+    circuit paths resolve relative to ``base_dir``, and the atoms whose files
+    hold one circuit text (every atom that names one file, whatever the
+    spelling) share one simulated, read-only state.  A fault raises
     ``InputError``, an unbound atom at its column.  Returns the formula tree
     and the atom bindings.
     """
     base = Path(base_dir)
     bindings: dict[str, DensityOperator] = {}
+    circuit_states: dict[str, DensityOperator] = {}
     formula = None  # the formula line's tree, tokens and line
     for lineno, line in _statements(text):
         word = line.split(None, 1)[0]
@@ -730,7 +774,10 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
                     raise ValueError(f"bad atom name {name!r}")
                 if name in bindings:
                     raise ValueError(f"duplicate atom {name!r}")
-                bindings[name] = _atom_literal(value) if value.startswith("(") else _circuit_state(value, base)
+                if value.startswith("("):
+                    bindings[name] = _atom_literal(value)
+                else:
+                    bindings[name] = _circuit_state(value, base, circuit_states)
             elif kw == "formula":
                 expr = body[1:].strip()
                 if formula is not None:
@@ -763,7 +810,7 @@ def _read_state(kind: str, tokens, base_dir: Path) -> DensityOperator:
     if kind == "circuit":
         if len(tokens) != 1:
             raise ValueError("usage: state circuit <path>")
-        return _circuit_state(tokens[0], base_dir)
+        return _circuit_state(tokens[0], base_dir, {})
     if kind == "pure":
         return _pure_state(_complex_tokens(tokens))
     if kind == "matrix":

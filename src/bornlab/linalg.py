@@ -40,7 +40,7 @@ def n_qubits_of(dim: int) -> int:
 
 def max_abs(a: np.ndarray) -> float:
     """Entrywise max-norm."""
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

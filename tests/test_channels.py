@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import linalg
@@ -318,6 +318,76 @@ class TestEvolveDiagonal:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="qubit count"):
             evolve_diagonal(noise_channel("bitflip", 0.1, 2, 0), np.ones(8) / 8)
+
+
+def _broadcast_masked(masks, targets, t):
+    """The mask rule on the (2,)*2n tensor ``t`` of rho (or the (2,)*n tensor
+    of its diagonal, with the masks' diagonals): each mask reshaped onto the
+    target axes of every copy of the register and broadcast against
+    ``np.flip`` of the flipped targets' axes, summed in mask order.  The
+    reference that the block views of ``_evolve_masked`` must equal bit for
+    bit."""
+    k, copies = len(targets), next(iter(masks.values())).ndim
+    n = t.ndim // copies
+
+    def lifted(qubits):
+        return [c * n + q for c in range(copies) for q in qubits]
+
+    axes = lifted(targets)
+    shape = [1] * t.ndim
+    for axis in axes:
+        shape[axis] = 2
+    out = None
+    for b, mask in masks.items():
+        placed = mask.reshape((2,) * len(axes)).transpose(np.argsort(axes)).reshape(shape)
+        term = placed * np.flip(t, lifted([q for m, q in enumerate(targets) if b >> (k - 1 - m) & 1]))
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+def _with_signed_zeros(a, rng):
+    """``a`` with about a third of its real and imaginary parts replaced by
+    zeros of either sign."""
+    parts = a.view(float)
+    zero = rng.random(parts.shape) < 1 / 3
+    parts[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
+    return a
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+@st.composite
+def mask_operations(draw):
+    """Noise of either kind at p in {0, 0.5, 1} or drawn, on any target, or a
+    measurement of 1..n qubits listed in any order, on 1-7 qubits."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        return noise_channel(draw(st.sampled_from(sorted(NOISE_KINDS))), p, n, draw(st.integers(0, n - 1)))
+    order = draw(st.permutations(range(n)))
+    return measurement_channel(n, order[: draw(st.integers(1, n))])
+
+
+class TestMaskRule:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mask_operations(), st.integers(0, 2**32 - 1))
+    def test_block_views_give_the_broadcast_form_bit_for_bit(self, op, seed):
+        rng, n = np.random.default_rng(seed), op.n_qubits
+        dim = 2**n
+        rho = _with_signed_zeros(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), rng)
+        want = _broadcast_masked(op._masks, op.targets, rho.reshape((2,) * (2 * n))).reshape(rho.shape)
+        _assert_same_bits(evolve(op, rho), want)
+        for diagonal in (np.diagonal(rho).real.copy(), np.diagonal(rho).copy()):
+            masks = {b: np.diagonal(mask).real for b, mask in op._masks.items()}
+            want = _broadcast_masked(masks, op.targets, diagonal.reshape((2,) * n)).reshape(diagonal.shape)
+            _assert_same_bits(evolve_diagonal(op, diagonal), want)
 
 
 class TestApply:

@@ -32,6 +32,7 @@ from bornlab.circuits import (
     simulate,
 )
 from bornlab.circuits import PROB_FLOOR, _by_label, _diagonal, _marginal, _unit_vector
+from bornlab.cli import main
 from bornlab.qcl import And, Atom, Not, Or
 from bornlab.states import DensityOperator, basis_state, pure_to_density
 
@@ -872,6 +873,28 @@ class TestSampleProperties:
             assert abs(counts.get(label, 0) - n * p) <= bound, (label, p)
 
 
+class TestEachStepIsCheckedOnce:
+    def test_the_reader_checks_each_step_once_and_inject_noise_none(self, monkeypatch):
+        # ``parse_circuit`` checks each line, for its column, and builds the IR
+        # without a second pass; ``inject_noise`` adds steps of a checked kind
+        # and p on checked targets.  An IR built by hand checks every step.
+        calls, check = [], circuits._check_step
+
+        def counting_check(*args):
+            calls.append(args)
+            check(*args)
+
+        monkeypatch.setattr(circuits, "_check_step", counting_check)
+        text = (Path(__file__).parent / "circuits" / "eight_qubit_mixing.qc").read_text(encoding="utf-8")
+        ir = parse_circuit(text)
+        assert len(ir.steps) == 13 and len(calls) == 13
+        calls.clear()
+        noisy = inject_noise(ir, "depolarizing", 0.05)
+        assert calls == [] and len(noisy.steps) > 13
+        assert CircuitIr(noisy.n_qubits, noisy.steps) == noisy
+        assert len(calls) == len(noisy.steps)
+
+
 class TestInjectNoise:
     def test_adds_one_step_per_gate_target(self):
         ir = parse_circuit("qubits 2\ngate cnot 0 1\nmeasure all\n")
@@ -1004,3 +1027,56 @@ class TestParseFormulaFile:
     def test_missing_circuit_file(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read circuit"):
             parse_formula_file("atom a = nope.qc\nformula = a\n", base_dir=tmp_path)
+
+    def test_atoms_whose_files_hold_one_circuit_share_one_simulated_state(self, tmp_path, monkeypatch):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "bell.qc").write_text("qubits 2\ngate h 0\ngate cnot 0 1\n", encoding="utf-8")
+        (tmp_path / "one.qc").write_text("qubits 1\ngate not 0\n", encoding="utf-8")
+        (tmp_path / "copy.qc").write_text("qubits 2\ngate h 0\ngate cnot 0 1\n", encoding="utf-8")
+        runs, run = [], circuits.simulate
+
+        def counting_simulate(ir):
+            runs.append(ir)
+            return run(ir)
+
+        monkeypatch.setattr(circuits, "simulate", counting_simulate)
+        text = (
+            "atom a = bell.qc\natom b = sub/../bell.qc\natom c = one.qc\natom d = ./bell.qc\n"
+            "atom e = copy.qc\nformula = a & b & c & d & e\n"
+        )
+        _, bindings = parse_formula_file(text, base_dir=tmp_path)
+        assert len(runs) == 2
+        assert bindings["a"] is bindings["b"] is bindings["d"] is bindings["e"]
+        assert bindings["c"] is not bindings["a"]
+        assert not bindings["a"].matrix.flags.writeable
+
+    def test_a_shared_circuit_path_is_named_as_written(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(InputError, match=re.escape(repr(str(tmp_path / "sub/../nope.qc")))):
+            parse_formula_file("atom a = sub/../nope.qc\natom b = nope.qc\nformula = a & b\n", base_dir=tmp_path)
+
+
+class TestNoiseFamilies:
+    @pytest.mark.parametrize("mixing", ["", "gate h 5\n"], ids=["probabilities", "simulate"])
+    def test_a_noisy_sample_checks_one_family_per_call(self, mixing, tmp_path, monkeypatch, capsys):
+        # Every noise step of one (kind, p) shares the family that the run's
+        # first such step checked; the next call checks its own again.
+        built, init = [], channels.QuantumOperation.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(channels.QuantumOperation, "__init__", counting_init)
+        path = tmp_path / "six.qc"
+        path.write_text(
+            f"qubits 6\ngate h 0\ngate cnot 0 1\ngate toffoli 0 1 2\ngate not 4\ngate cnot 4 3\n{mixing}measure 0 1 2 3\n",
+            encoding="utf-8",
+        )
+        outputs = []
+        for _ in range(2):
+            built.clear()
+            assert main(["sample", str(path), "--shots", "1000", "--noise", "depolarizing:0.05"]) == 0
+            assert len(built) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]

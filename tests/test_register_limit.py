@@ -181,6 +181,35 @@ def test_a_conjunction_past_the_register_limit_evaluates_under_a_2_gib_cap(n_ato
     assert abs(json.loads(done.stdout)["truth_probability"] - want) <= 1e-12
 
 
+def _balanced_conjunction(operands):
+    """The operands joined by ``&`` in a balanced tree: a left-nested chain of
+    more than ``MAX_FORMULA_DEPTH`` links is refused."""
+    if len(operands) == 1:
+        return operands[0]
+    half = len(operands) // 2
+    return f"({_balanced_conjunction(operands[:half])} & {_balanced_conjunction(operands[half:])})"
+
+
+def test_many_atoms_naming_one_ten_qubit_circuit_evaluate_under_a_2_gib_cap(tmp_path):
+    # One 16 MiB state per atom would take 2.3 GiB; the atoms share one state,
+    # under three spellings of the path.  The circuit's truth qubit reads 0
+    # with certainty, so every negated atom is true, and the conjunction is
+    # as true as the literal t.
+    circuits = SRC.parent / "tests" / "circuits"
+    spellings = [circuits / "ten_qubit.qc", circuits / "." / "ten_qubit.qc", circuits / ".." / "circuits" / "ten_qubit.qc"]
+    lines = [f"atom c{k} = {spellings[k % 3]}" for k in range(150)]
+    lines.append(f"atom t = ({0.7 ** 0.5!r}, 0, {0.3 ** 0.5!r}, 0)")
+    lines.append("formula = " + _balanced_conjunction([f"!c{k}" for k in range(150)] + ["t"]))
+    path = tmp_path / "shared.qf"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, "eval", str(path)],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert abs(json.loads(done.stdout)["truth_probability"] - 0.3) <= 1e-12
+
+
 COMPOSITE_CHILD = f"""\
 import pathlib, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({CAP_BYTES}, resource.RLIM_INFINITY))
