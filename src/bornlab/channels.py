@@ -29,6 +29,7 @@ probability:
 
 from __future__ import annotations
 
+import functools
 import numbers
 from collections.abc import Sequence
 
@@ -76,18 +77,21 @@ def _monomial(matrix: np.ndarray):
 #: The (src, d) of each Pauli, read once, here: P[r, r xor src[0]] = d[r].
 _PAULI_MONOMIALS = {name: _monomial(p) for name, p in _PAULIS.items()}
 
+#: The outer(d, conj(d)) of each Pauli's d, read once, here; every entry is +-1.
+_PAULI_OUTERS = {name: as_matrix(np.outer(d, d.conj())) for name, (_, d) in _PAULI_MONOMIALS.items()}
+
 
 def _pauli_masks(weighted) -> dict[int, np.ndarray]:
     """The masks {b: M_b} of rho -> sum of w P rho P over the (Pauli name, w)
     pairs: M_b = sum of w outer(d, conj(d)) over the Paulis P[r, r xor b] =
-    d[r] that flip b (``_PAULI_MONOMIALS``), in the order listed.  Every
-    outer product has entries +-1, so the masks are exactly hermitian and a
-    lone weight w enters them as w itself."""
+    d[r] that flip b (``_PAULI_MONOMIALS``, ``_PAULI_OUTERS``), in the order
+    listed.  Every outer product has entries +-1, so the masks are exactly
+    hermitian and a lone weight w enters them as w itself."""
     masks: dict[int, np.ndarray] = {}
     for name, w in weighted:
-        src, d = _PAULI_MONOMIALS[name]
+        src, _ = _PAULI_MONOMIALS[name]
         b = int(src[0])
-        masks[b] = masks.get(b, 0) + w * np.outer(d, d.conj())
+        masks[b] = masks.get(b, 0) + w * _PAULI_OUTERS[name]
     return masks
 
 
@@ -273,14 +277,22 @@ def _evolve_contracted(kraus, targets, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _register_index(perm: np.ndarray, targets, n: int) -> np.ndarray:
-    """The index idx with (U psi)[r] = psi[idx[r]] for the 2**k permutation
-    (U psi)[i] = psi[perm[i]] placed on ``targets`` of an n-qubit register:
-    the register's own index as a (2,)*n tensor, its target axes gathered by
-    perm as one axis of 2**k (slot m is targets[m])."""
+@functools.lru_cache(maxsize=256)
+def _register_index(perm: tuple, targets: tuple, n: int) -> np.ndarray:
+    """The read-only index idx with (U psi)[r] = psi[idx[r]] for the 2**k
+    permutation (U psi)[i] = psi[perm[i]] placed on ``targets`` of an n-qubit
+    register: the register's own index as a (2,)*n tensor, its target axes
+    gathered by perm as one axis of 2**k (slot m is targets[m]).
+
+    Each index is built once per (perm, targets, n) and kept in a table of at
+    most 256 entries, at most 2**n <= 2**MAX_QUBITS integers each, so a
+    formula's connectives and a circuit's repeated gates gather by one index.
+    """
     order = [*targets, *(q for q in range(n) if q not in targets)]
     r = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(len(perm), -1)
-    return r[perm].reshape((2,) * n).transpose(np.argsort(order)).ravel()
+    idx = r[list(perm)].reshape((2,) * n).transpose(np.argsort(order)).ravel()
+    idx.setflags(write=False)
+    return idx
 
 
 def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
@@ -293,7 +305,8 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
 
     - Gather.  A gate with a 0/1 matrix (``Gate``) permutes the basis, so
       U psi is ``psi[idx]`` and U rho dagger(U) is ``rho[idx[:, None], idx]``
-      for the register index ``idx`` of ``_register_index``: the entries the
+      for the register index ``idx`` of ``_register_index``, built once per
+      (permutation, targets, n) into a bounded table: the entries the
       contraction sums with exact zeros, without the multiplies.  The
       identity returns ``state`` itself, vector or matrix.
     - Masks, for the channels.  When every A_i is a diagonal d_i times an
@@ -321,7 +334,7 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     if op._perm is not None:
         if op._identity:
             return state
-        idx = _register_index(op._perm, op.targets, n)
+        idx = _register_index(tuple(op._perm.tolist()), op.targets, n)
         return state[idx] if state.ndim == 1 else state[idx[:, None], idx]
     if state.ndim == 1:
         return _contract(op.kraus[0], op.targets, state.reshape((2,) * n)).reshape(state.shape)

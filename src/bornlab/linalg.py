@@ -100,19 +100,27 @@ def _cholesky_certifies(a: np.ndarray, tol: float) -> bool:
     return True
 
 
+#: The most entries an array ``is_psd`` answers by ``eigvalsh`` alone.  Up to
+#: here (one 8 x 8 matrix, a stack of sixteen 2 x 2 ones) the eigensolver
+#: costs less than the certificate's fixed cost; from about twice as many
+#: entries on (a 16 x 16 matrix, a stack of eight 4 x 4 ones) it costs more.
+EIGVALSH_MAX_ENTRIES = 64
+
+
 def is_psd(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     """True iff the hermitian matrix ``a`` (or every matrix of a stack
     ``(k, d, d)``) has all eigenvalues >= -tol.
 
-    Raises ``NotHermitianError`` if ``a`` is not hermitian within ``tol``.  A
-    Cholesky certificate (``_cholesky_certifies``) answers True where it
-    proves lambda_min > -tol, the condition ``eigvalsh(a)[0] >= -tol`` tests;
-    elsewhere that eigensolver verdict is the answer.  Both read the lower
+    Raises ``NotHermitianError`` if ``a`` is not hermitian within ``tol``.
+    The verdict is ``eigvalsh(a)[0] >= -tol``.  An array of more than
+    ``EIGVALSH_MAX_ENTRIES`` entries first tries a Cholesky certificate
+    (``_cholesky_certifies``), which answers True where it proves
+    lambda_min > -tol; elsewhere the eigensolver answers.  Both read the lower
     triangle, so the verdict is never looser than the eigensolver's alone.
     """
     if not is_hermitian(a, tol):
         raise NotHermitianError("is_psd requires a hermitian matrix")
-    if _cholesky_certifies(a, tol):
+    if a.size > EIGVALSH_MAX_ENTRIES and _cholesky_certifies(a, tol):
         return True
     return bool(np.linalg.eigvalsh(a)[..., 0].min() >= -tol)
 

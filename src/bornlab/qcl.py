@@ -96,10 +96,16 @@ def qcl_not(rho: DensityOperator) -> DensityOperator:
 def qcl_and(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
     """Conjunction: Toffoli from both truth qubits into a fresh |0> ancilla, the new
     truth qubit, on rho (x) sigma (x) |0><0| (a product of states, not rechecked).
-    The result spans n + m + 1 qubits, at most ``MAX_QUBITS``."""
+    The result spans n + m + 1 qubits, at most ``MAX_QUBITS``.
+
+    The joint is one broadcast product, entry (i j s, k l t) being
+    (rho[i, k] * sigma[j, l]) * ket0[s, t]: the multiplies of
+    ``np.kron(np.kron(rho, sigma), ket0)``, in its order, so the same bits."""
     n, m = rho.n_qubits, sigma.n_qubits
     check_qubit_count(n + m + 1)
-    joint = DensityOperator._unchecked(np.kron(np.kron(rho.matrix, sigma.matrix), _KET0))
+    a, b, z = rho.matrix, sigma.matrix, _KET0
+    product = a[:, None, None, :, None, None] * b[None, :, None, None, :, None] * z[None, None, :, None, None, :]
+    joint = DensityOperator._unchecked(product.reshape(2 ** (n + m + 1), -1))
     return apply(lift_unitary(builtin_gate("toffoli"), n + m + 1, [n - 1, n + m - 1, n + m]), joint)
 
 

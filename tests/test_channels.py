@@ -1,5 +1,6 @@
 """Gates, lifting, Kraus application, measurement and noise."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import linalg
+from bornlab import channels, linalg
 from bornlab.channels import (
     GATES,
     NOISE_KINDS,
@@ -207,6 +208,27 @@ class TestEvolve:
         op = lift_unitary(builtin_gate("cnot"), 3, [2, 0])
         psi = np.arange(8, dtype=complex)
         assert evolve(op, psi).tolist() == [0, 5, 2, 7, 4, 1, 6, 3]
+
+    @pytest.mark.parametrize("name", ["not", "cnot", "toffoli", "id"])
+    def test_the_register_index_table_holds_each_gates_gather(self, name):
+        # Reference: (U psi)[r] = psi[idx[r]], where idx[r] is r with the
+        # target bits replaced by perm of their slot value (slot 0 the most
+        # significant), read bit by bit from the register index r.
+        perm = builtin_gate(name)._perm.tolist()
+        k = builtin_gate(name).arity
+        for n in range(1, 7):
+            for targets in itertools.permutations(range(n), k):
+                want = []
+                for r in range(2**n):
+                    bit = [r >> (n - 1 - q) & 1 for q in range(n)]
+                    slot = sum(bit[q] << (k - 1 - m) for m, q in enumerate(targets))
+                    for m, q in enumerate(targets):
+                        bit[q] = perm[slot] >> (k - 1 - m) & 1
+                    want.append(sum(b << (n - 1 - q) for q, b in enumerate(bit)))
+                idx = channels._register_index(tuple(perm), targets, n)
+                assert idx.tolist() == want, (n, targets)
+                assert not idx.flags.writeable
+                assert channels._register_index(tuple(perm), targets, n) is idx
 
     def test_operations_built_by_hand_are_contracted(self):
         # A Pauli string built by hand is contracted: only the builders

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornlab import circuits, linalg, psa, states
+from bornlab import circuits, cli, linalg, psa, states
 from bornlab.circuits import InputError, parse_chsh_file, parse_circuit, parse_formula_file, parse_psa_file
 from bornlab.cli import FORMATS, build_parser, main
 
@@ -66,6 +66,22 @@ class TestRun:
         assert main(["run", str(missing)]) == 1
         err = capsys.readouterr().err
         assert "nope.qc" in err
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 16.0 MiB"), "error: out of memory: Unable to allocate 16.0 MiB\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+        ids=["with-message", "without-message"],
+    )
+    def test_running_out_of_memory_is_one_error_line(self, demo_circuit, capsys, monkeypatch, exc, message):
+        def exhausted(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "run", exhausted)
+        assert main(["run", str(demo_circuit)]) == 1
+        assert capsys.readouterr().err == message
 
     def test_malformed_line_reports_the_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.qc"

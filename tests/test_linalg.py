@@ -199,6 +199,24 @@ class TestPsdVerdict:
         a = placed_spectrum(4, 3, -factor * tol)
         assert linalg._cholesky_certifies(a, tol) == answers
 
+    def test_a_small_state_is_answered_by_the_eigensolver_alone(self, monkeypatch):
+        def cholesky(a):
+            raise AssertionError(f"Cholesky ran on shape {a.shape}")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        assert is_psd(random_density(1, rng=5).matrix, 1e-10)
+        assert not is_psd(np.diag([1.0, -0.5]), 1e-10)
+
+    def test_a_sector_block_stack_is_answered_by_the_certificate_alone(self, monkeypatch):
+        # The two 512 x 512 sector blocks of a measured 10-qubit state.
+        stack = np.array([random_density(9, rng=seed).matrix / 2 for seed in (1, 2)])
+
+        def eigvalsh(a):
+            raise AssertionError(f"eigvalsh ran on shape {a.shape}")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert is_psd(stack, linalg.STRUCTURAL_TOL)
+
     def test_stacks_are_checked_for_hermiticity(self):
         stack = np.array([I2 / 2, np.array([[0.5, 0.5], [0.0, 0.5]])])
         with pytest.raises(linalg.NotHermitianError):

@@ -1,5 +1,6 @@
 """Truth probability, probabilistic connectives, and formula evaluation."""
 
+import functools
 import itertools
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import linalg
+from bornlab import channels, linalg
 from bornlab.channels import apply, builtin_gate, lift_unitary
 from bornlab.circuits import parse_circuit, simulate
 from bornlab.qcl import (
@@ -98,6 +99,18 @@ class TestNot:
             assert abs(lhs - rhs) <= 1e-12
 
 
+@st.composite
+def signed_zero_matrices(draw):
+    """A 2**n x 2**n complex matrix on 1-3 qubits whose real and imaginary
+    parts are drawn from [-1, 1], zeros of either sign among them, wrapped
+    unchecked: ``qcl_and`` reads the entries of its operands, not their
+    positivity."""
+    dim = 2 ** draw(st.integers(1, 3))
+    part = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
+    parts = draw(st.lists(part, min_size=2 * dim * dim, max_size=2 * dim * dim))
+    return DensityOperator._unchecked(np.array(parts).view(complex).reshape(dim, dim))
+
+
 class TestAnd:
     def test_classical_corner_true_true(self):
         assert truth_probability(qcl_and(TRUE, TRUE)) == 1.0
@@ -123,6 +136,19 @@ class TestAnd:
     def test_output_keeps_all_qubits(self):
         out = qcl_and(random_density(2, rng=0), random_density(1, rng=1))
         assert out.n_qubits == 4
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(signed_zero_matrices(), signed_zero_matrices())
+    def test_the_joint_is_the_double_kron_bit_for_bit(self, rho, sigma):
+        # The reference forms rho (x) sigma (x) |0><0| by np.kron and then
+        # applies the Toffoli.  The entries hold zeros of either sign, which
+        # a multiply in another order, or on other operands, would change.
+        n, m = rho.n_qubits, sigma.n_qubits
+        joint = DensityOperator._unchecked(np.kron(np.kron(rho.matrix, sigma.matrix), KET0))
+        want = apply(lift_unitary(builtin_gate("toffoli"), n + m + 1, [n - 1, n + m - 1, n + m]), joint).matrix
+        got = qcl_and(rho, sigma).matrix
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 class TestResultsAreReadOnly:
@@ -170,6 +196,16 @@ class TestEvalFormula:
     def test_unbound_atom(self):
         with pytest.raises(ValueError, match="unbound atom"):
             eval_formula(Atom("missing"), {})
+
+    def test_ten_conjunctions_build_the_toffoli_index_once(self):
+        # Each reduced conjunction is the Toffoli on qubits 0, 1, 2 of a
+        # 3-qubit register: one gather index, built by the first of them.
+        atoms = [Atom(f"a{k}") for k in range(11)]
+        channels._register_index.cache_clear()
+        p = eval_formula(functools.reduce(And, atoms), {atom.name: HALF for atom in atoms})
+        info = channels._register_index.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+        assert abs(p - 0.5**11) <= 1e-15
 
     def test_malformed_tree(self):
         with pytest.raises(TypeError, match="malformed"):

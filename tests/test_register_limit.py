@@ -210,6 +210,31 @@ def test_many_atoms_naming_one_ten_qubit_circuit_evaluate_under_a_2_gib_cap(tmp_
     assert abs(json.loads(done.stdout)["truth_probability"] - 0.3) <= 1e-12
 
 
+def test_many_atoms_naming_distinct_ten_qubit_circuits_end_without_a_traceback(tmp_path):
+    # 150 distinct circuit texts are simulated one by one; their full 16 MiB
+    # states would take 2.3 GiB.  Whether the states fit under the cap or
+    # not, ``bornlab eval`` ends in a result or in one ``error:`` line.  No
+    # circuit flips the truth qubit 9, so every negated atom is true.
+    lines = []
+    for k in range(150):
+        flips = "".join(f"gate not {q}\n" for q in range(10) if k >> q & 1)
+        (tmp_path / f"c{k}.qc").write_text(f"qubits 10\n{flips}", encoding="utf-8")
+        lines.append(f"atom c{k} = c{k}.qc")
+    lines.append("formula = " + _balanced_conjunction([f"!c{k}" for k in range(150)]))
+    path = tmp_path / "distinct.qf"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, "eval", str(path)],
+        capture_output=True, text=True, env=ENV, timeout=300,
+    )
+    assert "Traceback" not in done.stderr
+    if done.returncode == 0:
+        assert json.loads(done.stdout)["truth_probability"] == 1.0
+    else:
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
 COMPOSITE_CHILD = f"""\
 import pathlib, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({CAP_BYTES}, resource.RLIM_INFINITY))
