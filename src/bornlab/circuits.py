@@ -712,7 +712,7 @@ def _circuit_state(value: str, base_dir: Path, states: dict[str, DensityOperator
     path = base_dir / value
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read circuit {str(path)!r}: {exc}") from exc
     if text not in states:
         try:

@@ -56,15 +56,28 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _render(args, header, rows, record, preamble=()) -> str:
+    """``record`` as indented JSON with sorted keys, or ``header`` and ``rows``
+    as the format ``args.fmt`` says; no other function reads ``args.fmt``.
 
+    ``table`` is the ``preamble`` pairs and then ``rows``, fields joined by
+    one blank; ``csv`` is a ``# key=value ...`` line for the ``preamble``,
+    then ``header`` and ``rows``, quoting only fields that hold a comma, a
+    quote or a line break.  Both print a float at 6 decimals (``-0.0`` as
+    ``0.000000``), and ints and strings as they are."""
+    if args.fmt == "record":
+        return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
-def _csv(rows) -> str:
-    """``rows`` as CSV lines ending in ``\n``; only fields that hold a comma, a
-    quote or a line break are quoted."""
+    def text(x) -> str:
+        return f"{x + 0.0:.6f}" if isinstance(x, float) else str(x)
+
+    if args.fmt == "table":
+        return "".join(" ".join(map(text, row)) + "\n" for row in [*preamble, *rows])
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
+    writer = csv.writer(out, lineterminator="\n")
+    if preamble:
+        writer.writerow(["# " + " ".join(f"{key}={text(value)}" for key, value in preamble)])
+    writer.writerows([header, *([text(x) for x in row] for row in rows)])
     return out.getvalue()
 
 
@@ -81,49 +94,32 @@ def _read_circuit(args):
     return ir
 
 
-def _scalar(args, key: str, value: float) -> str:
-    if args.fmt == "record":
-        return _json_dump({key: value})
-    text = f"{value + 0.0:.6f}"
-    return _csv([[key], [text]]) if args.fmt == "csv" else text + "\n"
-
-
 def cmd_run(args) -> str:
     dist = output_distribution(_read_circuit(args))
-    labels = sorted(dist)
-    if args.fmt == "table":
-        return "".join(f"{l} {dist[l]:.6f}\n" for l in labels)
-    if args.fmt == "csv":
-        return _csv([("outcome", "probability"), *((l, f"{dist[l]:.6f}") for l in labels)])
-    return _json_dump({"probabilities": dist})
+    rows = [(label, dist[label]) for label in sorted(dist)]
+    return _render(args, ("outcome", "probability"), rows, {"probabilities": dist})
 
 
 def cmd_sample(args) -> str:
     h = sample(_read_circuit(args), args.shots, args.seed)
-    labels = sorted(h.counts)
-    if args.fmt == "table":
-        return f"shots {h.shots}\nseed {h.seed}\n" + "".join(f"{l} {h.counts[l]}\n" for l in labels)
-    if args.fmt == "csv":
-        head = [(f"# shots={h.shots} seed={h.seed}",), ("outcome", "count")]
-        return _csv([*head, *((l, h.counts[l]) for l in labels)])
-    return _json_dump({"shots": h.shots, "seed": h.seed, "counts": h.counts})
+    rows = [(label, h.counts[label]) for label in sorted(h.counts)]
+    record = {"shots": h.shots, "seed": h.seed, "counts": h.counts}
+    return _render(args, ("outcome", "count"), rows, record, (("shots", h.shots), ("seed", h.seed)))
 
 
 def cmd_eval(args) -> str:
     ast, bindings = parse_formula_file(*_read_input(args))
-    return _scalar(args, "truth_probability", eval_formula(ast, bindings))
+    p = eval_formula(ast, bindings)
+    return _render(args, ("truth_probability",), [(p,)], {"truth_probability": p})
 
 
 def cmd_psa_table(args) -> str:
     check_tol(args.tol)
     state, contexts = parse_psa_file(*_read_input(args), tol=args.tol)
     table = global_valuation(state, [context for _, context in contexts])
+    header = ("context", "projector", "intensity")
     rows = [(contexts[ci][0], f"P{pi}", v) for (ci, pi), v in table.items()]
-    if args.fmt == "table":
-        return "".join(f"{c} {l} {v:.6f}\n" for c, l, v in rows)
-    if args.fmt == "csv":
-        return _csv([("context", "projector", "intensity"), *((c, l, f"{v:.6f}") for c, l, v in rows)])
-    return _json_dump([{"context": c, "projector": l, "intensity": v} for c, l, v in rows])
+    return _render(args, header, rows, [dict(zip(header, row)) for row in rows])
 
 
 def cmd_chsh(args) -> str:
@@ -132,7 +128,8 @@ def cmd_chsh(args) -> str:
         rho, a, ap, b, bp = chsh_preset(args.input)
     else:
         rho, a, ap, b, bp = parse_chsh_file(*_read_input(args))
-    return _scalar(args, "S", chsh_value(rho, a, ap, b, bp, tol=args.tol))
+    s = chsh_value(rho, a, ap, b, bp, tol=args.tol)
+    return _render(args, ("S",), [(s,)], {"S": s})
 
 
 _COMMANDS = {

@@ -17,6 +17,8 @@ this probability model from any classical one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import linalg
@@ -254,13 +256,13 @@ def _certified_solve(a: np.ndarray, v: np.ndarray, dim: int) -> np.ndarray | Non
 def reconstruct_density(samples, n_qubits: int) -> DensityOperator:
     """Recover the generating density operator from intensity samples.
 
-    ``samples`` is a sequence of (Projector, intensity) pairs whose projector
-    family must span the hermitian-matrix space (be informationally
-    complete), on at most ``MAX_RECONSTRUCT_QUBITS`` qubits.  Solves
-    Tr(rho P_i) = v_i by least squares over rho's d**2 real coordinates (its
-    diagonal, then the real and the imaginary parts of its entries above the
-    diagonal) with a unit-trace row appended, then validates the result
-    against the density-operator invariants.
+    ``samples`` is a sequence of (Projector, finite intensity) pairs whose
+    projector family must span the hermitian-matrix space (be
+    informationally complete), on at most ``MAX_RECONSTRUCT_QUBITS``
+    qubits.  Solves Tr(rho P_i) = v_i by least squares over rho's d**2 real
+    coordinates (its diagonal, then the real and the imaginary parts of its
+    entries above the diagonal) with a unit-trace row appended, then
+    validates the result against the density-operator invariants.
 
     Where a Cholesky factorisation of the rows' Gram matrix certifies full
     rank with cond below 1.4e4 (``_certified_solve``), the normal equations
@@ -273,6 +275,8 @@ def reconstruct_density(samples, n_qubits: int) -> DensityOperator:
         raise ValueError("no intensity samples given")
     if any(p.n_qubits != n_qubits for p, _ in pairs):
         raise ValueError("sample projectors must act on the stated qubit count")
+    if not all(math.isfinite(v) for _, v in pairs):
+        raise ValueError("intensity samples must be finite")
     dim = 2**n_qubits
     rank = dim * dim
     incomplete = f"projector family is not informationally complete (needs rank {rank})"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bornlab import channels, linalg
 from bornlab.channels import (
     GATES,
+    Gate,
     NOISE_KINDS,
     PAULI_Y,
     PAULI_Z,
@@ -566,3 +567,18 @@ class TestNoiseChannel:
                 ws = [w for _, w in weights(p)]
                 assert all(w >= 0.0 for w in ws), (kind, p)
                 assert sum(ws) == 1.0, (kind, p)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Gate("skew", [[1, 1], [0, 1]]), "gate 'skew' is not unitary"),
+        (lambda: QuantumOperation([], [0], 1), "Kraus family must be non-empty"),
+        (lambda: QuantumOperation([np.eye(2), np.eye(4)], [0], 1), "Kraus matrices must share one dimension"),
+    ],
+    ids=["non-unitary gate", "no Kraus matrices", "two Kraus dimensions"],
+)
+def test_every_constructor_rejection_reads_exactly(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -221,6 +221,12 @@ def test_every_library_diagnostic_reads_exactly(make, message):
     assert str(exc.value) == message
 
 
+def test_a_step_of_unknown_type_is_a_type_error():
+    with pytest.raises(TypeError) as exc:
+        CircuitIr(1, ("gate h 0",))
+    assert str(exc.value) == "unknown step 'gate h 0'"
+
+
 @st.composite
 def circuit_irs(draw, max_qubits=6, noise=True):
     n = draw(st.integers(1, max_qubits))

@@ -880,6 +880,23 @@ class TestByteOrderMark:
             parse_circuit("qubits 2\n\ufeffgate h 0\n")
 
 
+@pytest.mark.parametrize(
+    "command, name, text, where",
+    [
+        ("eval", "f.qf", "atom a = latin1.qc\nformula = a\n", "line 1, column 1"),
+        ("psa-table", "v.psa", "state circuit latin1.qc\ncontext z\nvector 1 0\nvector 0 1\nend\n", "line 1"),
+    ],
+    ids=["eval", "psa-table"],
+)
+def test_a_circuit_file_that_is_not_utf8_is_named(command, name, text, where, tmp_path, capsys):
+    (tmp_path / "latin1.qc").write_bytes(b"\xff" + HADAMARD.encode())
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main([command, str(tmp_path / name)]) == 1
+    circuit = str(tmp_path / "latin1.qc")
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert capsys.readouterr() == ("", f"error: {where}: cannot read circuit {circuit!r}: {reason}\n")
+
+
 class TestModuleEntryPoint:
     """``python -m bornlab.cli`` exits with the status ``main`` returns."""
 

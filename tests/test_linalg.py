@@ -217,6 +217,15 @@ class TestPsdVerdict:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         assert is_psd(stack, linalg.STRUCTURAL_TOL)
 
+    def test_a_matrix_past_the_certificate_bound_is_answered_by_the_eigensolver(self, monkeypatch):
+        # 256 entries take the certificate's route, but its error bound on
+        # entries of 1e12 is far above tol, so it declines before factorising.
+        def cholesky(a):
+            raise AssertionError(f"Cholesky ran on shape {a.shape}")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        assert is_psd(np.diag([1e12] * 16))
+
     def test_stacks_are_checked_for_hermiticity(self):
         stack = np.array([I2 / 2, np.array([[0.5, 0.5], [0.0, 0.5]])])
         with pytest.raises(linalg.NotHermitianError):

@@ -397,6 +397,64 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="positive semidefinite"):
             reconstruct_density(samples, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_intensities_are_rejected_before_any_solve(self, monkeypatch, bad):
+        calls, lstsq = [], np.linalg.lstsq
+
+        def counted_lstsq(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        samples = list(zip(one_qubit_ic_family(), [1.0, 0.0, bad, 0.5]))
+        with pytest.raises(ValueError) as exc:
+            reconstruct_density(samples, 1)
+        assert str(exc.value) == "intensity samples must be finite"
+        assert calls == []
+
+
+def _settings():
+    """The four observables of a CHSH preset."""
+    return chsh_preset("singlet-optimal")[1:]
+
+
+# Each rejection of the valuation, reconstruction and CHSH functions, with
+# its exact message.
+REJECTIONS = {
+    "empty join": (lambda: join_projectors([]), "join of an empty family"),
+    "empty context": (lambda: Context([]), "a context needs at least one projector"),
+    "mixed dimensions": (
+        lambda: Context([Projector(np.eye(2)), Projector(np.eye(4))]),
+        "projectors must share one dimension",
+    ),
+    "4 x 4 observable": (
+        lambda: chsh_value(singlet_state(), np.eye(4), *_settings()[1:]),
+        "CHSH observables must be single-qubit (2x2)",
+    ),
+    "non-hermitian observable": (
+        lambda: chsh_value(singlet_state(), [[1, 1], [0, -1]], *_settings()[1:]),
+        "CHSH observables must be hermitian",
+    ),
+    "unknown preset": (lambda: chsh_preset("nope"), "unknown CHSH preset 'nope'"),
+    "no samples": (lambda: reconstruct_density([], 1), "no intensity samples given"),
+    "wrong qubit count": (
+        lambda: reconstruct_density([(p, 0.5) for p in one_qubit_ic_family()], 2),
+        "sample projectors must act on the stated qubit count",
+    ),
+    # {|0>, |1>} twice: enough samples to reach the rank, so the SVD decides.
+    "rank on the SVD path": (
+        lambda: reconstruct_density([(projector_onto(basis_state(1, i % 2)), 1.0 - i % 2) for i in range(4)], 1),
+        "projector family is not informationally complete (needs rank 4)",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, message", REJECTIONS.values(), ids=REJECTIONS)
+def test_every_rejection_reads_exactly(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
 
 def brute_force_chsh(psi, a, ap, b, bp):
     """Oracle: S from per-setting outcome probabilities |<a_i (x) b_j|psi>|^2,

@@ -11,6 +11,7 @@ from bornlab.states import (
     QuRegister,
     basis_state,
     born_expectation,
+    clamp_probability,
     projector_onto,
     pure_to_density,
     qubit,
@@ -259,3 +260,19 @@ class TestRays:
     def test_rejects_what_is_not_a_ray(self, vector, message):
         with pytest.raises(ValueError, match=message):
             projector_onto(vector)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: QuRegister([np.nan, 1.0]), "amplitudes must be finite"),
+        (lambda: basis_state(2, "0a"), "bad basis label '0a' for 2 qubits"),
+        (lambda: Projector([[1.0, 0.0], [0.0, 0.5]]), "matrix is not a projector (hermitian idempotent)"),
+        (lambda: clamp_probability(1.5), "expectation 1.5 outside [0, 1]: invariant broken upstream"),
+    ],
+    ids=["non-finite register", "bad basis label", "non-projector", "probability above 1"],
+)
+def test_every_rejection_reads_exactly(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
