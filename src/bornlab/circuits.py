@@ -855,12 +855,15 @@ def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
 
     Returns the state and a list of (name, Context); ``tol`` is the
     tolerance of the context checks.  Context names are distinct, and every
-    context acts on the state's qubit count.  A fault raises ``InputError``,
-    one of a whole context block at its ``context`` line.
+    context acts on the state's qubit count.  A ``vector`` or ``projector``
+    line whose tokens repeat an earlier line of the file is not read again:
+    the contexts that hold it share one ``Projector``.  A fault raises
+    ``InputError``, one of a whole context block at its ``context`` line.
     """
     contexts: list[tuple[str, Context]] = []
     opened: dict[str, int] = {}  # each context's name, to the line that opens it
     current: tuple[str, list] | None = None  # the open context block
+    projectors: dict[tuple[str, ...], Projector] = {}  # each line read, by its tokens
 
     def statement(lineno: int, kw: str, args) -> None:
         nonlocal current
@@ -876,16 +879,19 @@ def parse_psa_file(text: str, base_dir=".", tol: float = STRUCTURAL_TOL):
         elif kw in ("vector", "projector"):
             if current is None:
                 raise ValueError(f"{kw!r} outside a context block")
-            if kw == "vector":
-                current[1].append(projector_onto(_unit_vector(_complex_tokens(args))))
-            else:
-                current[1].append(Projector(_complex_tokens(args, square=True)))
+            key = (kw, *args)
+            if key not in projectors:
+                if kw == "vector":
+                    projectors[key] = projector_onto(_unit_vector(_complex_tokens(args)))
+                else:
+                    projectors[key] = Projector(_complex_tokens(args, square=True))
+            current[1].append(projectors[key])
         elif kw == "end":
             if current is None:
                 raise ValueError("'end' without a context block")
-            name, projectors = current
+            name, members = current
             try:
-                contexts.append((name, Context(projectors, tol=tol)))
+                contexts.append((name, Context(members, tol=tol)))
             except ValueError as exc:
                 raise ValueError(f"context {name!r}: {exc}") from exc
             current = None

@@ -82,9 +82,14 @@ def _render(args, header, rows, record, preamble=()) -> str:
 
 
 def _read_input(args) -> tuple[str, Path]:
-    """The input file's text, and the directory its relative paths resolve in."""
+    """The input file's text, and the directory its relative paths resolve in.
+    A file that is not UTF-8 is named in the message, as a circuit file named
+    inside an input is."""
     path = Path(args.input)
-    return path.read_text(encoding="utf-8"), path.parent
+    try:
+        return path.read_text(encoding="utf-8"), path.parent
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {str(path)!r}: {exc}") from exc
 
 
 def _read_circuit(args):

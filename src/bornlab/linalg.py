@@ -24,7 +24,7 @@ def as_matrix(entries) -> np.ndarray:
     a = np.array(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     a.setflags(write=False)
     return a
@@ -112,14 +112,18 @@ def is_psd(a: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     ``(k, d, d)``) has all eigenvalues >= -tol.
 
     Raises ``NotHermitianError`` if ``a`` is not hermitian within ``tol``.
-    The verdict is ``eigvalsh(a)[0] >= -tol``.  An array of more than
-    ``EIGVALSH_MAX_ENTRIES`` entries first tries a Cholesky certificate
-    (``_cholesky_certifies``), which answers True where it proves
-    lambda_min > -tol; elsewhere the eigensolver answers.  Both read the lower
-    triangle, so the verdict is never looser than the eigensolver's alone.
+    The verdict is ``eigvalsh(a)[0] >= -tol``.  Blocks of 1 x 1 are answered
+    by the real parts of their entries, which is what ``eigvalsh`` returns for
+    them.  Any other array of more than ``EIGVALSH_MAX_ENTRIES`` entries first
+    tries a Cholesky certificate (``_cholesky_certifies``), which answers True
+    where it proves lambda_min > -tol; elsewhere the eigensolver answers.
+    Both read the lower triangle, so the verdict is never looser than the
+    eigensolver's alone.
     """
     if not is_hermitian(a, tol):
         raise NotHermitianError("is_psd requires a hermitian matrix")
+    if a.shape[-2:] == (1, 1):
+        return bool(a.real.min() >= -tol)
     if a.size > EIGVALSH_MAX_ENTRIES and _cholesky_certifies(a, tol):
         return True
     return bool(np.linalg.eigvalsh(a)[..., 0].min() >= -tol)
@@ -149,8 +153,15 @@ def sector_blocks(a: np.ndarray, n_qubits: int, measured) -> np.ndarray:
 
 
 def is_projector(a: np.ndarray) -> bool:
-    """True iff ``a`` is hermitian and idempotent within ``STRUCTURAL_TOL``."""
-    return is_hermitian(a) and max_abs(a @ a - a) <= STRUCTURAL_TOL
+    """True iff the square matrix ``a`` is hermitian and idempotent within
+    ``STRUCTURAL_TOL`` in max-norm.  The product ``a @ a`` is formed only for
+    a hermitian ``a``, in the buffer of the hermiticity residual."""
+    residual = a - a.conj().T
+    if not np.abs(residual).max() <= STRUCTURAL_TOL:
+        return False
+    np.matmul(a, a, out=residual)
+    residual -= a
+    return bool(np.abs(residual).max() <= STRUCTURAL_TOL)
 
 
 def is_unitary(a: np.ndarray) -> bool:

@@ -125,14 +125,18 @@ def global_valuation(rho: DensityOperator, contexts) -> dict[tuple[int, int], fl
 
     Returns {(context index, projector index): intensity}; within each
     context the row sums to 1 because the projectors resolve the identity.
+    A projector object that several contexts hold is valued once.
     """
     contexts = list(contexts)
     if any(c.n_qubits != rho.n_qubits for c in contexts):
         raise ValueError("contexts must act on the valuation's qubit count")
+    values: dict[Projector, float] = {}  # by identity: Projector defines no __eq__
     table: dict[tuple[int, int], float] = {}
     for ci, context in enumerate(contexts):
         for pi, p in enumerate(context.projectors):
-            table[(ci, pi)] = intensity(rho, p)
+            if p not in values:
+                values[p] = intensity(rho, p)
+            table[(ci, pi)] = values[p]
     return table
 
 
@@ -193,13 +197,19 @@ def _coordinate_rows(projectors, dim: int) -> np.ndarray:
     """One row per projector P over rho's d**2 real coordinates, so that the
     row times them is Tr(rho P): [Re diag(P), 2 Re P[upper], 2 Im P[upper]],
     read in stacks of 256 projectors, which are freed on return, before the
-    Gram matrix is formed."""
+    Gram matrix is formed.  One gather from a stack's float view (real and
+    imaginary parts interleaved) writes those parts straight into its rows,
+    where the off-diagonal ones are doubled."""
     upper = np.triu_indices(dim, 1)
+    flat = upper[0] * dim + upper[1]
+    parts = np.concatenate([2 * (dim + 1) * np.arange(dim), 2 * flat, 2 * flat + 1])
     a = np.empty((len(projectors), dim * dim))
     for i in range(0, len(projectors), 256):  # Tr(rho P) = sum_i rho_ii P_ii + 2 Re sum_i<j rho_ij conj(P_ij)
         stack = np.array([p.matrix for p in projectors[i : i + 256]])
-        diag, off = np.diagonal(stack, axis1=1, axis2=2).real, stack[:, upper[0], upper[1]]
-        a[i : i + 256] = np.hstack([diag, 2 * off.real, 2 * off.imag])
+        rows = a[i : i + 256]
+        # The positions are in range; mode="clip" lets take write unbuffered.
+        np.take(stack.reshape(len(rows), -1).view(float), parts, axis=1, out=rows, mode="clip")
+        rows[:, dim:] *= 2
     return a
 
 

@@ -473,6 +473,99 @@ class TestPsaTable:
         assert "qubit count must be in 1..10, got 11" in capsys.readouterr().err
 
 
+def counting_complex_tokens(monkeypatch):
+    """Record the tokens of every ``_complex_tokens`` call."""
+    calls, complex_tokens = [], circuits._complex_tokens
+
+    def counting(tokens, *args, **kwargs):
+        calls.append(tokens)
+        return complex_tokens(tokens, *args, **kwargs)
+
+    monkeypatch.setattr(circuits, "_complex_tokens", counting)
+    return calls
+
+
+def other_literals(text):
+    """``text`` with every ``vector`` line that repeats an earlier one written
+    with other literals of the same values (``1`` as ``1.0``)."""
+    seen, lines = set(), []
+    for line in text.splitlines():
+        if line.startswith("vector ") and line in seen:
+            line = "vector " + " ".join(repr(float(tok)) for tok in line.split()[1:])
+        seen.add(line)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+class TestSharedLines:
+    """A ``vector`` or ``projector`` line that repeats an earlier line's
+    tokens is read once, and every context that holds it shares it."""
+
+    SPACED = (
+        "state pure 0 1 0 0\n"
+        "context a\n"
+        "vector 1 0 0 0\n"
+        "vector 0 1 0 0\n"
+        "projector 0 0 0 0  0 0 0 0  0 0 1 0  0 0 0 1\n"
+        "end\n"
+        "context b\n"
+        "vector  1 0  0 0\n"
+        "vector 0 1 0 0\n"
+        "projector 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 1\n"
+        "end\n"
+    )
+
+    def test_a_repeated_line_is_parsed_once_and_shared(self, monkeypatch):
+        calls = counting_complex_tokens(monkeypatch)
+        _, contexts = parse_psa_file(self.SPACED)
+        assert len(calls) == 4  # the state and three distinct lines
+        (_, a), (_, b) = contexts
+        assert all(p is q for p, q in zip(a.projectors, b.projectors, strict=True))
+
+    def test_each_shared_projector_is_valued_once(self, monkeypatch):
+        state, contexts = parse_psa_file(self.SPACED)
+        valued, intensity = [], psa.intensity
+
+        def counting(rho, p):
+            valued.append(p)
+            return intensity(rho, p)
+
+        monkeypatch.setattr(psa, "intensity", counting)
+        table = psa.global_valuation(state, [context for _, context in contexts])
+        assert len(valued) == len({id(p) for p in valued}) == 3
+        assert [table[(1, i)] for i in range(3)] == [table[(0, i)] for i in range(3)] == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_the_table_is_that_of_a_file_that_reads_every_line(self, fmt, tmp_path, monkeypatch, capsys):
+        shared = (DEMOS / "kochen_specker.psa").read_text(encoding="utf-8")
+        (tmp_path / "shared.psa").write_text(shared, encoding="utf-8")
+        (tmp_path / "apart.psa").write_text(other_literals(shared), encoding="utf-8")
+        calls, results = counting_complex_tokens(monkeypatch), []
+        for name in ("shared.psa", "apart.psa"):
+            calls.clear()
+            assert main(["psa-table", str(tmp_path / name), "--format", fmt]) == 0
+            results.append((capsys.readouterr(), len(calls)))
+        (shared_out, shared_calls), (apart_out, apart_calls) = results
+        assert shared_out == apart_out and shared_out.err == ""
+        assert (shared_calls, apart_calls) == (1 + 18, 1 + 36)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("vector 1 x", "bad complex literal 'x'"),
+            ("vector 0 0", "zero vector"),
+            ("projector 1 1 0 1", "matrix is not a projector (hermitian idempotent)"),
+            ("projector 1 0 0", "3 entries do not form a square matrix"),
+        ],
+    )
+    def test_a_bad_repeated_line_fails_at_its_first_occurrence(self, line, message, tmp_path, capsys):
+        body = f"context a\nvector 1 0\n{line}\nend\ncontext b\n{line}\nvector 0 1\nend\n"
+        path = tmp_path / "bad.psa"
+        path.write_text("state pure 1 0\n" + body, encoding="utf-8")
+        assert main(["psa-table", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: line 4: {message}\n")
+
+
 class TestChsh:
     def test_singlet_optimal_preset(self, capsys):
         assert main(["chsh", "singlet-optimal"]) == 0
@@ -895,6 +988,15 @@ def test_a_circuit_file_that_is_not_utf8_is_named(command, name, text, where, tm
     circuit = str(tmp_path / "latin1.qc")
     reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
     assert capsys.readouterr() == ("", f"error: {where}: cannot read circuit {circuit!r}: {reason}\n")
+
+
+@pytest.mark.parametrize("command", ["run", "sample", "eval", "psa-table", "chsh"])
+def test_an_input_file_that_is_not_utf8_is_named(command, tmp_path, capsys):
+    path = tmp_path / "latin1.in"
+    path.write_bytes(b"\xff" + HADAMARD.encode())
+    assert main([command, str(path)]) == 1
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert capsys.readouterr() == ("", f"error: cannot read {str(path)!r}: {reason}\n")
 
 
 class TestModuleEntryPoint:

@@ -231,6 +231,37 @@ class TestPsdVerdict:
         with pytest.raises(linalg.NotHermitianError):
             is_psd(stack, 1e-10)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data(), TOLS, st.sampled_from([1, 2, 64, 65, 256, 300]), st.booleans())
+    def test_blocks_of_one_entry(self, data, tol, k, stacked):
+        # Real parts at, just past and just inside -tol, signed zeros and
+        # ordinary values; imaginary parts at tol/2 (hermitian at the edge)
+        # or at tol (not hermitian).
+        reals = st.sampled_from(
+            [-tol, tol, np.nextafter(-tol, -1.0), np.nextafter(-tol, 0.0), 0.0, -0.0, 0.25, -0.25, 1.0]
+        )
+        imags = st.sampled_from([0.0, -0.0, tol / 2, -tol / 2, tol])
+        k = k if stacked else 1
+        entries = data.draw(st.lists(st.tuples(reals, imags), min_size=k, max_size=k))
+        a = np.array([complex(re, im) for re, im in entries]).reshape((k, 1, 1) if stacked else (1, 1))
+        if max(abs(im) for _, im in entries) > tol / 2:
+            with pytest.raises(linalg.NotHermitianError, match="^is_psd requires a hermitian matrix$"):
+                is_psd(a, tol)
+        else:
+            assert is_psd(a, tol) == eigvalsh_verdict(a, tol)
+
+    def test_a_stack_of_one_entry_blocks_needs_no_factorisation(self, monkeypatch):
+        # The diagonal of a measured 8-qubit state, as ``check_density`` sees it.
+        stack = (np.arange(256, dtype=complex) / (255 * 128)).reshape(256, 1, 1)
+
+        def refuse(a, *args, **kwargs):
+            raise AssertionError(f"a factorisation ran on shape {a.shape}")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert is_psd(stack)
+        assert not is_psd(-stack)
+
 
 def dephased(n, measured, seed):
     rho = random_density(n, rng=seed).matrix

@@ -14,6 +14,7 @@ from bornlab.linalg import STRUCTURAL_TOL
 from bornlab.psa import (
     Context,
     _check_orthogonal,
+    _coordinate_rows,
     chsh_preset,
     chsh_value,
     check_additivity,
@@ -411,6 +412,38 @@ class TestReconstruction:
             reconstruct_density(samples, 1)
         assert str(exc.value) == "intensity samples must be finite"
         assert calls == []
+
+
+def hstack_rows(projectors, dim):
+    """Oracle: the coordinate rows as three parts stacked side by side,
+    [Re diag(P), 2 Re P[upper], 2 Im P[upper]], 256 projectors at a time."""
+    upper = np.triu_indices(dim, 1)
+    a = np.empty((len(projectors), dim * dim))
+    for i in range(0, len(projectors), 256):
+        stack = np.array([p.matrix for p in projectors[i : i + 256]])
+        diag, off = np.diagonal(stack, axis1=1, axis2=2).real, stack[:, upper[0], upper[1]]
+        a[i : i + 256] = np.hstack([diag, 2 * off.real, 2 * off.imag])
+    return a
+
+
+class TestCoordinateRows:
+    @pytest.mark.parametrize("kind", ["ray", "dense", "both"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_rows_are_the_stacked_parts_bit_for_bit(self, n, kind):
+        # 300 projectors: a full stack of 256 and a part of one.  Basis rays
+        # and their sign-flipped copies put signed zeros in every part.
+        rng = np.random.default_rng(40 + n)
+        dim = 2**n
+        rays = [random_pure(n, rng).amplitudes for _ in range(300 - 2 * dim)]
+        rays += [sign * np.eye(dim)[k] for sign in (1, -1) for k in range(dim)]
+        dense = kind == "dense" or (kind == "both" and np.arange(300) % 3 == 0)
+        projectors = [
+            Projector(np.outer(u, u.conj())) if is_dense else projector_onto(u)
+            for u, is_dense in zip(rays, np.broadcast_to(dense, 300))
+        ]
+        got, want = _coordinate_rows(projectors, dim), hstack_rows(projectors, dim)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _settings():
