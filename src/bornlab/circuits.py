@@ -10,8 +10,9 @@ Circuit grammar (UTF-8, one statement per line, ``#`` starts a comment):
 
 Circuits are simulated exactly here too.  Outcome labels are big-endian:
 character i of a label is qubit i, so the last character is the truth qubit
-read by the logic layer.  Sampling is one multinomial draw of all the shots
-over the exact outcome distribution, from a seeded PCG64 generator
+read by the logic layer.  Sampling adds up the distribution ``run`` prints
+(``output_distribution``) on the measured qubits and draws all the shots
+from it in one multinomial draw, from a seeded PCG64 generator
 (``numpy.random.default_rng``): its cost does not grow with the shots (1 to
 2**63 - 1), and a (circuit, shots, seed) triple always reproduces the same
 histogram.
@@ -418,21 +419,11 @@ def simulate(ir: CircuitIr) -> DensityOperator:
 PROB_FLOOR = 1e-15
 
 
-def _kept(probs: np.ndarray) -> np.ndarray:
-    """The indices of the basis probabilities ``probs`` above ``PROB_FLOOR``,
-    in index order."""
-    return np.flatnonzero(probs > PROB_FLOOR)
-
-
 def _by_label(n: int, probs: np.ndarray) -> dict[str, float]:
     """The 2**n basis probabilities ``probs`` by n-bit label, in index
     order, without the entries at or below ``PROB_FLOOR``."""
-    kept = _kept(probs)
+    kept = np.flatnonzero(probs > PROB_FLOOR)
     return {format(i, f"0{n}b"): p for i, p in zip(kept.tolist(), probs[kept].tolist())}
-
-
-def _diagonal(rho: DensityOperator) -> np.ndarray:
-    return np.real(np.diagonal(rho.matrix))
 
 
 def outcome_distribution(rho: DensityOperator) -> dict[str, float]:
@@ -441,7 +432,7 @@ def outcome_distribution(rho: DensityOperator) -> dict[str, float]:
     Zero and sub-``PROB_FLOOR`` entries are omitted; the remaining values
     sum to 1 within tolerance.
     """
-    return _by_label(rho.n_qubits, _diagonal(rho))
+    return _by_label(rho.n_qubits, np.real(np.diagonal(rho.matrix)))
 
 
 def _mixes_after_noise(ir: CircuitIr) -> bool:
@@ -480,25 +471,12 @@ def output_distribution(ir: CircuitIr) -> dict[str, float]:
 
     When no mixing gate follows a noise step (every noise-free circuit among
     them), the distribution is ``_probabilities``: no matrix is formed.  A
-    circuit with a mixing gate after noise is simulated.
+    circuit with a mixing gate after noise is simulated.  This is the one
+    place that chooses between the two; ``sample`` draws from its result.
     """
     if _mixes_after_noise(ir):
         return outcome_distribution(simulate(ir))
     return _by_label(ir.n_qubits, _probabilities(ir))
-
-
-def _marginal(n: int, probs: np.ndarray, positions) -> tuple[list[str], np.ndarray]:
-    """The marginal of ``_by_label(n, probs)`` on ``positions``, as its
-    sorted labels and their sums, taken on the vector: each kept entry's
-    outcome index on ``positions`` is read off its bits, and ``np.bincount``
-    adds the kept entries into their outcomes in index order, as a sum over
-    the labels does.  Only the 2**m outcomes that some kept entry reaches
-    are labelled."""
-    kept, m = _kept(probs), len(positions)
-    outcome = sum(((kept >> (n - 1 - q)) & 1) << (m - 1 - j) for j, q in enumerate(positions))
-    sums = np.bincount(outcome, weights=probs[kept], minlength=2**m)
-    reached = np.flatnonzero(np.bincount(outcome, minlength=2**m))
-    return [format(i, f"0{m}b") for i in reached.tolist()], sums[reached]
 
 
 def measured_positions(ir: CircuitIr) -> tuple[int, ...]:
@@ -550,19 +528,22 @@ class Histogram:
 def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
     """Draw ``shots`` outcomes from the exact output distribution.
 
-    The distribution is computed once, as ``output_distribution`` computes
-    it (on the probability vector unless a mixing gate follows noise, else
-    as the diagonal of ``simulate``), and marginalised on the measured
-    qubits by ``_marginal``; then all the shots are drawn at once as one
-    multinomial over its outcomes: time and memory grow with the outcomes,
-    not the shots.  Identical (ir, shots, seed) triples give identical
-    histograms.
+    The distribution is ``output_distribution(ir)``, the one ``run`` prints,
+    added up label by label, in its order, onto the measured qubits
+    (``measured_positions``); then all the shots are drawn at once as one
+    multinomial over its sorted outcomes: time and memory grow with the
+    outcomes, not the shots.  Identical (ir, shots, seed) triples give
+    identical histograms.
     """
     _check_shots_and_seed(shots, seed)
-    probs = _diagonal(simulate(ir)) if _mixes_after_noise(ir) else _probabilities(ir)
-    labels, probs = _marginal(ir.n_qubits, probs, measured_positions(ir))
-    probs = probs / probs.sum()
-    tallies = np.random.default_rng(seed).multinomial(shots, probs)
+    positions = measured_positions(ir)
+    sums: dict[str, float] = {}
+    for label, p in output_distribution(ir).items():
+        outcome = "".join(label[q] for q in positions)
+        sums[outcome] = sums.get(outcome, 0.0) + p
+    labels = sorted(sums)
+    probs = np.array([sums[label] for label in labels])
+    tallies = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
     counts = {labels[i]: int(c) for i, c in enumerate(tallies) if c > 0}
     return Histogram(shots=shots, counts=counts, seed=seed)
 

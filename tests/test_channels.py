@@ -79,6 +79,10 @@ class TestBuiltinGates:
         assert builtin_gate("h").arity == 1
         assert builtin_gate("toffoli").arity == 3
 
+    def test_repr_names_the_gate_and_its_arity(self):
+        assert repr(builtin_gate("cnot")) == "Gate('cnot', arity=2)"
+        assert repr(Gate("swap", np.eye(4)[[0, 2, 1, 3]])) == "Gate('swap', arity=2)"
+
     @pytest.mark.parametrize("name", ["phase", "H", "Not", "CNOT"])
     def test_unknown_name(self, name):
         with pytest.raises(ValueError, match=f"^unknown gate '{name}'$"):

@@ -1,5 +1,6 @@
 """DSL parsing, simulation, distributions, sampling, and formula files."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -31,7 +32,7 @@ from bornlab.circuits import (
     sample,
     simulate,
 )
-from bornlab.circuits import PROB_FLOOR, _by_label, _diagonal, _marginal, _unit_vector
+from bornlab.circuits import PROB_FLOOR, _by_label, _unit_vector
 from bornlab.cli import main
 from bornlab.qcl import And, Atom, Not, Or
 from bornlab.states import DensityOperator, basis_state, pure_to_density
@@ -41,7 +42,7 @@ from conftest import THREE_QUBIT_DEMO, counting_is_psd, random_density
 
 def _marginalize(dist: dict[str, float], positions) -> dict[str, float]:
     """The marginal of a labelled distribution on ``positions``, label by
-    label: the definition ``_marginal`` is tested against."""
+    label: the definition ``sample``'s distribution is tested against."""
     out: dict[str, float] = {}
     for label, p in dist.items():
         key = "".join(label[q] for q in positions)
@@ -487,11 +488,19 @@ def _simulated_distribution(ir):
     return outcome_distribution(simulate(ir))
 
 
-def _drawn(ir, probs, shots, seed):
-    """The histogram ``sample`` draws from the basis probabilities ``probs``."""
-    labels, sums = _marginal(ir.n_qubits, probs, measured_positions(ir))
+def _multinomial_counts(dist: dict[str, float], shots: int, seed: int) -> dict[str, int]:
+    """The non-zero counts of one seeded multinomial draw of ``shots`` over
+    the sorted labels of ``dist``."""
+    labels = sorted(dist)
+    sums = np.array([dist[label] for label in labels])
     tallies = np.random.default_rng(seed).multinomial(shots, sums / sums.sum())
-    return Histogram(shots=shots, counts={labels[i]: int(c) for i, c in enumerate(tallies) if c > 0}, seed=seed)
+    return {label: int(c) for label, c in zip(labels, tallies) if c > 0}
+
+
+def _drawn(ir, rho, shots, seed):
+    """The histogram ``sample`` draws from the state ``rho``'s distribution."""
+    dist = _marginalize(outcome_distribution(rho), measured_positions(ir))
+    return Histogram(shots=shots, counts=_multinomial_counts(dist, shots, seed), seed=seed)
 
 
 @st.composite
@@ -534,7 +543,7 @@ class TestOutputDistribution:
         got, want = output_distribution(ir), outcome_distribution(rho)
         assert got == want
         assert list(got) == list(want)
-        assert sample(ir, shots, seed) == _drawn(ir, _diagonal(rho), shots, seed)
+        assert sample(ir, shots, seed) == _drawn(ir, rho, shots, seed)
 
     @pytest.mark.parametrize("kind", sorted(NOISE_KINDS))
     def test_noise_after_the_last_mixing_gate_allocates_no_matrix(self, kind):
@@ -690,7 +699,7 @@ class TestDiagonalStretches:
         got, expected = output_distribution(ir), outcome_distribution(rho)
         assert got == expected
         assert list(got) == list(expected)
-        assert sample(ir, shots, seed) == _drawn(ir, _diagonal(rho), shots, seed)
+        assert sample(ir, shots, seed) == _drawn(ir, rho, shots, seed)
 
     def test_the_eight_qubit_slot_applies_only_its_mixing_gate(self, monkeypatch):
         # ``cnot`` on |0..0> leaves a basis state, so its noise runs on the
@@ -748,25 +757,7 @@ class TestDiagonalStretches:
         assert len(calls) == 1
 
 
-def _diagonals_and_positions():
-    """2**n entries as ``_diagonals`` draws them, and 1-n distinct qubits in
-    any order."""
-    def with_positions(n):
-        return st.tuples(_diagonals(n), st.permutations(range(n)), st.integers(1, n))
-    return st.integers(1, 6).flatmap(with_positions).map(lambda t: (t[0], t[1][: t[2]]))
-
-
 class TestSample:
-    @settings(max_examples=200, deadline=None)
-    @given(_diagonals_and_positions())
-    def test_the_marginal_on_the_vector_is_the_marginal_of_the_labels(self, case):
-        probs, positions = case
-        n = probs.size.bit_length() - 1
-        want = _marginalize(_by_label(n, probs), positions)
-        labels, sums = _marginal(n, probs, positions)
-        assert labels == sorted(want)
-        assert dict(zip(labels, sums.tolist())) == want
-
     def test_deterministic_for_fixed_seed(self):
         ir = parse_circuit("qubits 1\ngate h 0\nmeasure all\n")
         assert sample(ir, 500, 42) == sample(ir, 500, 42)
@@ -877,6 +868,27 @@ class TestSampleProperties:
             # halves of 0.5000000000000001), which makes p (1 - p) a tiny negative.
             bound = 6.0 * math.sqrt(max(n * p * (1.0 - p), 0.0)) + 6.0
             assert abs(counts.get(label, 0) - n * p) <= bound, (label, p)
+
+
+_TESTS = Path(__file__).resolve().parent
+SAMPLED_FILES = sorted((_TESTS.parent / "demos").glob("*.qc")) + sorted((_TESTS / "circuits").glob("*.qc"))
+
+
+class TestSampleCommand:
+    @pytest.mark.parametrize("noise", [None, "bitflip:0.05", "depolarizing:0.1"])
+    @pytest.mark.parametrize("path", SAMPLED_FILES, ids=lambda path: path.name)
+    def test_the_histogram_is_drawn_from_what_run_prints(self, capsys, path, noise):
+        # ``sample``'s counts are one multinomial draw over the marginal, on
+        # the measured qubits, of the probabilities ``run`` prints.
+        flags = [] if noise is None else ["--noise", noise]
+        assert main(["run", str(path), "--format", "record", *flags]) == 0
+        probabilities = json.loads(capsys.readouterr().out)["probabilities"]
+        positions = measured_positions(parse_circuit(path.read_text(encoding="utf-8")))
+        dist = _marginalize(probabilities, positions)
+        for seed in (0, 11):
+            args = ["sample", str(path), "--shots", "1000", "--seed", str(seed), "--format", "record"]
+            assert main([*args, *flags]) == 0
+            assert json.loads(capsys.readouterr().out)["counts"] == _multinomial_counts(dist, 1000, seed)
 
 
 class TestEachStepIsCheckedOnce:

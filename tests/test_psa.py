@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import linalg
+from bornlab import linalg, psa
 from bornlab.linalg import STRUCTURAL_TOL
 from bornlab.psa import (
     Context,
@@ -311,6 +311,29 @@ class TestReconstruction:
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
         assert np.array_equal(reconstruct_density(samples, 1).matrix, want)
         assert len(calls) == 1
+
+    def test_an_uncertified_shift_falls_back_to_the_svd(self, monkeypatch):
+        # With no Gram shift the certificate's bound can never hold, so every
+        # family takes the SVD route, which must agree with the certified one.
+        rho = random_density(2, rng=71)
+        samples = [(p, intensity(rho, p)) for p in product_ic_family(2)]
+        certified = reconstruct_density(samples, 2)
+        calls, lstsq = [], np.linalg.lstsq
+
+        def counted_lstsq(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(psa, "_GRAM_SHIFT", 0.0)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        assert linalg.max_abs(reconstruct_density(samples, 2).matrix - certified.matrix) <= 1e-10
+        assert len(calls) == 1
+        # {|0>, |1>, |+>, |+>}: four samples, but rank 3.
+        family = [*one_qubit_ic_family()[:3], one_qubit_ic_family()[2]]
+        qubit_rho = random_density(1, rng=73)
+        deficient = [(p, intensity(qubit_rho, p)) for p in family]
+        with pytest.raises(ValueError, match=r"^projector family is not informationally complete \(needs rank 4\)$"):
+            reconstruct_density(deficient, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_the_pauli_basis_solve_on_entangled_families(self, n):

@@ -56,6 +56,11 @@ class TestQuRegister:
     def test_numpy_integer_basis_index_is_accepted(self):
         assert basis_state(2, np.int64(3)).amplitudes[3] == 1.0
 
+    def test_dim_and_repr(self):
+        psi = basis_state(3, "101")
+        assert psi.dim == 8
+        assert repr(psi) == "QuRegister(n_qubits=3)"
+
 
 class TestDensityOperator:
     def test_rejects_non_hermitian(self):
@@ -92,6 +97,10 @@ class TestDensityOperator:
         for rank in (1, 2, 2**n):
             rho = random_density(n, rng=rng, rank=rank)
             assert abs(rho.purity() - np.trace(rho.matrix @ rho.matrix).real) <= 1e-12
+
+    def test_repr_names_the_qubits_and_the_purity(self):
+        assert repr(DensityOperator(np.eye(4) / 4)) == "DensityOperator(n_qubits=2, purity=0.250000)"
+        assert repr(pure_to_density(qubit(1, 0))) == "DensityOperator(n_qubits=1, purity=1.000000)"
 
 
 class TestPureToDensity:
@@ -229,6 +238,10 @@ class TestRays:
         p = projector_onto(random_pure(3, rng=5))
         assert (p.rank, p.dim, p.n_qubits) == (1, 8, 3)
         assert holds_no_matrix(p)
+
+    def test_repr_names_the_qubits_and_the_rank(self):
+        assert repr(projector_onto(random_pure(3, rng=5))) == "Projector(n_qubits=3, rank=1)"
+        assert repr(Projector(np.diag([1.0, 1.0, 0.0, 1.0]))) == "Projector(n_qubits=2, rank=3)"
 
     def test_every_read_forms_the_matrix_read_only_and_keeps_nothing(self):
         psi = random_pure(2, rng=7)
