@@ -8,20 +8,24 @@ Circuit grammar (UTF-8, one statement per line, ``#`` starts a comment):
     noise <bitflip|depolarizing> <p> <target>
     measure all | measure <i> [<j> ...]      optional, must be last
 
-Circuits are simulated exactly here too.  Outcome labels are big-endian:
-character i of a label is qubit i, so the last character is the truth qubit
-read by the logic layer.  Sampling adds up the distribution ``run`` prints
-(``output_distribution``) on the measured qubits and draws all the shots
-from it in one multinomial draw, from a seeded PCG64 generator
+Circuits are simulated exactly here too (``simulate``), and
+``output_distribution``, the distribution ``run`` prints, is the one place
+that chooses how it is computed: from the state vector and a probability
+vector, or, where a mixing gate follows noise, from the simulated state.
+Outcome labels are big-endian: character i of a label is qubit i, so the
+last character is the truth qubit read by the logic layer.  Sampling adds up
+that distribution on the measured qubits and draws all the shots from it in
+one multinomial draw, from a seeded PCG64 generator
 (``numpy.random.default_rng``): its cost does not grow with the shots (1 to
 2**63 - 1), and a (circuit, shots, seed) triple always reproduces the same
 histogram.
 
-Formula files for the logic layer bind names to literal qubits or circuit
-files in an ``atom`` preamble, and a single ``formula`` line gives the
-expression, with precedence ! > & > |.  Valuation (psa) and CHSH files share
-one ``state`` line.  All four formats share one statement loop,
-``_statements``, and every fault in a file's text raises ``InputError``.
+Formula files for the logic layer bind names to literal qubits or to the
+truth qubits of circuit files in an ``atom`` preamble, and a single
+``formula`` line gives the expression, with precedence ! > & > |.  Valuation
+(psa) and CHSH files share one ``state`` line.  All four formats share one
+statement loop, ``_statements``, and every fault in a file's text raises
+``InputError``.
 Every state, vector and matrix read from a file spans at most ``MAX_QUBITS``
 qubits.
 """
@@ -41,7 +45,7 @@ from .channels import builtin_gate, check_noise_kind, check_noise_probability
 from .channels import measurement_channel, noise_channel, placed
 from .linalg import STRUCTURAL_TOL
 from .psa import Context
-from .qcl import And, Atom, Formula, Not, Or
+from .qcl import And, Atom, Formula, Not, Or, _truth_qubit
 from .states import DensityOperator, Projector, QuRegister, check_qubit_count, projector_onto
 from .states import TargetError, check_density, check_targets, is_integer, pure_to_density
 
@@ -340,14 +344,7 @@ def _diagonal_state(diagonal: np.ndarray) -> DensityOperator:
     messages the sector blocks of a measure-all state get."""
     _check_total(float(diagonal.sum().real))
     check_density(diagonal.reshape(-1, 1, 1))
-    return DensityOperator._unchecked(_diagonal_matrix(diagonal))
-
-
-def _diagonal_matrix(diagonal: np.ndarray) -> np.ndarray:
-    """The complex matrix diag(``diagonal``), zero off the diagonal."""
-    matrix = np.zeros((diagonal.size, diagonal.size), dtype=complex)
-    np.fill_diagonal(matrix, diagonal)
-    return matrix
+    return DensityOperator._unchecked(np.diag(diagonal))
 
 
 def simulate(ir: CircuitIr) -> DensityOperator:
@@ -398,7 +395,7 @@ def simulate(ir: CircuitIr) -> DensityOperator:
         diagonal = _evolve_probabilities(operation, psi * psi.conj(), steps[:head])
         if not mixing:
             return _diagonal_state(diagonal)
-        rho = DensityOperator._unchecked(_diagonal_matrix(diagonal))
+        rho = DensityOperator._unchecked(np.diag(diagonal))
     else:
         head, rho = 0, DensityOperator._unchecked(np.outer(psi, psi.conj()))
     tail = mixing[-1] + 1 if measures_all else len(steps)
@@ -435,48 +432,32 @@ def outcome_distribution(rho: DensityOperator) -> dict[str, float]:
     return _by_label(rho.n_qubits, np.real(np.diagonal(rho.matrix)))
 
 
-def _mixes_after_noise(ir: CircuitIr) -> bool:
-    """True when a mixing gate (``Gate.mixing``: ``h``, ``sqrtnot``) follows
-    a noise step: only then does the output distribution read coherences of
-    a mixed state."""
-    noisy = False
-    for step in ir.steps:
-        noisy = noisy or isinstance(step, NoiseStep)
-        if noisy and _is_mixing(step):
-            return True
-    return False
-
-
-def _probabilities(ir: CircuitIr) -> np.ndarray:
-    """The diagonal of ``simulate(ir)``, bit for bit, for a circuit where no
-    mixing gate follows noise, without the matrix.
-
-    The leading gates run on the vector (``_gate_prefix``), and the Born rule
-    gives p(i) = |psi_i|**2 = ``(psi * conj(psi)).real``, the multiply that
-    fills the diagonal of |psi><psi|.  Every later step maps that
-    distribution to the next one without reading a coherence, by the loop
-    ``simulate`` runs where the state is diagonal (``_evolve_probabilities``).
-    The sum is checked once, at the end.  No positivity check is
-    needed: |psi_i|**2 is never negative, and neither are the weights.
-    """
-    psi, done = _gate_prefix(ir)
-    probs = _evolve_probabilities(_operations(ir.n_qubits), (psi * psi.conj()).real, ir.steps[done:])
-    _check_total(float(probs.sum()))
-    return probs
-
-
 def output_distribution(ir: CircuitIr) -> dict[str, float]:
     """The outcome distribution of the circuit run from |0..0>, by label:
     ``outcome_distribution(simulate(ir))``, entry for entry and in its order.
 
-    When no mixing gate follows a noise step (every noise-free circuit among
-    them), the distribution is ``_probabilities``: no matrix is formed.  A
-    circuit with a mixing gate after noise is simulated.  This is the one
-    place that chooses between the two; ``sample`` draws from its result.
+    This is the one place that chooses how it is computed; ``sample`` draws
+    from its result.  The leading gate steps run on the vector
+    (``_gate_prefix``), up to the first noise or measure step.  When a mixing
+    gate (``Gate.mixing``: ``h``, ``sqrtnot``) comes after that step, it reads
+    the coherences of a mixed state, and the circuit is simulated.
+
+    Otherwise no matrix is formed.  The Born rule gives p(i) = |psi_i|**2 =
+    ``(psi * conj(psi)).real``, the multiply that fills the diagonal of
+    |psi><psi|, and every later step maps that distribution to the next one
+    without reading a coherence, by the loop ``simulate`` runs where the state
+    is diagonal (``_evolve_probabilities``).  The probabilities are kept real:
+    a noise step on them costs less than on the complex diagonal ``simulate``
+    carries.  Their sum is checked once, at the end.  No positivity check is
+    needed: |psi_i|**2 is never negative, and neither are the weights.
     """
-    if _mixes_after_noise(ir):
+    prefix = next((i for i, step in enumerate(ir.steps) if not isinstance(step, GateStep)), len(ir.steps))
+    if any(_is_mixing(step) for step in ir.steps[prefix:]):
         return outcome_distribution(simulate(ir))
-    return _by_label(ir.n_qubits, _probabilities(ir))
+    psi, done = _gate_prefix(ir)
+    probs = _evolve_probabilities(_operations(ir.n_qubits), (psi * psi.conj()).real, ir.steps[done:])
+    _check_total(float(probs.sum()))
+    return _by_label(ir.n_qubits, probs)
 
 
 def measured_positions(ir: CircuitIr) -> tuple[int, ...]:
@@ -550,6 +531,10 @@ def sample(ir: CircuitIr, shots: int, seed: int) -> Histogram:
 
 # --- formula text -----------------------------------------------------------
 
+#: An atom's name, on its ``atom`` line and in a formula: ASCII letters,
+#: digits and ``_``, not starting with a digit.
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 
 def _tokenize_formula(text: str, line: int, col_offset: int) -> list[tuple[str, str, int]]:
     tokens = []
@@ -562,12 +547,9 @@ def _tokenize_formula(text: str, line: int, col_offset: int) -> list[tuple[str, 
         elif c in "!&|()":
             tokens.append((c, c, col))
             i += 1
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], col))
-            i = j
+        elif m := _IDENT_RE.match(text, i):
+            tokens.append(("ident", m.group(), col))
+            i = m.end()
         else:
             raise InputError(f"unexpected character {c!r}", line, col)
     return tokens
@@ -686,10 +668,13 @@ def _pure_state(amplitudes: np.ndarray) -> DensityOperator:
     return pure_to_density(QuRegister(_unit_vector(amplitudes)))
 
 
-def _circuit_state(value: str, base_dir: Path, states: dict[str, DensityOperator]) -> DensityOperator:
-    """The output state of the circuit file ``value``, relative to ``base_dir``.
-    ``states`` holds the read-only states already simulated, by circuit text:
-    a text is simulated once, and every file that holds it shares its state."""
+def _circuit_state(
+    value: str, base_dir: Path, states: dict[str, DensityOperator], keep=lambda rho: rho
+) -> DensityOperator:
+    """``keep`` of the output state of the circuit file ``value``, relative to
+    ``base_dir``.  ``states`` holds what ``keep`` left of the read-only states
+    already simulated, by circuit text: a text is simulated once, and every
+    file that holds it shares that state."""
     path = base_dir / value
     try:
         text = path.read_text(encoding="utf-8")
@@ -697,7 +682,7 @@ def _circuit_state(value: str, base_dir: Path, states: dict[str, DensityOperator
         raise ValueError(f"cannot read circuit {str(path)!r}: {exc}") from exc
     if text not in states:
         try:
-            states[text] = simulate(parse_circuit(text))
+            states[text] = keep(simulate(parse_circuit(text)))
         except InputError as exc:
             raise ValueError(f"in circuit {str(path)!r}: {exc}") from exc
     return states[text]
@@ -705,7 +690,6 @@ def _circuit_state(value: str, base_dir: Path, states: dict[str, DensityOperator
 
 # --- formula files ------------------------------------------------------------
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _LITERAL_RE = re.compile(r"\(([^)]*)\)\Z")
 
 
@@ -727,16 +711,20 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
     """Parse a formula file: atom bindings plus one formula line.
 
         atom a = (0.70710678, 0, 0.70710678, 0)   # c0 and c1, re/im parts
-        atom b = some_circuit.qc                   # output state of the circuit
+        atom b = some_circuit.qc                   # the circuit's truth qubit
         formula = a & !b
 
     A statement's keyword ends at its first blank or ``=``, so
-    ``formula=a`` reads as ``formula = a``.  Literal qubits are normalized;
-    circuit paths resolve relative to ``base_dir``, and the atoms whose files
-    hold one circuit text (every atom that names one file, whatever the
-    spelling) share one simulated, read-only state.  A fault raises
-    ``InputError``, an unbound atom at its column.  Returns the formula tree
-    and the atom bindings.
+    ``formula=a`` reads as ``formula = a``.  An atom's name is ASCII letters,
+    digits and ``_``, not starting with a digit.  Literal qubits are
+    normalized.  Circuit paths resolve relative to ``base_dir``, and a circuit
+    atom is bound to the 2 x 2 reduced state of its output's truth (last)
+    qubit, traced out as soon as the circuit is simulated: a formula's truth
+    probability reads nothing else of an atom, and at most one 4**n state is
+    held at a time.  The atoms whose files hold one circuit text (every atom
+    that names one file, whatever the spelling) share one read-only state.  A
+    fault raises ``InputError``, an unbound atom at its column.  Returns the
+    formula tree and the atom bindings.
     """
     base = Path(base_dir)
     bindings: dict[str, DensityOperator] = {}
@@ -751,14 +739,14 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
                 name, eq, value = (part.strip() for part in body.partition("="))
                 if not eq or not name or not value:
                     raise ValueError("usage: atom <name> = <literal or circuit path>")
-                if not _IDENT_RE.match(name):
+                if not _IDENT_RE.fullmatch(name):
                     raise ValueError(f"bad atom name {name!r}")
                 if name in bindings:
                     raise ValueError(f"duplicate atom {name!r}")
                 if value.startswith("("):
                     bindings[name] = _atom_literal(value)
                 else:
-                    bindings[name] = _circuit_state(value, base, circuit_states)
+                    bindings[name] = _circuit_state(value, base, circuit_states, _truth_qubit)
             elif kw == "formula":
                 expr = body[1:].strip()
                 if formula is not None:

@@ -157,6 +157,11 @@ def eval_formula_state(ast: Formula, bindings) -> DensityOperator:
     of the atoms' tensor product with |0><0| ancillas and has their spectrum,
     so one positivity check, here, sees what a check per connective would.
     A composite over ``MAX_QUBITS`` qubits is rejected before it is built.
+
+    The bindings of a formula file (``parse_formula_file``) hold each circuit
+    atom as its truth qubit, so on them this builds the composite of the
+    atoms' truth qubits, one qubit per atom occurrence: its truth probability
+    is the one the atoms' full states give.
     """
     return DensityOperator(_composite(ast, bindings).matrix)
 

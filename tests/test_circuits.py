@@ -34,7 +34,7 @@ from bornlab.circuits import (
 )
 from bornlab.circuits import PROB_FLOOR, _by_label, _unit_vector
 from bornlab.cli import main
-from bornlab.qcl import And, Atom, Not, Or
+from bornlab.qcl import And, Atom, Not, Or, _truth_qubit
 from bornlab.states import DensityOperator, basis_state, pure_to_density
 
 from conftest import THREE_QUBIT_DEMO, counting_is_psd, random_density
@@ -538,9 +538,18 @@ class TestOutputDistribution:
     @given(noisy_irs(), st.integers(1, 10**6), st.integers(0, 2**32 - 1))
     def test_noisy_circuits_give_the_diagonal_of_simulate_exactly(self, case, shots, seed):
         ir, mixes = case
-        assert circuits._mixes_after_noise(ir) is mixes
+        runs = []
+
+        def counting_simulate(ir):
+            runs.append(ir)
+            return simulate(ir)
+
+        with pytest.MonkeyPatch.context() as m:  # the state is simulated exactly when a mixing gate follows noise
+            m.setattr(circuits, "simulate", counting_simulate)
+            got = output_distribution(ir)
+        assert len(runs) == mixes
         rho = simulate(ir)
-        got, want = output_distribution(ir), outcome_distribution(rho)
+        want = outcome_distribution(rho)
         assert got == want
         assert list(got) == list(want)
         assert sample(ir, shots, seed) == _drawn(ir, rho, shots, seed)
@@ -958,6 +967,17 @@ class TestParseFormula:
         with pytest.raises(InputError, match=f"column {MAX_FORMULA_DEPTH + 1}: formula nested deeper"):
             parse_formula(text)
 
+    @pytest.mark.parametrize(
+        "text, char, column",
+        [("a & \u00e9", "\u00e9", 5), ("a\uff11", "\uff11", 2), ("a\u00b2 | b", "\u00b2", 2), ("\u00e9a", "\u00e9", 1)],
+        ids=["latin-letter", "full-width-digit", "superscript-digit", "leading-letter"],
+    )
+    def test_a_name_is_ascii_letters_digits_and_underscores(self, text, char, column):
+        # The rule of an atom line's name: a character no ``atom`` line can
+        # bind is not read as part of a name.
+        with pytest.raises(InputError, match=f"^line 1, column {column}: unexpected character {char!r}$"):
+            parse_formula(text)
+
     def test_depth_counts_each_link_of_a_chain(self):
         chain = " & ".join(["a"] * (MAX_FORMULA_DEPTH + 1))
         assert isinstance(parse_formula("!" * MAX_FORMULA_DEPTH + "a"), Not)
@@ -1004,6 +1024,28 @@ class TestParseFormulaFile:
         text = "atom a = h.qc\nformula = a\n"
         ast, bindings = parse_formula_file(text, base_dir=tmp_path)
         assert abs(bindings["a"].matrix[0, 0] - 0.5) <= 1e-12
+
+    def test_a_circuit_atom_is_bound_to_its_truth_qubit(self, tmp_path):
+        text = "qubits 2\ngate h 0\ngate cnot 0 1\nnoise depolarizing 0.3 1\ngate sqrtnot 1\n"
+        (tmp_path / "bell.qc").write_text(text, encoding="utf-8")
+        _, bindings = parse_formula_file("atom a = bell.qc\nformula = a\n", base_dir=tmp_path)
+        want = _truth_qubit(simulate(parse_circuit(text)))
+        assert bindings["a"].n_qubits == 1
+        assert np.array_equal(bindings["a"].matrix, want.matrix)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("atom a = (1, 0, 0, 0)\nformula = a & \u00e9\n", "line 2, column 15: unexpected character '\u00e9'"),
+            ("atom \u00e9 = (1, 0, 0, 0)\nformula = a\n", "line 1, column 1: bad atom name '\u00e9'"),
+            ("atom a\uff11 = (1, 0, 0, 0)\nformula = a\n", "line 1, column 1: bad atom name 'a\uff11'"),
+            ("atom a = (1, 0, 0, 0)\nformula = a\u00b2\n", "line 2, column 12: unexpected character '\u00b2'"),
+        ],
+        ids=["formula-letter", "atom-letter", "atom-full-width-digit", "formula-superscript-digit"],
+    )
+    def test_atom_lines_and_formulas_share_one_name_rule(self, text, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            parse_formula_file(text)
 
     def test_literals_are_normalized(self):
         ast, bindings = parse_formula_file("atom a = (1, 0, 1, 0)\nformula = a\n")

@@ -207,7 +207,8 @@ class TestNoiseFreeCircuits:
         """The outputs with every density-matrix path patched to fail, after
         checking them against the outputs of that path."""
         with monkeypatch.context() as m:  # the outputs of the density-matrix path
-            m.setattr(circuits, "_mixes_after_noise", lambda ir: True)
+            for owner in (circuits, cli):
+                m.setattr(owner, "output_distribution", lambda ir: circuits.outcome_distribution(circuits.simulate(ir)))
             expected = self._outputs(path, capsys, flags)
 
         def fail(*args, **kwargs):

@@ -210,11 +210,10 @@ def test_many_atoms_naming_one_ten_qubit_circuit_evaluate_under_a_2_gib_cap(tmp_
     assert abs(json.loads(done.stdout)["truth_probability"] - 0.3) <= 1e-12
 
 
-def test_many_atoms_naming_distinct_ten_qubit_circuits_end_without_a_traceback(tmp_path):
-    # 150 distinct circuit texts are simulated one by one; their full 16 MiB
-    # states would take 2.3 GiB.  Whether the states fit under the cap or
-    # not, ``bornlab eval`` ends in a result or in one ``error:`` line.  No
-    # circuit flips the truth qubit 9, so every negated atom is true.
+def _eval_distinct_ten_qubit_atoms(tmp_path):
+    """``bornlab eval`` of 150 atoms naming distinct 10-qubit circuit texts,
+    simulated one by one; their full 16 MiB states would take 2.3 GiB.  No
+    circuit flips the truth qubit 9, so every negated atom is true."""
     lines = []
     for k in range(150):
         flips = "".join(f"gate not {q}\n" for q in range(10) if k >> q & 1)
@@ -223,10 +222,23 @@ def test_many_atoms_naming_distinct_ten_qubit_circuits_end_without_a_traceback(t
     lines.append("formula = " + _balanced_conjunction([f"!c{k}" for k in range(150)]))
     path = tmp_path / "distinct.qf"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", CHILD, "eval", str(path)],
         capture_output=True, text=True, env=ENV, timeout=300,
     )
+
+
+def test_many_atoms_naming_distinct_ten_qubit_circuits_evaluate_under_a_2_gib_cap(tmp_path):
+    # Each atom keeps only its truth qubit, so one 16 MiB state is held at a time.
+    done = _eval_distinct_ten_qubit_atoms(tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["truth_probability"] == 1.0
+
+
+def test_many_atoms_naming_distinct_ten_qubit_circuits_end_without_a_traceback(tmp_path):
+    # Whether the states fit under the cap or not, ``bornlab eval`` ends in a
+    # result or in one ``error:`` line.
+    done = _eval_distinct_ten_qubit_atoms(tmp_path)
     assert "Traceback" not in done.stderr
     if done.returncode == 0:
         assert json.loads(done.stdout)["truth_probability"] == 1.0
