@@ -444,13 +444,21 @@ def measurement_channel(n_qubits: int, measured) -> QuantumOperation:
     return op
 
 
+def noise_weights(kind: str, p: float) -> list[tuple[str, float]]:
+    """The (Pauli name, weight) pairs of a noise step of a checked ``kind``
+    and ``p``, in ``NOISE_KINDS`` order, without the zero weights: the
+    channel of ``noise_channel`` and the Pauli frame of
+    ``circuits.output_distribution`` alike."""
+    return [(name, w) for name, w in NOISE_KINDS[kind](p) if w > 0.0]
+
+
 def noise_channel(kind: str, p: float, n_qubits: int, target: int) -> QuantumOperation:
     """Single-qubit noise of a kind of ``NOISE_KINDS`` on ``target``: Kraus
-    matrices sqrt(w) P over the kind's (Pauli name, weight) pairs at ``p``,
-    and masks built from the weights w themselves."""
+    matrices sqrt(w) P over the kind's (Pauli name, weight) pairs at ``p``
+    (``noise_weights``), and masks built from the weights w themselves."""
     check_noise_kind(kind)
     check_noise_probability(p)
-    weighted = [(name, w) for name, w in NOISE_KINDS[kind](p) if w > 0.0]
+    weighted = noise_weights(kind, p)
     op = QuantumOperation([np.sqrt(w) * _PAULIS[name] for name, w in weighted], [target], n_qubits)
     op._masks = _pauli_masks(weighted)
     return op

@@ -10,8 +10,10 @@ Circuit grammar (UTF-8, one statement per line, ``#`` starts a comment):
 
 Circuits are simulated exactly here too (``simulate``), and
 ``output_distribution``, the distribution ``run`` prints, is the one place
-that chooses how it is computed: from the state vector and a probability
-vector, or, where a mixing gate follows noise, from the simulated state.
+that chooses how it is computed: from the state vector and a Pauli frame
+when every gate after noise is Clifford (every built-in gate but
+``toffoli``); else from a probability vector, or, where a mixing gate also
+follows noise, from the simulated state.
 Outcome labels are big-endian: character i of a label is qubit i, so the
 last character is the truth qubit read by the logic layer.  Sampling adds up
 that distribution on the measured qubits and draws all the shots from it in
@@ -42,7 +44,7 @@ import numpy as np
 from . import linalg
 from .channels import apply, evolve, evolve_diagonal, lift_unitary
 from .channels import builtin_gate, check_noise_kind, check_noise_probability
-from .channels import measurement_channel, noise_channel, placed
+from .channels import measurement_channel, noise_channel, noise_weights, placed
 from .linalg import STRUCTURAL_TOL
 from .psa import Context
 from .qcl import And, Atom, Formula, Not, Or, _truth_qubit
@@ -380,9 +382,11 @@ def simulate(ir: CircuitIr) -> DensityOperator:
     spectrum), else on the whole matrix.  The span is not checked where it is
     formed: a full check costs more than the whole run.
 
-    This is the definition ``output_distribution`` is tested against: on a
-    circuit where no mixing gate follows noise it must give
-    ``outcome_distribution`` of this state, entry for entry.
+    This is the definition ``output_distribution`` is tested against: it
+    must give ``outcome_distribution`` of this state entry for entry where
+    no mixing gate follows noise, and where a ``toffoli`` does; elsewhere
+    its Pauli frame rounds apart from this fold, within a few units in the
+    last place per step.
     """
     n, operation = ir.n_qubits, _operations(ir.n_qubits)
     psi, done = _gate_prefix(ir)
@@ -432,32 +436,122 @@ def outcome_distribution(rho: DensityOperator) -> dict[str, float]:
     return _by_label(rho.n_qubits, np.real(np.diagonal(rho.matrix)))
 
 
+def _carry_nothing(frame: np.ndarray, n: int, *targets: int) -> None:
+    pass
+
+
+def _carry_h(frame: np.ndarray, n: int, q: int) -> None:
+    frame[[q, n + q]] = frame[[n + q, q]]
+
+
+def _carry_sqrtnot(frame: np.ndarray, n: int, q: int) -> None:
+    frame[q] ^= frame[n + q]
+
+
+def _carry_cnot(frame: np.ndarray, n: int, c: int, t: int) -> None:
+    frame[[t, n + c]] ^= frame[[c, n + t]]
+
+
+#: How each Clifford gate of ``GATES`` carries the Paulis of a frame through
+#: itself, in place.  A frame holds one Pauli per column of an n-qubit
+#: register, its X bits in rows 0..n-1 and its Z bits in rows n..2n-1.
+#: Conjugating a Pauli by a Clifford gate gives a Pauli, up to a phase that
+#: P rho P^dag cancels (Aaronson and Gottesman, arXiv:quant-ph/0406196):
+#: ``h`` swaps a qubit's X and Z bits, ``sqrtnot`` sets x ^= z, ``cnot c t``
+#: sets x_t ^= x_c and z_c ^= z_t, and ``id`` and ``not`` change no bit.
+#: ``toffoli`` is not Clifford and has no rule.
+_CARRY = {"id": _carry_nothing, "not": _carry_nothing, "h": _carry_h, "sqrtnot": _carry_sqrtnot, "cnot": _carry_cnot}
+
+
+def _framed_probabilities(n: int, psi: np.ndarray, steps) -> np.ndarray:
+    """The outcome probabilities of the n-qubit vector ``psi`` carried
+    through ``steps``, which start with a noise step and whose gates all
+    have a rule in ``_CARRY``, by a Pauli frame (Knill,
+    arXiv:quant-ph/0410199).
+
+    Every gate runs on the vector, and every noise step moves to the end of
+    the run as the channel of its Paulis carried through the later gates.
+    A noise step on qubit q keeps two columns of the frame, X_q and Z_q as
+    the later gates leave them, and each gate updates every column at once;
+    Y_q = iX_qZ_q, so its X-part is the xor of theirs.  Then p = (psi *
+    conj(psi)).real, and each noise step, in order, sets p <- sum_b w_b
+    p[i xor b] over the X-parts b of its carried Paulis: the weights of
+    ``noise_weights`` summed per X-part in their order, the terms added in
+    the order their X-parts first come.  A Z-part leaves p as it is, and so
+    does a measure step.
+
+    Where no mixing gate follows noise, every carried Z has X-part 0, so
+    each step adds (w_I + w_Z) p and then (w_X + w_Y) p flipped: the
+    products and sums ``evolve_diagonal`` makes with the masks of the
+    channel, entry for entry, as the gates after it only move entries.
+    """
+    noise = [step for step in steps if isinstance(step, NoiseStep)]
+    frame = np.zeros((2 * n, 2 * len(noise)), dtype=bool)
+    pending = 0
+    for step in steps:
+        if isinstance(step, GateStep):
+            psi = evolve(_operation(n, step), psi)
+            _CARRY[step.name](frame, n, *step.targets)
+        elif isinstance(step, NoiseStep):
+            frame[step.target, pending] = frame[n + step.target, pending + 1] = True
+            pending += 2
+    probs = (psi * psi.conj()).real
+    x_parts = ((1 << np.arange(n - 1, -1, -1)) @ frame[:n]).tolist()  # qubit 0 is the top bit
+    index = np.arange(2**n)
+    for step, x, z in zip(noise, x_parts[0::2], x_parts[1::2]):
+        carried, weights = {"I": 0, "X": x, "Y": x ^ z, "Z": z}, {}
+        for name, w in noise_weights(step.kind, step.p):
+            weights[carried[name]] = weights.get(carried[name], 0.0) + w
+        terms = [w * (probs if b == 0 else probs[index ^ b]) for b, w in weights.items()]
+        probs = sum(terms[1:], terms[0])
+    return probs
+
+
 def output_distribution(ir: CircuitIr) -> dict[str, float]:
-    """The outcome distribution of the circuit run from |0..0>, by label:
-    ``outcome_distribution(simulate(ir))``, entry for entry and in its order.
+    """The outcome distribution of the circuit run from |0..0>, by label.
 
     This is the one place that chooses how it is computed; ``sample`` draws
     from its result.  The leading gate steps run on the vector
-    (``_gate_prefix``), up to the first noise or measure step.  When a mixing
-    gate (``Gate.mixing``: ``h``, ``sqrtnot``) comes after that step, it reads
-    the coherences of a mixed state, and the circuit is simulated.
+    (``_gate_prefix``), up to the first noise or measure step.  Then one of
+    three rules takes over, and none forms a matrix but the last:
 
-    Otherwise no matrix is formed.  The Born rule gives p(i) = |psi_i|**2 =
-    ``(psi * conj(psi)).real``, the multiply that fills the diagonal of
-    |psi><psi|, and every later step maps that distribution to the next one
-    without reading a coherence, by the loop ``simulate`` runs where the state
-    is diagonal (``_evolve_probabilities``).  The probabilities are kept real:
-    a noise step on them costs less than on the complex diagonal ``simulate``
-    carries.  Their sum is checked once, at the end.  No positivity check is
-    needed: |psi_i|**2 is never negative, and neither are the weights.
+    - Frame.  When every gate after noise is Clifford (has a ``_CARRY``
+      rule; every built-in gate but ``toffoli``), the later gates run on the
+      vector too, and the noise steps move to its end as a Pauli frame
+      (``_framed_probabilities``).  Where a mixing gate (``Gate.mixing``:
+      ``h``, ``sqrtnot``) follows noise, this rounds apart from the matrix
+      fold of ``simulate``, within a few units in the last place per step;
+      elsewhere it gives ``outcome_distribution(simulate(ir))`` entry for
+      entry.
+    - Probabilities.  When a ``toffoli`` follows noise and no mixing gate
+      does, and in every circuit without noise, the Born rule gives p(i) =
+      |psi_i|**2 = ``(psi * conj(psi)).real``, the multiply that fills the
+      diagonal of |psi><psi|, and every later step maps that distribution
+      to the next one without reading a coherence, by the loop ``simulate``
+      runs where the state is diagonal (``_evolve_probabilities``).  This
+      is ``outcome_distribution(simulate(ir))`` entry for entry.
+    - Matrix.  When a ``toffoli`` and a mixing gate both follow noise, the
+      mixing gate reads coherences that no probability holds, and the
+      circuit is simulated: ``outcome_distribution(simulate(ir))``.
+
+    The probabilities are kept real.  Their sum is checked once, at the
+    end.  No positivity check is needed: |psi_i|**2 is never negative, and
+    neither are the weights.
     """
     prefix = next((i for i, step in enumerate(ir.steps) if not isinstance(step, GateStep)), len(ir.steps))
-    if any(_is_mixing(step) for step in ir.steps[prefix:]):
+    rest = ir.steps[prefix:]
+    gates = [step for step in rest if isinstance(step, GateStep)]
+    framed = bool(rest) and isinstance(rest[0], NoiseStep) and all(step.name in _CARRY for step in gates)
+    if not framed and any(_is_mixing(step) for step in gates):
         return outcome_distribution(simulate(ir))
+    n = ir.n_qubits
     psi, done = _gate_prefix(ir)
-    probs = _evolve_probabilities(_operations(ir.n_qubits), (psi * psi.conj()).real, ir.steps[done:])
+    if framed:
+        probs = _framed_probabilities(n, psi, ir.steps[done:])
+    else:
+        probs = _evolve_probabilities(_operations(n), (psi * psi.conj()).real, ir.steps[done:])
     _check_total(float(probs.sum()))
-    return _by_label(ir.n_qubits, probs)
+    return _by_label(n, probs)
 
 
 def measured_positions(ir: CircuitIr) -> tuple[int, ...]:

@@ -865,7 +865,8 @@ RECORD_GOLDENS = {
             ("eight_qubit_mixing", "depolarizing:0.1"),
         )
     },
-    # A mixing gate after injected noise: these runs form the density matrix.
+    # A toffoli and a mixing gate after injected noise: these runs form the
+    # density matrix.
     **{
         f"sample/eight_qubit_mixing_{noise.partition(':')[0]}": [
             "sample", str(CIRCUITS / "eight_qubit_mixing.qc"), "--noise", noise, "--shots", "1024", "--seed", "7",

@@ -13,10 +13,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from bornlab.circuits import inject_noise, output_distribution, parse_circuit, sample
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CAP_BYTES = 2 * 2**30
@@ -97,6 +100,65 @@ def test_ten_qubit_circuit_runs_under_a_2_gib_cap(case, tmp_path):
     assert probs.keys() == expected.keys()
     for label, p in expected.items():
         assert abs(probs[label] - p) <= 1e-12, label
+
+
+# A cnot chain, h on every qubit, then sqrtnot on every qubit: under
+# --noise a mixing gate follows noise, and no toffoli does.  sqrtnot keeps
+# |+>, and every Pauli flip keeps the uniform distribution, so each of the
+# 1024 outcomes has probability 2**-10 whatever the noise.
+CLIFFORD_CHAIN = (
+    "qubits 10\n"
+    + "".join(f"gate cnot {q} {q + 1}\n" for q in range(9))
+    + "".join(f"gate h {q}\n" for q in range(10))
+    + "".join(f"gate sqrtnot {q}\n" for q in range(10))
+    + "measure all\n"
+)
+
+
+def test_a_noisy_ten_qubit_clifford_chain_runs_under_a_2_gib_cap(tmp_path):
+    path = tmp_path / "chain.qc"
+    path.write_text(CLIFFORD_CHAIN, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, "run", str(path), "--noise", "depolarizing:0.01"],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    probs = json.loads(done.stdout)["probabilities"]
+    assert probs.keys() == {format(i, "010b") for i in range(1024)}
+    assert all(abs(p - 2**-10) <= 1e-12 for p in probs.values())
+
+
+def test_a_noisy_ten_qubit_clifford_chain_samples_under_a_2_gib_cap(tmp_path):
+    # 10**12 shots: each count is within 6 standard deviations of 10**12 / 1024.
+    path = tmp_path / "chain.qc"
+    path.write_text(CLIFFORD_CHAIN, encoding="utf-8")
+    shots = 10**12
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, "sample", str(path), "--noise", "depolarizing:0.01", "--shots", str(shots)],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)["counts"]
+    assert counts.keys() == {format(i, "010b") for i in range(1024)}
+    assert sum(counts.values()) == shots
+    sigma = math.sqrt(shots * 2**-10 * (1 - 2**-10))
+    assert all(abs(c - shots * 2**-10) <= 6 * sigma for c in counts.values())
+
+
+def test_a_noisy_ten_qubit_clifford_chain_forms_no_matrix():
+    # Structure, not time: one 4**10-entry matrix alone takes 16 MiB.  A
+    # first sample imports numpy's seeding modules, so it runs untraced.
+    ir = inject_noise(parse_circuit(CLIFFORD_CHAIN), "depolarizing", 0.01)
+    sample(ir, 1, 0)
+    tracemalloc.start()
+    try:
+        dist = output_distribution(ir)
+        histogram = sample(ir, 1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(dist) == 1024 and sum(histogram.counts.values()) == 1000
 
 
 HADAMARD = SRC.parent / "demos" / "hadamard.qc"
