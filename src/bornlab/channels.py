@@ -6,10 +6,11 @@ Kraus matrix is built.  ``evolve`` applies it by one of three rules: a
 gather of the register's entries for a gate with a 0/1 matrix (``id``,
 ``not``, ``cnot``, ``toffoli``), masks for the channels (noise and
 measurement), and contraction into the target axes for everything else
-(``h``, ``sqrtnot``, families built by hand).  The first two read no
-coherence, and ``evolve_diagonal`` applies them to the diagonal of rho
-alone.  The masks act on block views of the register, one rule for noise
-(one target) and measurement (m targets) alike.
+(``h``, ``sqrtnot``, families built by hand).  The masks act on block
+views of the register, one rule for noise (one target) and measurement (m
+targets) alike.  On a distribution a noise step needs no mask:
+``circuits._pauli_noise`` weighs each probability and its flipped partner
+by ``noise_weights``.
 A checked operation moves to other targets of its register by ``placed``,
 which checks only the targets: a run builds each noise family once per
 (kind, p) and places it on the target of every step.
@@ -228,36 +229,33 @@ def _contract(a: np.ndarray, axes, t: np.ndarray) -> np.ndarray:
 
 def _evolve_masked(masks: dict, targets, n: int, state: np.ndarray) -> np.ndarray:
     """sum_b M_b * flip_b(rho), in mask order, on the raw 2**n x 2**n array
-    ``state`` of rho with 2**k x 2**k masks, or on the raw 2**n vector of its
-    diagonal with the masks' diagonals.
+    ``state`` of rho with 2**k x 2**k masks.
 
-    Each copy of the register (rows, then columns; or the diagonal alone) is
-    viewed as blocks around the sorted targets, of shape (2**g0, 2, 2**g1,
-    ..., 2, 2**gk) where g0, ..., gk count the qubits before, between and
-    after them.  Mask slot m sits on the axis of target targets[m] in each
-    copy, and flip_b reverses, by basic slicing, that axis in each copy for
-    each target whose slot bit is set in b.  The products and their sum are
-    those of the (2,)*2n tensor form, entry for entry, the sign of a zero
-    too: the view only merges the axes that neither the masks nor the flips
-    touch.
+    Each copy of the register (rows, then columns) is viewed as blocks
+    around the sorted targets, of shape (2**g0, 2, 2**g1, ..., 2, 2**gk)
+    where g0, ..., gk count the qubits before, between and after them.  Mask
+    slot m sits on the axis of target targets[m] in each copy, and flip_b
+    reverses, by basic slicing, that axis in each copy for each target whose
+    slot bit is set in b.  The products and their sum are those of the
+    (2,)*2n tensor form, entry for entry, the sign of a zero too: the view
+    only merges the axes that neither the masks nor the flips touch.
     """
-    k, copies = len(targets), next(iter(masks.values())).ndim
+    k = len(targets)
     slots = sorted(range(k), key=targets.__getitem__)  # the mask slots in register order
     block, below = [], -1
     for m in slots:
         block += [2 ** (targets[m] - below - 1), 2]
         below = targets[m]
-    t = state.reshape((block + [2 ** (n - 1 - below)]) * copies)
-    mask_shape = ([1, 2] * k + [1]) * copies
-    mask_axes = [c * k + m for c in range(copies) for m in slots]
+    t = state.reshape((block + [2 ** (n - 1 - below)]) * 2)
+    mask_shape = ([1, 2] * k + [1]) * 2
+    mask_axes = [c * k + m for c in range(2) for m in slots]
     out = None
     for b, mask in masks.items():
         flip = [slice(None)] * t.ndim
         for j, m in enumerate(slots):
             if b >> (k - 1 - m) & 1:
-                for c in range(copies):
-                    flip[c * (2 * k + 1) + 2 * j + 1] = slice(None, None, -1)
-        placed = mask.reshape((2,) * (copies * k)).transpose(mask_axes).reshape(mask_shape)
+                flip[2 * j + 1] = flip[2 * k + 2 * j + 2] = slice(None, None, -1)
+        placed = mask.reshape((2,) * (2 * k)).transpose(mask_axes).reshape(mask_shape)
         term = placed * t[tuple(flip)]
         if out is None:
             out = term
@@ -322,8 +320,9 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     - Contraction.  Every other operation is contracted into the target axes
       (``_evolve_contracted``; ``_contract`` on a vector).
 
-    The first two rules read no coherence of rho, so they also map its
-    diagonal alone: ``evolve_diagonal``.
+    A gather on a vector maps the diagonal of rho too, which is how
+    ``circuits`` carries probabilities through a 0/1 gate; it carries them
+    through noise by ``circuits._pauli_noise``, with no mask.
     """
     n = op.n_qubits
     if state.shape == (op.dim,):
@@ -341,33 +340,6 @@ def evolve(op: QuantumOperation, state: np.ndarray) -> np.ndarray:
     if op._masks is not None:
         return _evolve_masked(op._masks, op.targets, n, state)
     return _evolve_contracted(op.kraus, op.targets, state.reshape((2,) * (2 * n))).reshape(state.shape)
-
-
-def evolve_diagonal(op: QuantumOperation, probs: np.ndarray) -> np.ndarray:
-    """The diagonal of ``evolve(op, rho)`` from the diagonal ``probs`` of rho,
-    a raw 2**n vector: real probabilities, or the complex diagonal itself,
-    for the two rules that read no coherence.  The result is not checked.
-
-    - Gather: ``probs[idx]``, which ``evolve`` already returns for a vector.
-    - Masks: the diagonal of sum_b M_b * flip_b(rho) at r is
-      sum_b M_b[r, r] rho[r xor b, r xor b], so each mask's diagonal weighs
-      the flipped probabilities (``_evolve_masked`` of the diagonals).  The
-      diagonals of the built-in masks are real with exact zero imaginary
-      parts, so each product and sum repeats the one the matrix path makes,
-      bit for bit: its real part on real probabilities, all of it on the
-      complex diagonal (up to the sign of a zero).
-
-    A contracted operation (``h``, ``sqrtnot``, families built by hand) reads
-    the coherences and raises ``ValueError``.
-    """
-    if probs.shape != (op.dim,):
-        raise ValueError("operation and probabilities act on different qubit counts")
-    if op._masks is not None:
-        diagonals = {b: np.diagonal(mask).real for b, mask in op._masks.items()}
-        return _evolve_masked(diagonals, op.targets, op.n_qubits, probs)
-    if op._perm is None:
-        raise ValueError("a contracted operation reads coherences: it has no form on probabilities")
-    return evolve(op, probs)
 
 
 def lift_unitary(gate: Gate, n_qubits: int, targets) -> QuantumOperation:
@@ -446,9 +418,11 @@ def measurement_channel(n_qubits: int, measured) -> QuantumOperation:
 
 def noise_weights(kind: str, p: float) -> list[tuple[str, float]]:
     """The (Pauli name, weight) pairs of a noise step of a checked ``kind``
-    and ``p``, in ``NOISE_KINDS`` order, without the zero weights: the
-    channel of ``noise_channel`` and the Pauli frame of
-    ``circuits.output_distribution`` alike."""
+    and ``p``, in ``NOISE_KINDS`` order, without the zero weights.  Three
+    readers weigh by them: the masks of ``noise_channel``, and, through
+    ``circuits._pauli_noise``, the Pauli frame and the probability rule of
+    ``circuits`` (``output_distribution`` and ``simulate``'s diagonal
+    stretches)."""
     return [(name, w) for name, w in NOISE_KINDS[kind](p) if w > 0.0]
 
 

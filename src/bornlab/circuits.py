@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .channels import apply, evolve, evolve_diagonal, lift_unitary
+from .channels import apply, evolve, lift_unitary
 from .channels import builtin_gate, check_noise_kind, check_noise_probability
 from .channels import measurement_channel, noise_channel, noise_weights, placed
 from .linalg import STRUCTURAL_TOL
@@ -64,11 +64,19 @@ class InputError(ValueError):
         self.column = column
 
 
+def _lines(text: str) -> list[str]:
+    r"""The lines of an input file, which only ``\n``, ``\r\n`` and ``\r`` end:
+    the other breaks of ``str.splitlines`` (``\v``, ``\f``, U+2028, ...) are
+    blanks inside a line, so a comment runs to the end of its line."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def _statements(text: str):
     """The statements of an input file: (line number, the text before the
     line's ``#``) for each line that is not blank once its comment is cut.
     One leading byte-order mark (U+FEFF) is not part of the text."""
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text.removeprefix("\ufeff")), start=1):
         line = raw.split("#", 1)[0]
         if line and not line.isspace():
             yield lineno, line
@@ -329,14 +337,32 @@ def _is_mixing(step: Step) -> bool:
     return isinstance(step, GateStep) and builtin_gate(step.name).mixing
 
 
-def _evolve_probabilities(operation, probs: np.ndarray, steps) -> np.ndarray:
-    """The diagonal ``probs`` of a state carried through ``steps``, none of
-    them a mixing gate: a gate is a gather and a noise step weighs the
-    flipped entries by its masks (``evolve_diagonal``); a measure step's one
-    mask M_0 = I leaves them as they are."""
+def _pauli_noise(probs: np.ndarray, step: NoiseStep, x: int, z: int) -> np.ndarray:
+    """The diagonal ``probs`` (real or complex) after the noise step ``step``,
+    whose X_q and Z_q reach it with the X-parts ``x`` and ``z``, bit masks
+    with qubit 0 the top bit (Y_q = iX_qZ_q has x xor z).  A Pauli of X-part
+    b weighs p[i xor b]: the weights of ``noise_weights`` are summed per
+    X-part in their order, and the terms added in the order their X-parts
+    first come.  Uncarried (x = 1 << (n - 1 - q), z = 0), this is (w_I + w_Z)
+    p plus (w_X + w_Y) p flipped: the masks' products and sums on a diagonal.
+    """
+    carried, weights = {"I": 0, "X": x, "Y": x ^ z, "Z": z}, {}
+    for name, w in noise_weights(step.kind, step.p):
+        weights[carried[name]] = weights.get(carried[name], 0.0) + w
+    terms = [w * (probs if b == 0 else probs[np.arange(probs.size) ^ b]) for b, w in weights.items()]
+    return sum(terms[1:], terms[0])
+
+
+def _evolve_probabilities(n: int, probs: np.ndarray, steps) -> np.ndarray:
+    """The diagonal ``probs`` of an n-qubit state carried through ``steps``,
+    none of them a mixing gate, with no channel built: a gate gathers it
+    (``evolve``), a noise step weighs it by ``_pauli_noise`` with nothing
+    carried, and a measure step leaves it as it is."""
     for step in steps:
-        if not isinstance(step, MeasureStep):
-            probs = evolve_diagonal(operation(step), probs)
+        if isinstance(step, GateStep):
+            probs = evolve(_operation(n, step), probs)
+        elif isinstance(step, NoiseStep):
+            probs = _pauli_noise(probs, step, 1 << (n - 1 - step.target), 0)
     return probs
 
 
@@ -372,15 +398,15 @@ def simulate(ir: CircuitIr) -> DensityOperator:
 
     The diagonal is kept complex, as the matrix keeps it: the imaginary
     parts its rounding leaves are carried too.  So each diagonal entry is
-    the one the matrix path computes, bit for bit (``evolve_diagonal``), and
-    the entries off it are exact zeros there too; only the sign of a zero
-    can differ.  Only the returned state is checked: its trace by
-    ``_check_total``, then its hermiticity and positivity by
-    ``states.check_density``, on its diagonal entries as 1 x 1 blocks when it
-    ends diagonal, on the diagonal blocks of the measured sectors when the
-    circuit ends in a measure step (their spectra make up the final matrix's
-    spectrum), else on the whole matrix.  The span is not checked where it is
-    formed: a full check costs more than the whole run.
+    the one the matrix path computes, bit for bit (``_pauli_noise`` makes the
+    masks' products and sums), and the entries off it are exact zeros there
+    too; only the sign of a zero can differ.  Only the returned state is
+    checked: its trace by ``_check_total``, then its hermiticity and
+    positivity by ``states.check_density``, on its diagonal entries as 1 x 1
+    blocks when it ends diagonal, on the diagonal blocks of the measured
+    sectors when the circuit ends in a measure step (their spectra make up
+    the final matrix's spectrum), else on the whole matrix.  The span is not
+    checked where it is formed: a full check costs more than the whole run.
 
     This is the definition ``output_distribution`` is tested against: it
     must give ``outcome_distribution`` of this state entry for entry where
@@ -396,7 +422,7 @@ def simulate(ir: CircuitIr) -> DensityOperator:
     # A head; or, when no mixing gate is left, a tail that starts at the vector.
     if np.count_nonzero(psi) == 1 or (measures_all and not mixing):
         head = mixing[0] if mixing else len(steps)
-        diagonal = _evolve_probabilities(operation, psi * psi.conj(), steps[:head])
+        diagonal = _evolve_probabilities(n, psi * psi.conj(), steps[:head])
         if not mixing:
             return _diagonal_state(diagonal)
         rho = DensityOperator._unchecked(np.diag(diagonal))
@@ -406,7 +432,7 @@ def simulate(ir: CircuitIr) -> DensityOperator:
     for step in steps[head:tail]:
         rho = apply(operation(step), rho)
     if measures_all:
-        return _diagonal_state(_evolve_probabilities(operation, np.diagonal(rho.matrix), steps[tail:]))
+        return _diagonal_state(_evolve_probabilities(n, np.diagonal(rho.matrix), steps[tail:]))
     matrix = rho.matrix
     _check_total(float(np.trace(matrix).real))
     ends_in_measure = bool(steps) and isinstance(steps[-1], MeasureStep)
@@ -472,18 +498,15 @@ def _framed_probabilities(n: int, psi: np.ndarray, steps) -> np.ndarray:
     Every gate runs on the vector, and every noise step moves to the end of
     the run as the channel of its Paulis carried through the later gates.
     A noise step on qubit q keeps two columns of the frame, X_q and Z_q as
-    the later gates leave them, and each gate updates every column at once;
-    Y_q = iX_qZ_q, so its X-part is the xor of theirs.  Then p = (psi *
-    conj(psi)).real, and each noise step, in order, sets p <- sum_b w_b
-    p[i xor b] over the X-parts b of its carried Paulis: the weights of
-    ``noise_weights`` summed per X-part in their order, the terms added in
-    the order their X-parts first come.  A Z-part leaves p as it is, and so
-    does a measure step.
+    the later gates leave them, and each gate updates every column at once.
+    Then p = (psi * conj(psi)).real, and each noise step, in order, weighs
+    p by the X-parts of its carried X_q and Z_q (``_pauli_noise``).  A
+    measure step leaves p as it is.
 
     Where no mixing gate follows noise, every carried Z has X-part 0, so
-    each step adds (w_I + w_Z) p and then (w_X + w_Y) p flipped: the
-    products and sums ``evolve_diagonal`` makes with the masks of the
-    channel, entry for entry, as the gates after it only move entries.
+    each noise step adds (w_I + w_Z) p and then (w_X + w_Y) p flipped, as
+    ``_evolve_probabilities`` does where the step stands: the same products
+    and sums, entry for entry, as the gates after it only move entries.
     """
     noise = [step for step in steps if isinstance(step, NoiseStep)]
     frame = np.zeros((2 * n, 2 * len(noise)), dtype=bool)
@@ -497,13 +520,8 @@ def _framed_probabilities(n: int, psi: np.ndarray, steps) -> np.ndarray:
             pending += 2
     probs = (psi * psi.conj()).real
     x_parts = ((1 << np.arange(n - 1, -1, -1)) @ frame[:n]).tolist()  # qubit 0 is the top bit
-    index = np.arange(2**n)
     for step, x, z in zip(noise, x_parts[0::2], x_parts[1::2]):
-        carried, weights = {"I": 0, "X": x, "Y": x ^ z, "Z": z}, {}
-        for name, w in noise_weights(step.kind, step.p):
-            weights[carried[name]] = weights.get(carried[name], 0.0) + w
-        terms = [w * (probs if b == 0 else probs[index ^ b]) for b, w in weights.items()]
-        probs = sum(terms[1:], terms[0])
+        probs = _pauli_noise(probs, step, x, z)
     return probs
 
 
@@ -549,7 +567,7 @@ def output_distribution(ir: CircuitIr) -> dict[str, float]:
     if framed:
         probs = _framed_probabilities(n, psi, ir.steps[done:])
     else:
-        probs = _evolve_probabilities(_operations(n), (psi * psi.conj()).real, ir.steps[done:])
+        probs = _evolve_probabilities(n, (psi * psi.conj()).real, ir.steps[done:])
     _check_total(float(probs.sum()))
     return _by_label(n, probs)
 
@@ -858,7 +876,7 @@ def parse_formula_file(text: str, base_dir=".") -> tuple[Formula, dict[str, Dens
         except ValueError as exc:  # every other error on the line is located at its start
             raise InputError(str(exc), lineno, 1) from exc
     if formula is None:
-        raise InputError("missing 'formula =' line", len(text.splitlines()) or 1, 1)
+        raise InputError("missing 'formula =' line", len(_lines(text)) or 1, 1)
     ast, tokens, lineno = formula
     for kind, name, col in tokens:
         if kind == "ident" and name not in bindings:

@@ -20,12 +20,12 @@ from bornlab.channels import (
     apply,
     builtin_gate,
     evolve,
-    evolve_diagonal,
     lift_unitary,
     measurement_channel,
     noise_channel,
 )
-from bornlab.circuits import parse_circuit
+from bornlab.circuits import GateStep, MeasureStep, NoiseStep, parse_circuit
+from bornlab.circuits import _evolve_probabilities, _operation
 from bornlab.states import (
     DensityOperator,
     TargetError,
@@ -303,29 +303,32 @@ class TestEvolve:
 
 
 @st.composite
-def markov_operations(draw):
-    """An operation whose rule reads no coherence, on 1-6 qubits: a 0/1 gate,
-    either noise kind at p in {0, 0.5, 1} or drawn, or a measurement, on
-    targets in any order."""
+def markov_steps(draw):
+    """A step whose rule reads no coherence, with its register of 1-6 qubits:
+    a 0/1 gate, either noise kind at p in {0, 0.5, 1} or drawn, or a
+    measurement, on targets in any order."""
     n = draw(st.integers(1, 6))
     order = draw(st.permutations(range(n)))
     kind = draw(st.sampled_from(["gate", "noise", "measure"]))
     if kind == "gate":
         gate = GATES[draw(st.sampled_from([g for g in GATES if not GATES[g].mixing and GATES[g].arity <= n]))]
-        return lift_unitary(gate, n, order[: gate.arity])
+        return n, GateStep(gate.name, tuple(order[: gate.arity]))
     if kind == "noise":
         p = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
-        return noise_channel(draw(st.sampled_from(sorted(NOISE_KINDS))), p, n, order[0])
-    return measurement_channel(n, order[: draw(st.integers(1, n))])
+        return n, NoiseStep(draw(st.sampled_from(sorted(NOISE_KINDS))), p, order[0])
+    return n, MeasureStep(tuple(order[: draw(st.integers(1, n))]))
 
 
 class TestEvolveDiagonal:
-    @given(markov_operations(), st.integers(0, 2**32 - 1))
-    def test_it_is_the_diagonal_of_evolve_bit_for_bit(self, op, seed):
-        rho = random_density(op.n_qubits, rng=seed).matrix
-        got = evolve_diagonal(op, np.diagonal(rho).real.copy())
+    @given(markov_steps(), st.integers(0, 2**32 - 1))
+    def test_it_is_the_diagonal_of_evolve_bit_for_bit(self, case, seed):
+        # The probability rule of ``circuits`` builds no channel; it must
+        # give the diagonal of the channel ``evolve`` applies to the matrix.
+        n, step = case
+        rho = random_density(n, rng=seed).matrix
+        got = _evolve_probabilities(n, np.diagonal(rho).real.copy(), [step])
         assert got.dtype == float
-        assert np.array_equal(got, np.diagonal(evolve(op, rho)).real)
+        assert np.array_equal(got, np.diagonal(evolve(_operation(n, step), rho)).real)
 
     @pytest.mark.parametrize("name", sorted(GATES))
     def test_only_the_contracted_gates_mix(self, name):
@@ -333,26 +336,14 @@ class TestEvolveDiagonal:
         assert gate.mixing is (name in ("h", "sqrtnot"))
         assert gate.mixing is (gate._perm is None)
 
-    @pytest.mark.parametrize(
-        "op",
-        [lift_unitary(GATES["h"], 2, [1]), QuantumOperation([np.kron(PAULI_Y, PAULI_Z)], [1, 0], 2)],
-        ids=["h", "by hand"],
-    )
-    def test_a_contracted_operation_has_no_form_on_probabilities(self, op):
-        with pytest.raises(ValueError, match="^a contracted operation reads coherences"):
-            evolve_diagonal(op, np.array([1.0, 0.0, 0.0, 0.0]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="qubit count"):
-            evolve_diagonal(noise_channel("bitflip", 0.1, 2, 0), np.ones(8) / 8)
-
 
 def _broadcast_masked(masks, targets, t):
     """The mask rule on the (2,)*2n tensor ``t`` of rho (or the (2,)*n tensor
     of its diagonal, with the masks' diagonals): each mask reshaped onto the
     target axes of every copy of the register and broadcast against
     ``np.flip`` of the flipped targets' axes, summed in mask order.  The
-    reference that the block views of ``_evolve_masked`` must equal bit for
+    reference that the block views of ``_evolve_masked`` and, on the
+    diagonal, the noise rule of ``circuits._pauli_noise`` must equal bit for
     bit."""
     k, copies = len(targets), next(iter(masks.values())).ndim
     n = t.ndim // copies
@@ -391,30 +382,33 @@ def _assert_same_bits(got, want):
 
 
 @st.composite
-def mask_operations(draw):
+def mask_steps(draw):
     """Noise of either kind at p in {0, 0.5, 1} or drawn, on any target, or a
-    measurement of 1..n qubits listed in any order, on 1-7 qubits."""
+    measurement of 1..n qubits listed in any order, with its register of 1-7
+    qubits."""
     n = draw(st.integers(1, 7))
     if draw(st.booleans()):
         p = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
-        return noise_channel(draw(st.sampled_from(sorted(NOISE_KINDS))), p, n, draw(st.integers(0, n - 1)))
+        return n, NoiseStep(draw(st.sampled_from(sorted(NOISE_KINDS))), p, draw(st.integers(0, n - 1)))
     order = draw(st.permutations(range(n)))
-    return measurement_channel(n, order[: draw(st.integers(1, n))])
+    return n, MeasureStep(tuple(order[: draw(st.integers(1, n))]))
 
 
 class TestMaskRule:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(mask_operations(), st.integers(0, 2**32 - 1))
-    def test_block_views_give_the_broadcast_form_bit_for_bit(self, op, seed):
-        rng, n = np.random.default_rng(seed), op.n_qubits
-        dim = 2**n
+    @given(mask_steps(), st.integers(0, 2**32 - 1))
+    def test_block_views_give_the_broadcast_form_bit_for_bit(self, case, seed):
+        (n, step), rng = case, np.random.default_rng(seed)
+        op, dim = _operation(n, step), 2**n
         rho = _with_signed_zeros(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), rng)
         want = _broadcast_masked(op._masks, op.targets, rho.reshape((2,) * (2 * n))).reshape(rho.shape)
         _assert_same_bits(evolve(op, rho), want)
+        if isinstance(step, MeasureStep):  # the probability rule leaves a diagonal as it is
+            return
         for diagonal in (np.diagonal(rho).real.copy(), np.diagonal(rho).copy()):
             masks = {b: np.diagonal(mask).real for b, mask in op._masks.items()}
             want = _broadcast_masked(masks, op.targets, diagonal.reshape((2,) * n)).reshape(diagonal.shape)
-            _assert_same_bits(evolve_diagonal(op, diagonal), want)
+            _assert_same_bits(_evolve_probabilities(n, diagonal, [step]), want)
 
 
 class TestApply:

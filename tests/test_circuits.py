@@ -620,17 +620,18 @@ class TestOutputDistribution:
                 lambda weights: [(name, 0.999 * w) for name, w in weights],
             ),
             # The probability path, where a toffoli follows noise: each
-            # step's probabilities leak.
+            # noise step's probabilities leak.
             (
-                "qubits 3\ngate h 0\nnoise bitflip 0.1 0\ngate toffoli 0 1 2\nmeasure all\n",
-                "evolve_diagonal",
+                "qubits 3\ngate h 0\nnoise bitflip 0.1 0\ngate toffoli 0 1 2\nnoise depolarizing 0.1 2\n"
+                "measure all\n",
+                "_pauli_noise",
                 lambda probs: 0.999 * probs,
             ),
         ],
         ids=["frame", "probabilities"],
     )
     def test_the_probabilities_are_checked_once_for_their_sum(self, monkeypatch, text, hook, leak):
-        calls, leaked = [], getattr(channels, hook)
+        calls, leaked = [], getattr(circuits, hook)
 
         def leaking(*args):
             calls.append(args)
@@ -815,11 +816,11 @@ class TestDiagonalStretches:
         # One diagonal step per circuit: moving 0.75 from its largest entry
         # to its smallest keeps the sum and leaves a negative probability;
         # scaling it by 0.999 leaks.
-        calls, evolve_diagonal = [], channels.evolve_diagonal
+        calls, pauli_noise = [], circuits._pauli_noise
 
-        def breaking(op, probs):
-            calls.append(op)
-            out = evolve_diagonal(op, probs)
+        def breaking(probs, step, x, z):
+            calls.append(step)
+            out = pauli_noise(probs, step, x, z)
             if broken == "leaking":
                 return 0.999 * out
             out = out.copy()
@@ -827,7 +828,7 @@ class TestDiagonalStretches:
             out[np.argmax(out.real)] += 0.75
             return out
 
-        monkeypatch.setattr(circuits, "evolve_diagonal", breaking)
+        monkeypatch.setattr(circuits, "_pauli_noise", breaking)
         with pytest.raises(ValueError, match=message):
             simulate(parse_circuit(text))
         assert len(calls) == 1
@@ -895,6 +896,22 @@ class TestPauliFrame:
 
     def test_toffoli_alone_has_no_rule(self):
         assert set(GATES) - set(_CARRY) == {"toffoli"}
+
+    @pytest.mark.parametrize("x, z", [(0b11, 0b10), (0b01, 0b01)], ids=["four-parts", "y-part-zero"])
+    def test_a_noise_step_adds_its_terms_in_the_order_their_x_parts_first_come(self, x, z):
+        # Past a mixing gate a carried X_q and Z_q can give up to four
+        # X-parts (I 0, X x, Y x ^ z, Z z), and then the output's bits depend
+        # on the order of the sum, which no comparison with the fold pins.
+        p = np.random.default_rng(7).random(4)
+        w_i, w_x, w_y, w_z = (w for _, w in channels.noise_weights("depolarizing", 0.3))
+        weights = {}
+        for b, w in ((0, w_i), (x, w_x), (x ^ z, w_y), (z, w_z)):
+            weights[b] = weights.get(b, 0.0) + w
+        want = None
+        for b, w in weights.items():
+            term = w * p[np.arange(4) ^ b]
+            want = term if want is None else want + term
+        assert np.array_equal(circuits._pauli_noise(p, NoiseStep("depolarizing", 0.3, 0), x, z), want)
 
     @pytest.mark.parametrize(
         "text, want",
@@ -1278,7 +1295,8 @@ class TestNoiseFamilies:
     @pytest.mark.parametrize("mixing", ["", "gate h 5\n"], ids=["probabilities", "simulate"])
     def test_a_noisy_sample_checks_one_family_per_call(self, mixing, tmp_path, monkeypatch, capsys):
         # Every noise step of one (kind, p) shares the family that the run's
-        # first such step checked; the next call checks its own again.
+        # first such step checked; the next call checks its own again.  The
+        # probability path weighs by ``noise_weights`` and builds none.
         built, init = [], channels.QuantumOperation.__init__
 
         def counting_init(self, *args, **kwargs):
@@ -1295,6 +1313,6 @@ class TestNoiseFamilies:
         for _ in range(2):
             built.clear()
             assert main(["sample", str(path), "--shots", "1000", "--noise", "depolarizing:0.05"]) == 0
-            assert len(built) == 1
+            assert len(built) == (1 if mixing else 0)
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]

@@ -97,7 +97,7 @@ class TestRun:
         assert abs(payload["probabilities"]["0"] - 0.5) <= 1e-12
 
     def test_bit_flip_at_one_half_records_exact_halves(self, tmp_path, capsys):
-        # The noise masks are built from p itself, not from sqrt(p) squared.
+        # Noise weighs by p itself (``noise_weights``), not by sqrt(p) squared.
         path = tmp_path / "bitflip.qc"
         path.write_text("qubits 2\nnoise bitflip 0.5 1\nmeasure 0\n", encoding="utf-8")
         assert main(["run", str(path), "--format", "record"]) == 0
@@ -973,6 +973,50 @@ class TestByteOrderMark:
             parse_circuit("\ufeff\ufeff" + BELL)
         with pytest.raises(InputError, match=re.escape("line 2, column 1: unknown statement '\\ufeffgate'")):
             parse_circuit("qubits 2\n\ufeffgate h 0\n")
+
+
+# Each command's input file, and a statement that would change its output
+# if a comment's text could run as a statement.
+COMMENTED_INPUTS = {
+    "run": ("qubits 1\n", "gate not 0"),
+    "eval": ("atom a = (1, 0, 0, 0)\nformula = a\n", "formula = !a"),
+    "psa-table": ("state pure 1 0\ncontext z\nvector 1 0\nvector 0 1\nend\n", "state pure 0 1"),
+    "chsh": (
+        "state pure 1 0 0 0\nobservable a 1 0 0 -1\nobservable ap 0 1 1 0\n"
+        "observable b 0 1 1 0\nobservable bp 0 -1j 1j 0\n",
+        "observable a 0 1 1 0",
+    ),
+}
+# The breaks of ``str.splitlines`` that end no line of an input file.
+BLANK_BREAKS = pytest.mark.parametrize(
+    "brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+)
+
+
+class TestLineBreaks:
+    """A line ends only at LF, CR LF or CR: the other breaks of
+    ``str.splitlines`` are blanks inside it."""
+
+    @BLANK_BREAKS
+    @pytest.mark.parametrize("command", COMMENTED_INPUTS)
+    def test_a_comment_runs_to_the_end_of_its_line(self, command, brk, tmp_path, capsys):
+        text, hidden = COMMENTED_INPUTS[command]
+        outputs = []
+        for comment in ("", f"# not a statement:{brk}{hidden}\n"):
+            (tmp_path / "input").write_text(text + comment, encoding="utf-8")
+            assert main([command, str(tmp_path / "input")]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == ""
+        assert outputs[1] == outputs[0]
+
+    @BLANK_BREAKS
+    def test_the_other_breaks_separate_tokens_on_one_line(self, brk):
+        message = "^line 2, column 10: expected a qubit index, got 'gate'$"
+        with pytest.raises(InputError, match=message):
+            parse_circuit(f"qubits 1\ngate h 0{brk}gate not 0\n")
+        with pytest.raises(InputError, match="^line 1, column 1: missing 'formula =' line$"):
+            parse_formula_file(f"atom a = (1, 0, 0, 0){brk}\n")
 
 
 @pytest.mark.parametrize(
